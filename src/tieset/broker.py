@@ -13,15 +13,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from .graph import (
     Graph,
     GraphError,
     NodeSet,
-    _ball,
+    _balls_of_radius,
     _bfs,
+    _bits,
     augment,
     betweenness,
     connected_components,
@@ -80,26 +83,13 @@ def is_sub_radius_dominating(g: Graph, s: NodeSet | Iterable[int], radius: int |
     members = validated_members(g, s)
     if radius is None:
         radius = metric_profile(g).radius
-    adj = g.adj
-    dist = [-1] * g.n
-    queue = []
-    for v in members:
-        dist[v] = 0
-        queue.append(v)
-    reached = len(queue)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        dv = dist[v] + 1
-        if dv >= radius:
-            continue
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv
-                reached += 1
-                queue.append(w)
-    return reached == g.n
+    cover = _coverage_balls(g, radius)
+    return reduce(or_, (cover[v] for v in members)) == (1 << g.n) - 1
+
+
+def _coverage_balls(g: Graph, radius: int) -> list[int]:
+    """Mask of the nodes each node covers: its (radius-1)-ball, or itself alone if radius <= 1."""
+    return _balls_of_radius(g.adj, max(radius - 1, 0))
 
 
 def is_broker_set(g: Graph, s: NodeSet | Iterable[int], radius: int | None = None) -> bool:
@@ -225,9 +215,10 @@ def _greedy_shrinking(g: Graph, r: int, pick) -> NodeSet:
         f = induced_subgraph(g, uncovered)
         w_sub = pick(f, r)
         chosen.append(uncovered[w_sub])
-        removed = set(_ball(f.adj, w_sub, r - 1))
-        remaining = [uncovered[i] for i in range(f.n) if i not in removed]
-        assert len(remaining) < len(uncovered), "cover iteration made no progress"
+        dist = _bfs(f.adj, w_sub, r - 1)
+        remaining = [uncovered[i] for i in range(f.n) if dist[i] < 0]
+        if len(remaining) == len(uncovered):
+            raise RuntimeError("cover iteration made no progress")
         uncovered = remaining
     return NodeSet(chosen)
 
@@ -280,21 +271,19 @@ def _greedy_uncovered(g: Graph, r: int, select) -> NodeSet:
     """Cover loop for the simplified strategies.
 
     ``select`` maps the current uncovered id list to the node to adopt; the
-    coverage ball uses original-graph distances strictly below r.
+    coverage ball uses original-graph distances strictly below r.  The
+    uncovered set is a bitmask.
     """
-    adj = g.adj
-    uncovered = [True] * g.n
-    remaining = g.n
+    cover = _coverage_balls(g, r)
+    uncovered = (1 << g.n) - 1
     chosen: list[int] = []
-    while remaining:
-        u_set = [v for v in range(g.n) if uncovered[v]]
-        w = select(u_set)
+    while uncovered:
+        w = select(_bits(uncovered))
         chosen.append(w)
-        newly = [x for x in _ball(adj, w, r - 1) if uncovered[x]]
-        assert newly, "cover iteration made no progress"
-        for x in newly:
-            uncovered[x] = False
-        remaining -= len(newly)
+        newly = cover[w] & uncovered
+        if not newly:
+            raise RuntimeError("cover iteration made no progress")
+        uncovered ^= newly
     return NodeSet(chosen)
 
 
@@ -322,13 +311,12 @@ def _imp_center(g: Graph, profile: MetricProfile) -> NodeSet:
     r = profile.radius
     v = _min_degree_center(g, profile)
     neighbor_queue = sorted(g.adj[v], key=lambda x: (-len(g.adj[x]), x))
-    adj = g.adj
-    uncovered = [True] * g.n
-    remaining = g.n
+    cover = _coverage_balls(g, r)
+    uncovered = (1 << g.n) - 1
     chosen: list[int] = []
     i = 0
-    while remaining:
-        members = [x for x in range(g.n) if uncovered[x]]
+    while uncovered:
+        members = _bits(uncovered)
         f = induced_subgraph(g, members)
         comp_sub = max(connected_components(f), key=len)
         comp = [members[x] for x in comp_sub]
@@ -341,11 +329,10 @@ def _imp_center(g: Graph, profile: MetricProfile) -> NodeSet:
             i += 1
             from_neighbors = True
         chosen.append(w)
-        newly = [x for x in _ball(adj, w, r - 1) if uncovered[x]]
-        assert newly or from_neighbors, "cover iteration made no progress"
-        for x in newly:
-            uncovered[x] = False
-        remaining -= len(newly)
+        newly = cover[w] & uncovered
+        if not newly and not from_neighbors:
+            raise RuntimeError("cover iteration made no progress")
+        uncovered ^= newly
     return NodeSet(chosen)
 
 
@@ -357,15 +344,20 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
 
     Returns the lexicographically first minimum.  Intended for small graphs;
     ``size_cap`` bounds the subset size, and exceeding it raises
-    :class:`CapExceededError` (a broker set of size n always exists, so with
-    an unbounded cap the search always succeeds).
+    :class:`CapExceededError` (on two or more nodes a broker set of size n
+    always exists, so with an unbounded cap the search then succeeds).  A
+    subset is a broker set iff its members' (radius-1)-balls cover every
+    node, so each test is k ORs of masks computed once per graph.
     """
     radius = metric_profile(g).radius  # also rejects disconnected input
     cap = g.n if size_cap is None else min(size_cap, g.n)
+    # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0
+    cover = _coverage_balls(g, radius) if radius else [0] * g.n
+    full = (1 << g.n) - 1
     nodes = range(g.n)
     for k in range(1, cap + 1):
-        for combo in combinations(nodes, k):
-            if is_broker_set(g, combo, radius=radius):
+        for combo, masks in zip(combinations(nodes, k), combinations(cover, k)):
+            if reduce(or_, masks) == full:
                 return NodeSet(combo)
     raise CapExceededError(f"no broker set of size <= {cap} found")
 

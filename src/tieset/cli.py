@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
             args.count = defaults["count"]
     try:
         return args.fn(args)
-    except (FileNotFoundError, IsADirectoryError, EdgeListFormatError) as exc:
+    except (OSError, UnicodeDecodeError, EdgeListFormatError) as exc:
         print(f"tieset: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GraphError, ValueError) as exc:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from .graph import (
@@ -18,10 +20,11 @@ from .graph import (
     GraphError,
     MetricProfile,
     NodeSet,
-    _bfs,
-    _ecc_below,
+    _balls,
+    _balls_of_radius,
     augment,
     is_complete,
+    is_connected,
     metric_profile,
 )
 from .broker import CapExceededError
@@ -38,12 +41,9 @@ class DeltaReport:
 
 
 def _diameter_at_most(g: Graph, bound: int) -> bool:
-    # early-exit scan: any node whose eccentricity provably exceeds the bound
-    # settles the answer
-    for v in range(g.n):
-        if not _ecc_below(g.adj, v, bound + 1):
-            return False
-    return True
+    # every ball must be full after `bound` rounds
+    ecc, _ = _balls(g.adj, rounds=bound)
+    return min(ecc, default=0) >= 0
 
 
 def is_delta_enabling(g: Graph, s: NodeSet | Iterable[int], delta: int) -> bool:
@@ -76,17 +76,54 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     ``delta`` must be at least 2 (tying to all nodes always reaches diameter
     2, so an answer exists; below 2 none may).  Lexicographically first
     minimum; :class:`CapExceededError` when ``size_cap`` cuts the search off.
+
+    The host's balls of radius 0..delta are computed once.  A subset S is
+    then tested with the augmentation law d_H(x, y) = min(d(x, y),
+    d(x, S) + 2 + d(S, y)), where the t-ball of S is the OR of its members'
+    t-balls: the newcomer reaches every node within delta iff the
+    (delta-1)-ball of S is full, and a node x with d(x, S) = a reaches every
+    node within delta iff the nodes farther than delta from x in the host
+    all lie in the (delta-2-a)-ball of S.
     """
     if delta < 2:
         raise GraphError(f"target diameter must be >= 2, got {delta}")
-    if not g.n or min(_bfs(g.adj, 0)) < 0:
+    if not is_connected(g):
         raise GraphError("graph not connected")
-    cap = g.n if size_cap is None else min(size_cap, g.n)
+    n = g.n
+    _, balls = _balls(g.adj, range(delta + 1), delta)
+    full = (1 << n) - 1
+    # each node's balls of radius 0..delta-1 in one int, radius t at bit
+    # offset t*n, so one OR over S's members yields all of S's t-balls
+    packed = [sum(balls[t][v] << (t * n) for t in range(delta)) for v in range(n)]
+    top = (delta - 1) * n
+    # per node x with ecc > delta, and per a = 0..delta-2: the bit that says
+    # d(x, S) <= a, and the nodes farther than delta from x placed in the
+    # (delta-2-a)-ball layer, all of which that layer must contain
+    far = [
+        [(1 << (a * n + x), (full ^ b) << ((delta - 2 - a) * n)) for a in range(delta - 1)]
+        for x, b in enumerate(balls[delta])
+        if b != full
+    ]
+    cap = n if size_cap is None else min(size_cap, n)
     for k in range(1, cap + 1):
-        for combo in combinations(range(g.n), k):
-            if is_delta_enabling(g, combo, delta):
+        for combo, masks in zip(combinations(range(n), k), combinations(packed, k)):
+            s_balls = reduce(or_, masks)
+            if s_balls >> top == full and _far_pairs_bridged(s_balls, far):
                 return NodeSet(combo)
     raise CapExceededError(f"no delta-enabling set of size <= {cap} found")
+
+
+def _far_pairs_bridged(s_balls: int, far: list[list[tuple[int, int]]]) -> bool:
+    """True iff every host pair farther apart than delta is within delta through S."""
+    for probes in far:
+        for within, needed in probes:
+            if s_balls & within:  # first hit: a = d(x, S)
+                if needed & ~s_balls:
+                    return False
+                break
+        else:  # d(x, S) > delta-2: x cannot reach its far nodes through S
+            return False
+    return True
 
 
 def _check_reduction_args(profile: MetricProfile, delta: int) -> None:
@@ -98,15 +135,14 @@ def _check_reduction_args(profile: MetricProfile, delta: int) -> None:
 
 def _peripheral_pairs(g: Graph, profile: MetricProfile) -> list[tuple[int, int]]:
     """All unordered node pairs at distance exactly diam(g), ascending."""
-    diam = profile.diameter
+    near = _balls_of_radius(g.adj, profile.diameter - 1)
     periphery = profile.periphery.members
-    pairs = []
-    for a in periphery:
-        dist = _bfs(g.adj, a)
-        for b in periphery:
-            if b > a and dist[b] == diam:
-                pairs.append((a, b))
-    return pairs
+    return [
+        (a, b)
+        for i, a in enumerate(periphery)
+        for b in periphery[i + 1:]
+        if not near[a] >> b & 1
+    ]
 
 
 def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -130,14 +166,15 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
             addable = [x for x in (a, b) if x != u and x not in s]
             if addable:
                 candidates.append(addable)
-        assert candidates, "no addable peripheral pair despite oversized diameter"
+        if not candidates:
+            raise RuntimeError("no addable peripheral pair despite oversized diameter")
         s.update(candidates[rng.randrange(len(candidates))])
         iterations += 1
         prev_diameter = cur_profile.diameter if iterations > 1 else None
         cur = augment(g, NodeSet(s))
         cur_profile = metric_profile(cur)
-        if prev_diameter is not None:
-            assert cur_profile.diameter <= prev_diameter, "diameter increased"
+        if prev_diameter is not None and cur_profile.diameter > prev_diameter:
+            raise RuntimeError("diameter increased")
         if cur_profile.diameter <= delta:
             return DeltaReport(NodeSet(s), len(s), cur_profile.diameter, iterations)
 
@@ -149,7 +186,7 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     later round ties the newcomer to a random periphery node of the current
     combined graph that it is not yet tied to.  After every periphery tie the
     picked node's eccentricity is at most rad(g) + 2 (it reaches everything
-    through the newcomer and the initial center tie), which is asserted.
+    through the newcomer and the initial center tie), which is checked.
     Deterministic per seed.
     """
     profile = metric_profile(g)
@@ -163,16 +200,19 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     iterations = 1
     while cur_profile.diameter > delta:
         candidates = [w for w in cur_profile.periphery.members if w != u and w not in s]
-        assert candidates, "periphery exhausted despite oversized diameter"
+        if not candidates:
+            raise RuntimeError("periphery exhausted despite oversized diameter")
         w = candidates[rng.randrange(len(candidates))]
         s.add(w)
         iterations += 1
         prev_diameter = cur_profile.diameter
         cur = augment(g, NodeSet(s))
         cur_profile = metric_profile(cur)
-        assert cur_profile.diameter <= prev_diameter, "diameter increased"
-        assert cur_profile.ecc[w] <= profile.radius + 2, (
-            f"picked periphery node {w} kept eccentricity {cur_profile.ecc[w]} "
-            f"> original radius {profile.radius} + 2"
-        )
+        if cur_profile.diameter > prev_diameter:
+            raise RuntimeError("diameter increased")
+        if cur_profile.ecc[w] > profile.radius + 2:
+            raise RuntimeError(
+                f"picked periphery node {w} kept eccentricity {cur_profile.ecc[w]} "
+                f"> original radius {profile.radius} + 2"
+            )
     return DeltaReport(NodeSet(s), len(s), cur_profile.diameter, iterations)

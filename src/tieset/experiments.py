@@ -339,33 +339,47 @@ class RunTimedOut(Exception):
     """A dataset run exceeded its wall-clock budget."""
 
 
-def _child_run(queue, g, heuristic):
+def _child_run(conn, g, heuristic):
     try:
         report = run_heuristic(g, heuristic)
-        queue.put(("ok", report.s.members, report.valid, report.elapsed))
+        conn.send(("ok", report.s.members, report.valid, report.elapsed))
     except Exception as exc:  # pragma: no cover - surfaced to the parent
-        queue.put(("error", repr(exc), None, None))
+        conn.send(("error", repr(exc), None, None))
+    conn.close()
 
 
 def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | None):
     """Run a heuristic with verification under a wall-clock budget.
 
     Returns (members, valid, elapsed_seconds); raises :class:`RunTimedOut`
-    when the budget expires (the worker process is terminated).
+    when no result arrives within the budget (the worker process is
+    terminated), and RuntimeError when the worker exits without a result.
+    The result is read before the worker is joined, so a result larger than
+    the pipe buffer cannot stall the worker until the deadline.
     """
     if timeout_s is None:
         report = run_heuristic(g, heuristic)
         return report.s.members, report.valid, report.elapsed
     ctx = multiprocessing.get_context("fork")
-    queue = ctx.SimpleQueue()
-    proc = ctx.Process(target=_child_run, args=(queue, g, heuristic))
+    reader, writer = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child_run, args=(writer, g, heuristic))
     proc.start()
-    proc.join(timeout_s)
-    if proc.is_alive():
-        proc.terminate()
+    writer.close()  # the worker holds the only write end: its exit reads as EOF
+    try:
+        if not reader.poll(timeout_s):
+            proc.terminate()
+            raise RunTimedOut(f"{heuristic.value} exceeded {timeout_s:.0f}s")
+        try:
+            outcome, payload, valid, elapsed = reader.recv()
+        except EOFError:
+            outcome = None
+    finally:
         proc.join()
-        raise RunTimedOut(f"{heuristic.value} exceeded {timeout_s:.0f}s")
-    outcome, payload, valid, elapsed = queue.get()
+        reader.close()
+    if outcome is None:
+        raise RuntimeError(
+            f"{heuristic.value} worker exited with code {proc.exitcode} before sending a result"
+        )
     if outcome == "error":
         raise RuntimeError(f"{heuristic.value} failed in worker: {payload}")
     return payload, valid, elapsed

@@ -132,8 +132,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj, m)
 
 
-def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
-    """Hop distances from source; -1 marks unreachable nodes."""
+def _bfs(adj: tuple[tuple[int, ...], ...], source: int, bound: int | None = None) -> list[int]:
+    """Hop distances from source, up to ``bound`` hops if given; -1 marks nodes not reached."""
+    limit = len(adj) if bound is None else bound
     dist = [-1] * len(adj)
     dist[source] = 0
     queue = deque((source,))
@@ -142,6 +143,8 @@ def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
     while queue:
         v = pop()
         dv = dist[v] + 1
+        if dv > limit:
+            continue
         for w in adj[v]:
             if dist[w] < 0:
                 dist[w] = dv
@@ -149,51 +152,74 @@ def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
     return dist
 
 
-def _ball(adj: tuple[tuple[int, ...], ...], source: int, max_dist: int) -> list[int]:
-    """Nodes within hop distance max_dist of source (source included)."""
-    if max_dist < 0:
-        return []
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    out = [source]
-    queue = deque((source,))
-    while queue:
-        v = queue.popleft()
-        dv = dist[v] + 1
-        if dv > max_dist:
-            continue
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv
-                out.append(w)
-                queue.append(w)
-    return out
+def _balls(
+    adj: tuple[tuple[int, ...], ...],
+    keep: Iterable[int] = (),
+    rounds: int | None = None,
+) -> tuple[list[int], dict[int, list[int]]]:
+    """Bit-parallel BFS from every node at once (Akiba, Iwata & Yoshida 2013).
 
+    Node v's r-ball is a Python int with bit w set iff d(v, w) <= r.  Round
+    r+1 computes ball_{r+1}[v] = ball_r[v] | OR of ball_r[w] over w in N(v).
+    Returns ``(ecc, kept)``: ``ecc[v]`` is the first round at which v's mask
+    is full (-1 if it never is within the rounds run, e.g. on disconnected
+    input), and ``kept[r]`` is the list of r-ball masks for each r in
+    ``keep`` (at most ``rounds``).  Runs until every mask is full or a round
+    changes nothing, or for at most ``rounds`` rounds; a kept radius past
+    the last round gets the final, stable generation.
 
-def _ecc_below(adj: tuple[tuple[int, ...], ...], source: int, bound: int) -> bool:
-    """True iff ecc(source) < bound, i.e. every node sits within bound-1 hops.
-
-    Stops expanding as soon as the frontier would pass bound-1, so failing
-    sources are cheap to rule out.
+    Memory is up to n^2/8 bytes per mask generation: two while running, plus
+    one per kept radius.  Full masks share one int object, so a node whose
+    ball is complete costs a pointer.
     """
-    if bound <= 0:
-        return False
     n = len(adj)
-    dist = [-1] * n
-    dist[source] = 0
-    reached = 1
-    queue = deque((source,))
-    while queue:
-        v = queue.popleft()
-        dv = dist[v] + 1
-        if dv >= bound:
-            continue
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv
-                reached += 1
-                queue.append(w)
-    return reached == n
+    full = (1 << n) - 1
+    rounds = n if rounds is None else rounds  # n-1 rounds reach every node
+    keep = set(keep)
+    kept: dict[int, list[int]] = {}
+    ecc = [-1] * n
+    ball = [1 << v for v in range(n)]
+    pending = list(range(n))
+    r = 0
+    while True:
+        still = []
+        for v in pending:
+            if ball[v] == full:
+                ecc[v] = r
+                ball[v] = full
+            else:
+                still.append(v)
+        pending = still
+        if r in keep:
+            kept[r] = ball
+        if not pending or r >= rounds:
+            break
+        grown = ball[:]
+        changed = False
+        for v in pending:
+            b = ball[v]
+            for w in adj[v]:
+                b |= ball[w]
+            if b != ball[v]:
+                grown[v] = b
+                changed = True
+        if not changed:
+            break
+        ball = grown
+        r += 1
+    for k in keep:
+        kept.setdefault(k, ball)
+    return ecc, kept
+
+
+def _balls_of_radius(adj: tuple[tuple[int, ...], ...], radius: int) -> list[int]:
+    """Every node's ``radius``-ball mask (see :func:`_balls`)."""
+    return _balls(adj, (radius,), radius)[1][radius]
+
+
+def _bits(mask: int) -> list[int]:
+    """Ascending positions of the set bits of ``mask``."""
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 def validated_members(g: Graph, s: NodeSet | Iterable[int], *, allow_empty: bool = False) -> tuple[int, ...]:
@@ -224,19 +250,16 @@ def is_connected(g: Graph) -> bool:
 def metric_profile(g: Graph) -> MetricProfile:
     """Eccentricity of every node plus radius, diameter, center and periphery.
 
-    Runs one BFS per node.  Raises :class:`NotConnectedError` on disconnected
-    input; callers wanting the giant component should apply
+    Grows every node's ball at once with the bit-parallel kernel
+    :func:`_balls`, one round per hop.  Raises :class:`NotConnectedError` on
+    disconnected input; callers wanting the giant component should apply
     :func:`largest_connected_component` first.
     """
     if g.n == 0:
         raise NotConnectedError("graph not connected: no nodes")
-    adj = g.adj
-    first = _bfs(adj, 0)
-    if min(first) < 0:
+    ecc, _ = _balls(g.adj)
+    if min(ecc) < 0:
         raise NotConnectedError("graph not connected")
-    ecc = [max(first)]
-    for v in range(1, g.n):
-        ecc.append(max(_bfs(adj, v)))
     radius = min(ecc)
     diameter = max(ecc)
     center = NodeSet(v for v in range(g.n) if ecc[v] == radius)

@@ -1,3 +1,8 @@
+import errno
+
+import pytest
+
+from tieset import cli
 from tieset.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tieset.datasets import write_edge_list
 
@@ -33,6 +38,31 @@ def test_malformed_file_is_an_input_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\noops\n")
     assert main(["stats", str(path)]) == EXIT_INPUT
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe0 1\n")
+    assert main(["stats", str(path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_directory_is_an_input_error(tmp_path):
+    assert main(["stats", str(tmp_path)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("exc", [
+    PermissionError(errno.EACCES, "Permission denied"),
+    OSError(errno.EIO, "Input/output error"),
+])
+def test_os_errors_on_input_are_input_errors(tmp_path, monkeypatch, capsys, exc):
+    def refuse(path, *, giant=False):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_edge_list", refuse)
+    path = _edge_file(tmp_path, path_graph(3))
+    assert main(["stats", path]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
 
 
 def test_bad_flag_is_an_input_error(tmp_path, capsys):

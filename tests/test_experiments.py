@@ -1,7 +1,9 @@
 import csv
+import os
 
 import pytest
 
+from tieset import experiments
 from tieset.datasets import DatasetDescriptor, NetworkStats, write_edge_list
 from tieset.experiments import (
     CSV_COLUMNS,
@@ -19,7 +21,7 @@ from tieset.experiments import (
 from tieset.broker import BrokerHeuristic
 from tieset.graph import GraphError
 
-from util import random_connected
+from util import random_connected, star_graph
 
 
 def _read_csv(path):
@@ -136,6 +138,20 @@ def test_run_with_timeout_passthrough_and_expiry():
     assert valid and len(members) >= 1
     with pytest.raises(RunTimedOut):
         run_with_timeout(g, BrokerHeuristic.BTW, 1e-6)
+
+
+def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
+    # radius 1, so the set is every node: its pickle (~90 kB) overfills a 64 KiB pipe
+    g = star_graph(30_000)
+    members, valid, _ = run_with_timeout(g, BrokerHeuristic.MAX, 60.0)
+    assert valid is True
+    assert members == tuple(range(g.n))
+
+
+def test_run_with_timeout_raises_when_the_worker_dies(monkeypatch):
+    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: os._exit(7))
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
 
 
 def test_experiment_4_rows_reach_target(tmp_path):

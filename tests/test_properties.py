@@ -8,16 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from tieset.broker import (
     BrokerHeuristic,
+    CapExceededError,
     brute_force_min_broker,
     is_broker_set,
     is_sub_radius_dominating,
     run_heuristic,
 )
-from tieset.diameter import cp_algorithm, is_delta_enabling, periphery_algorithm, preserve_diameter
+from tieset.diameter import (
+    _diameter_at_most,
+    brute_force_min_delta_enabling,
+    cp_algorithm,
+    is_delta_enabling,
+    periphery_algorithm,
+    preserve_diameter,
+)
 from tieset.generators import BA, NWS, RandomModelParams, generate, reduction_gadget
 from tieset.graph import (
     Graph,
     NodeSet,
+    NotConnectedError,
+    _balls,
     augment,
     betweenness,
     bfs_distances,
@@ -25,7 +35,17 @@ from tieset.graph import (
     metric_profile,
 )
 
-from util import fw_distances, grow_to_sub_radius_dominating, random_tree
+from util import (
+    complete_graph,
+    cycle_graph,
+    fw_distances,
+    fw_eccentricities,
+    fw_min_delta_enabling,
+    grow_to_sub_radius_dominating,
+    path_graph,
+    random_connected,
+    random_tree,
+)
 
 
 @st.composite
@@ -172,3 +192,90 @@ def test_generators_are_deterministic_and_connected(model, n, seed):
     assert g == generate(params)
     assert min(bfs_distances(g, 0)) >= 0  # connected: everything reachable
     assert isinstance(g, Graph)
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the bit-parallel ball kernel and the mask-based
+# oracles against Floyd-Warshall and the augment+BFS verifier
+
+@st.composite
+def family_graphs(draw, min_n=1, max_n=25):
+    """Connected graph from one of five families: random, tree, path, cycle, complete."""
+    n = draw(st.integers(min_n, max_n))
+    family = draw(st.sampled_from(["random", "tree", "path", "cycle", "complete"]))
+    if family == "random":
+        return random_connected(n, draw(st.integers(0, n)), draw(st.integers(0, 2 ** 31)))
+    if family == "tree":
+        return random_tree(n, draw(st.integers(0, 2 ** 31)))
+    return {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[family](n)
+
+
+def _disjoint_union(a: Graph, b: Graph) -> Graph:
+    return build_graph(a.n + b.n, list(a.edges()) + [(x + a.n, y + a.n) for x, y in b.edges()])
+
+
+@settings(max_examples=60)
+@given(family_graphs(), st.integers(0, 6))
+def test_kernel_matches_floyd_warshall(g, r):
+    ecc, kept = _balls(g.adj, keep=(r,))
+    assert ecc == fw_eccentricities(g)
+    d = fw_distances(g)
+    for v in range(g.n):
+        assert kept[r][v] == sum(1 << w for w in range(g.n) if d[v][w] <= r)
+
+
+@settings(max_examples=30)
+@given(family_graphs(max_n=12), family_graphs(max_n=12))
+def test_kernel_marks_disconnected_nodes(a, b):
+    g = _disjoint_union(a, b)
+    ecc, _ = _balls(g.adj)
+    assert ecc == [-1] * g.n
+    with pytest.raises(NotConnectedError, match="graph not connected"):
+        metric_profile(g)
+
+
+@settings(max_examples=60)
+@given(family_graphs(), st.data())
+def test_diameter_at_most_matches_floyd_warshall(g, data):
+    s = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True))
+    bound = data.draw(st.integers(0, g.n + 1))
+    h = augment(g, s)
+    assert _diameter_at_most(h, bound) == (max(fw_eccentricities(h)) <= bound)
+
+
+def _min_broker_by_verifier(g: Graph) -> NodeSet | None:
+    r = metric_profile(g).radius
+    for k in range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if is_broker_set(g, combo, radius=r):
+                return NodeSet(combo)
+    return None
+
+
+def _min_broker_or_none(g: Graph) -> NodeSet | None:
+    try:
+        return brute_force_min_broker(g)
+    except CapExceededError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_graphs(max_n=10))
+def test_mask_broker_oracle_matches_verifier_search(g):
+    assert _min_broker_or_none(g) == _min_broker_by_verifier(g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(family_graphs(min_n=3, max_n=5))
+def test_mask_broker_oracle_matches_verifier_search_on_gadgets(g):
+    if metric_profile(g).radius < 2:
+        return
+    h, _ = reduction_gadget(g)
+    assert _min_broker_or_none(h) == _min_broker_by_verifier(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_graphs(max_n=8), st.data())
+def test_mask_delta_oracle_matches_floyd_warshall_search(g, data):
+    delta = data.draw(st.integers(2, max(2, metric_profile(g).diameter + 1)))
+    assert brute_force_min_delta_enabling(g, delta) == fw_min_delta_enabling(g, delta)

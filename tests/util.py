@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from tieset.graph import Graph, NodeSet, build_graph
+from tieset.graph import Graph, NodeSet, augment, build_graph
 
 INF = 10 ** 9
 
@@ -67,6 +67,18 @@ def fw_distances(g: Graph) -> list[list[int]]:
 
 def fw_eccentricities(g: Graph) -> list[int]:
     return [max(row) for row in fw_distances(g)]
+
+
+def fw_min_delta_enabling(g: Graph, delta: int) -> NodeSet | None:
+    """Lexicographically first smallest S with diam(augment(g, S)) <= delta, or None.
+
+    Every candidate is checked by Floyd-Warshall on the augmented graph.
+    """
+    for k in range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if max(fw_eccentricities(augment(g, combo))) <= delta:
+                return NodeSet(combo)
+    return None
 
 
 def brute_betweenness(g: Graph) -> list[float]:
