@@ -48,13 +48,8 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _load(path: str, giant: bool):
-    graph, mapping = load_edge_list(path, giant=giant)
-    return graph, mapping
-
-
 def _cmd_stats(args) -> int:
-    g, _ = _load(args.path, args.giant)
+    g, _ = load_edge_list(args.path, giant=args.giant)
     profile = metric_profile(g)
     print(f"n: {g.n}")
     print(f"m: {g.m}")
@@ -66,7 +61,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_broker(args) -> int:
-    g, _ = _load(args.path, args.giant)
+    g, _ = load_edge_list(args.path, giant=args.giant)
     report = run_heuristic(g, args.alg, args.seed, verify=args.verify)
     print(f"algorithm: {report.heuristic.value}")
     print(f"size: {report.size}")
@@ -78,7 +73,7 @@ def _cmd_broker(args) -> int:
 
 
 def _cmd_diam(args) -> int:
-    g, _ = _load(args.path, args.giant)
+    g, _ = load_edge_list(args.path, giant=args.giant)
     fn = periphery_algorithm if args.alg == "periphery" else cp_algorithm
     t0 = time.perf_counter()
     report = fn(g, args.delta, args.seed)
@@ -107,7 +102,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    g, _ = _load(args.path, False)
+    g, _ = load_edge_list(args.path)
     h, gm = reduction_gadget(g)
     write_edge_list(
         args.out,
@@ -123,7 +118,7 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g, _ = _load(args.path, args.giant)
+    g, _ = load_edge_list(args.path, giant=args.giant)
     if args.target == "broker":
         s = brute_force_min_broker(g, size_cap=args.cap)
     elif args.target == "dom":

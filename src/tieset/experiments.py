@@ -157,6 +157,8 @@ def _models_metadata(models: Sequence[str]) -> str:
 
 def _iter_graphs(models, sizes, count, master_seed):
     """Yield (graph_id, params, graph) in a fixed order with split seeds."""
+    if count < 1:
+        raise GraphError(f"graph count per cell must be >= 1, got {count}")
     index = 0
     for model in models:
         for n in sizes:

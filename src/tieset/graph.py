@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 UNREACHABLE = math.inf
@@ -32,12 +32,15 @@ class Graph:
     Construct through :func:`build_graph`, which cleans the edge list and
     establishes the invariants (symmetric adjacency, sorted neighbor lists,
     no self-loops or duplicates).  Connectedness is *not* an invariant;
-    operations that need it check it.
+    operations that need it check it.  The graph never changes, so
+    :func:`betweenness` keeps its result on it; that slot takes no part in
+    equality, hashing or the repr.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
     m: int
+    _betweenness: tuple[float, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -293,8 +296,13 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph induced by ``members``, relabeled to 0..k-1 in ascending id order."""
+    """Subgraph induced by ``members``, relabeled to 0..k-1 in ascending id order.
+
+    Members that are exactly 0..n-1 give ``g`` itself, with whatever it keeps.
+    """
     ordered = sorted(set(members))
+    if ordered == list(range(g.n)):
+        return g
     index = {v: i for i, v in enumerate(ordered)}
     adj = tuple(
         tuple(index[w] for w in g.adj[v] if w in index)
@@ -319,44 +327,60 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
 
 
 def betweenness(g: Graph) -> list[float]:
-    """Shortest-path betweenness score of every node.
+    """Shortest-path betweenness score of every node, as a fresh list.
 
     A node scores, for each unordered pair of other nodes, the fraction of
     the pair's shortest paths that pass through it (endpoints excluded).
-    Computed per component with Brandes' accumulation; deterministic.
+    Brandes' accumulation (2001), run once per graph and kept on it.
     """
-    n = g.n
-    adj = g.adj
+    if g._betweenness is None:
+        object.__setattr__(g, "_betweenness", _brandes(g.n, g.adj))
+    return list(g._betweenness)
+
+
+def _brandes(n: int, adj: tuple[tuple[int, ...], ...]) -> tuple[float, ...]:
+    """Brandes from every source, without predecessor lists.
+
+    A level-synchronous BFS counts shortest paths; the backward pass finds
+    w's predecessors by scanning adj[w] for nodes one level up.  Each
+    dependency still receives its additions in reverse BFS order, so the
+    scores match the predecessor-list form to the last bit.
+    """
     score = [0.0] * n
     for s in range(n):
         dist = [-1] * n
         sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
         dist[s] = 0
         sigma[s] = 1
-        queue = deque((s,))
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv
-                    queue.append(w)
-                if dist[w] == dv:
-                    sigma[w] += sv
-                    preds[w].append(v)
+        levels = []
+        frontier = [s]
+        d = 0
+        while frontier:
+            levels.append(frontier)
+            d += 1
+            nxt = []
+            for v in frontier:
+                sv = sigma[v]
+                for w in adj[v]:
+                    dw = dist[w]
+                    if dw < 0:
+                        dist[w] = d
+                        sigma[w] = sv
+                        nxt.append(w)
+                    elif dw == d:
+                        sigma[w] += sv
+            frontier = nxt
         delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                score[w] += delta[w]
+        for up in range(len(levels) - 2, -1, -1):
+            for w in reversed(levels[up + 1]):
+                dep = delta[w]
+                coeff = (1.0 + dep) / sigma[w]
+                for v in adj[w]:
+                    if dist[v] == up:
+                        delta[v] += sigma[v] * coeff
+                score[w] += dep
     # each unordered pair was accumulated from both endpoints
-    return [x / 2.0 for x in score]
+    return tuple(x / 2.0 for x in score)
 
 
 def augment(g: Graph, s: NodeSet | Iterable[int]) -> Graph:

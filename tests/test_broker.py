@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from tieset import broker
 from tieset.broker import (
     AlgorithmReport,
     BrokerHeuristic,
@@ -111,6 +112,17 @@ def test_unverified_run_reports_none():
     report = run_heuristic(P5, "center", verify=False)
     assert report.valid is None
     assert report.s == NodeSet([1, 3])
+
+
+@pytest.mark.parametrize("heuristic", ["btw", "s-btw"])
+def test_whole_graph_betweenness_is_computed_before_the_timer(monkeypatch, heuristic):
+    g = random_connected(20, 6, 1)
+    events = []
+    kernel = broker.betweenness
+    monkeypatch.setattr(broker, "betweenness", lambda f: events.append(f is g) or kernel(f))
+    monkeypatch.setattr(broker.time, "perf_counter", lambda: events.append("clock") or 0.0)
+    run_heuristic(g, heuristic, verify=False)
+    assert events[:2] == [True, "clock"]
 
 
 def test_min_broker_path5():

@@ -157,3 +157,12 @@ def test_experiment_3_cli_with_dataset_spec(tmp_path):
 def test_experiment_3_rejects_bad_dataset_spec(tmp_path):
     out = tmp_path / "e3.csv"
     assert main(["experiment", "3", "--dataset", "no-equals-sign", "--out", str(out)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("number", ["1", "2", "4"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_experiment_count_below_one_is_a_precondition_error(tmp_path, capsys, number, count):
+    out = tmp_path / "e.csv"
+    assert main(["experiment", number, "--sizes", "8", "--count", count, "--out", str(out)]) == EXIT_PRECONDITION
+    assert "count" in capsys.readouterr().err
+    assert not out.exists()

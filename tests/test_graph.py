@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import pytest
 
+from tieset.generators import BA, NWS, RandomModelParams, generate
 from tieset.graph import (
     GraphError,
     NodeSet,
@@ -27,6 +29,7 @@ from util import (
     fw_distances,
     path_graph,
     random_connected,
+    ref_brandes,
     star_graph,
 )
 
@@ -131,6 +134,24 @@ def test_induced_subgraph_relabels_in_order():
     assert list(sub.edges()) == [(0, 1), (0, 2)]  # 0-1 and 0-4 survive
 
 
+def test_induced_subgraph_on_every_node_is_the_graph_itself():
+    g = random_connected(12, 6, 3)
+    assert induced_subgraph(g, range(g.n)) is g
+    assert induced_subgraph(g, reversed([*range(g.n), 0, 5])) is g
+    empty = build_graph(0, [])
+    assert induced_subgraph(empty, []) is empty
+
+
+def test_induced_subgraph_with_duplicates_still_relabels():
+    g = cycle_graph(5)
+    sub = induced_subgraph(g, [4, 0, 4, 1])
+    assert sub == induced_subgraph(g, [0, 1, 4])
+    # n members, but not 0..n-1: must not be mistaken for the whole graph
+    sub = induced_subgraph(g, [0, 0, 1, 2, 3])
+    assert sub is not g
+    assert sub == build_graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
 def test_betweenness_interior_of_path3():
     assert betweenness(build_graph(3, [(0, 1), (1, 2)])) == [0.0, 1.0, 0.0]
 
@@ -151,6 +172,37 @@ def test_betweenness_matches_path_enumeration(seed):
     fast = betweenness(g)
     slow = brute_betweenness(g)
     assert fast == pytest.approx(slow, abs=1e-9)
+
+
+@pytest.mark.parametrize("params", [
+    RandomModelParams(BA, 300, 11, ba_m=2),
+    RandomModelParams(NWS, 300, 12, nws_k=4, nws_p=0.1),
+    RandomModelParams(NWS, 120, 13, nws_k=6, nws_p=0.05),
+], ids=lambda p: f"{p.model}-n{p.n}")
+def test_betweenness_equals_reference_bit_for_bit(params):
+    g = generate(params)
+    assert betweenness(g) == ref_brandes(g)
+
+
+def test_betweenness_returns_a_fresh_list():
+    g = random_connected(15, 8, 4)
+    first = betweenness(g)
+    first[0] = -1.0
+    first.append(7.0)
+    assert betweenness(g) == ref_brandes(g)
+    assert betweenness(g) is not betweenness(g)
+
+
+def test_kept_betweenness_leaves_equality_hash_repr_and_pickle_alone():
+    g, twin = random_connected(20, 10, 99), random_connected(20, 10, 99)
+    before = (repr(g), hash(g), pickle.dumps(g))
+    scores = betweenness(g)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert (repr(g), hash(g)) == before[:2]
+    for blob in (before[2], pickle.dumps(g)):
+        copy = pickle.loads(blob)
+        assert copy == g and hash(copy) == hash(g) and repr(copy) == repr(g)
+        assert betweenness(copy) == scores
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -201,7 +253,7 @@ def test_graph_value_equality_and_determinism():
     assert build_graph(4, edges) == build_graph(4, list(reversed(edges)))
     g = random_connected(20, 10, 99)
     assert metric_profile(g) == metric_profile(g)
-    assert betweenness(g) == betweenness(g)
+    assert betweenness(g) == betweenness(random_connected(20, 10, 99))
 
 
 def test_is_connected():

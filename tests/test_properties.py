@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tieset import broker
 from tieset.broker import (
     BrokerHeuristic,
     CapExceededError,
@@ -45,6 +46,7 @@ from util import (
     path_graph,
     random_connected,
     random_tree,
+    ref_brandes,
 )
 
 
@@ -279,3 +281,39 @@ def test_mask_broker_oracle_matches_verifier_search_on_gadgets(g):
 def test_mask_delta_oracle_matches_floyd_warshall_search(g, data):
     delta = data.draw(st.integers(2, max(2, metric_profile(g).diameter + 1)))
     assert brute_force_min_delta_enabling(g, delta) == fw_min_delta_enabling(g, delta)
+
+
+# ---------------------------------------------------------------------------
+# the betweenness kernel against the predecessor-list reference, bit for bit
+
+@settings(max_examples=80)
+@given(family_graphs(max_n=40))
+def test_betweenness_equals_reference_exactly(g):
+    assert betweenness(g) == ref_brandes(g)
+
+
+@settings(max_examples=40)
+@given(family_graphs(max_n=15), family_graphs(max_n=15), st.integers(0, 3))
+def test_betweenness_equals_reference_on_disconnected_graphs(a, b, isolated):
+    g = _disjoint_union(_disjoint_union(a, build_graph(isolated, [])), b)
+    assert betweenness(g) == ref_brandes(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_graphs(min_n=2, max_n=40))
+def test_betweenness_equals_reference_on_the_graphs_btw_ranks(g):
+    seen = []
+    kernel = broker.betweenness
+
+    def spy(f):
+        seen.append(f)
+        return kernel(f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(broker, "betweenness", spy)
+        for h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
+            run_heuristic(g, h, verify=False)
+    # btw's first pick ranks g itself, so it shares s-btw's pass
+    assert all(f is g for f in seen if f.n == g.n)
+    for f in seen:
+        assert kernel(f) == ref_brandes(f)

@@ -3,11 +3,14 @@
 The oracles here deliberately avoid the library's BFS machinery: distances
 come from Floyd-Warshall over the raw edge list, betweenness from literal
 enumeration of all shortest paths, so they can vouch for the fast paths.
+``ref_brandes`` is the textbook predecessor-list Brandes accumulation, kept
+as the exact (bit-for-bit) reference for the library's betweenness kernel.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 from tieset.graph import Graph, NodeSet, augment, build_graph
@@ -107,6 +110,46 @@ def brute_betweenness(g: Graph) -> list[float]:
             for v in p[1:-1]:
                 score[v] += 1.0 / len(paths)
     return score
+
+
+def ref_brandes(g: Graph) -> list[float]:
+    """Betweenness by Brandes' accumulation with per-source predecessor lists.
+
+    Same sum order as the library's kernel, so results must match exactly,
+    not just approximately.
+    """
+    n = g.n
+    adj = g.adj
+    score = [0.0] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1
+        queue = deque((s,))
+        order = []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            dv = dist[v] + 1
+            sv = sigma[v]
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dv
+                    queue.append(w)
+                if dist[w] == dv:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                score[w] += delta[w]
+    # each unordered pair was accumulated from both endpoints
+    return [x / 2.0 for x in score]
 
 
 def grow_to_sub_radius_dominating(g: Graph, radius: int, rng: random.Random) -> NodeSet:
