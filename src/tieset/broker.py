@@ -129,7 +129,6 @@ def is_dominating_set(g: Graph, s: NodeSet | Iterable[int]) -> bool:
 def run_heuristic(
     g: Graph,
     heuristic: BrokerHeuristic | str,
-    seed: int = 0,
     *,
     verify: bool = True,
     profile: MetricProfile | None = None,
@@ -138,9 +137,8 @@ def run_heuristic(
 
     Args:
         g: connected graph with at least two nodes.
-        heuristic: a :class:`BrokerHeuristic` or its string value.
-        seed: accepted for interface uniformity; all eight strategies are
-            deterministic, so the seed is unused.
+        heuristic: a :class:`BrokerHeuristic` or its string value; all eight
+            strategies are deterministic.
         verify: re-check the output (sub-radius domination and the broker
             property); skip on graphs where the check itself is too slow.
         profile: precomputed metric profile of ``g``, to share across runs.
@@ -149,7 +147,6 @@ def run_heuristic(
         An :class:`AlgorithmReport`; its set is sub-radius dominating in
         ``g`` and therefore a broker set.
     """
-    del seed  # deterministic strategies; parameter kept for uniform call shape
     h = BrokerHeuristic(heuristic)
     if g.n < 2:
         raise GraphError("heuristics need a graph with at least 2 nodes")
@@ -163,28 +160,8 @@ def run_heuristic(
         # coverage radius r-1 = 0: each pick covers only itself, so the full
         # node set is the only possible (and correct) answer
         s = NodeSet(range(g.n))
-    elif h is BrokerHeuristic.MAX:
-        s = _greedy_shrinking(g, r, _pick_max_degree)
-    elif h is BrokerHeuristic.BTW:
-        s = _greedy_shrinking(g, r, _pick_max_betweenness)
-    elif h is BrokerHeuristic.ML:
-        s = _greedy_shrinking(g, r, _pick_leaf_walk)
-    elif h is BrokerHeuristic.S_MAX:
-        degs = [len(row) for row in g.adj]
-        s = _greedy_uncovered(g, r, lambda u_set: _argmax_over(u_set, degs))
-    elif h is BrokerHeuristic.S_BTW:
-        btw = betweenness(g)
-        s = _greedy_uncovered(g, r, lambda u_set: _argmax_over(u_set, btw))
-    elif h is BrokerHeuristic.S_ML:
-        degs = [len(row) for row in g.adj]
-        s = _greedy_uncovered(
-            g, r,
-            lambda u_set: _walk_endpoint(g.adj, degs, _argmin_over(u_set, degs), r),
-        )
-    elif h is BrokerHeuristic.CENTER:
-        s = _center_neighbors(g, profile)
     else:
-        s = _imp_center(g, profile)
+        s = _STRATEGIES[h](g, profile)
     elapsed = time.perf_counter() - t0
     valid = None
     if verify:
@@ -196,17 +173,16 @@ def run_heuristic(
 # greedy cover on the shrinking induced subgraph (max / btw / ml)
 
 def _pick_max_degree(f: Graph, r: int) -> int:
-    return _argmax_over(range(f.n), [len(row) for row in f.adj])
+    return max(range(f.n), key=lambda v: len(f.adj[v]))
 
 
 def _pick_max_betweenness(f: Graph, r: int) -> int:
-    return _argmax_over(range(f.n), betweenness(f))
+    return max(range(f.n), key=betweenness(f).__getitem__)
 
 
 def _pick_leaf_walk(f: Graph, r: int) -> int:
     degs = [len(row) for row in f.adj]
-    leaf = _argmin_over(range(f.n), degs)
-    return _walk_endpoint(f.adj, degs, leaf, r)
+    return _walk_endpoint(f.adj, degs, min(range(f.n), key=degs.__getitem__), r)
 
 
 def _greedy_shrinking(g: Graph, r: int, pick) -> NodeSet:
@@ -231,26 +207,6 @@ def _greedy_shrinking(g: Graph, r: int, pick) -> NodeSet:
 
 # ---------------------------------------------------------------------------
 # greedy cover with metrics frozen on the original graph (s-max / s-btw / s-ml)
-
-def _argmax_over(candidates, key) -> int:
-    best = -1
-    best_key = None
-    for v in candidates:
-        k = key[v]
-        if best_key is None or k > best_key:
-            best, best_key = v, k
-    return best
-
-
-def _argmin_over(candidates, key) -> int:
-    best = -1
-    best_key = None
-    for v in candidates:
-        k = key[v]
-        if best_key is None or k < best_key:
-            best, best_key = v, k
-    return best
-
 
 def _walk_endpoint(adj, degs, start: int, r: int) -> int:
     """Walk from a min-degree node toward high degrees; return the endpoint.
@@ -291,6 +247,24 @@ def _greedy_uncovered(g: Graph, r: int, select) -> NodeSet:
             raise RuntimeError("cover iteration made no progress")
         uncovered ^= newly
     return NodeSet(chosen)
+
+
+def _s_max(g: Graph, profile: MetricProfile) -> NodeSet:
+    degs = [len(row) for row in g.adj]
+    return _greedy_uncovered(g, profile.radius, lambda u_set: max(u_set, key=degs.__getitem__))
+
+
+def _s_btw(g: Graph, profile: MetricProfile) -> NodeSet:
+    btw = betweenness(g)
+    return _greedy_uncovered(g, profile.radius, lambda u_set: max(u_set, key=btw.__getitem__))
+
+
+def _s_ml(g: Graph, profile: MetricProfile) -> NodeSet:
+    degs = [len(row) for row in g.adj]
+    r = profile.radius
+    return _greedy_uncovered(
+        g, r, lambda u_set: _walk_endpoint(g.adj, degs, min(u_set, key=degs.__getitem__), r)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +314,21 @@ def _imp_center(g: Graph, profile: MetricProfile) -> NodeSet:
             raise RuntimeError("cover iteration made no progress")
         uncovered ^= newly
     return NodeSet(chosen)
+
+
+# BrokerHeuristic -> strategy(g, profile).  The entries are private and look public
+# functions such as ``betweenness`` up by name when they run, so a rebound module
+# attribute is seen.
+_STRATEGIES = {
+    BrokerHeuristic.MAX: lambda g, profile: _greedy_shrinking(g, profile.radius, _pick_max_degree),
+    BrokerHeuristic.BTW: lambda g, profile: _greedy_shrinking(g, profile.radius, _pick_max_betweenness),
+    BrokerHeuristic.ML: lambda g, profile: _greedy_shrinking(g, profile.radius, _pick_leaf_walk),
+    BrokerHeuristic.S_MAX: _s_max,
+    BrokerHeuristic.S_BTW: _s_btw,
+    BrokerHeuristic.S_ML: _s_ml,
+    BrokerHeuristic.CENTER: _center_neighbors,
+    BrokerHeuristic.IMP_CENTER: _imp_center,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ Exit codes: 0 success, 1 input error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
-from . import __version__
+from . import __version__, experiments
 from .broker import (
     BrokerHeuristic,
     CapExceededError,
@@ -20,15 +21,7 @@ from .broker import (
 )
 from .datasets import DatasetDescriptor, EdgeListFormatError, load_edge_list, write_edge_list
 from .diameter import brute_force_min_delta_enabling, cp_algorithm, periphery_algorithm
-from .experiments import (
-    DEFAULT_TIMEOUT_S,
-    RunTimedOut,
-    run_experiment_1,
-    run_experiment_2,
-    run_experiment_3,
-    run_experiment_4,
-    run_experiment_5,
-)
+from .experiments import RunTimedOut
 from .generators import BA, NWS, RandomModelParams, generate, reduction_gadget
 from .graph import GraphError, metric_profile
 
@@ -62,7 +55,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_broker(args) -> int:
     g, _ = load_edge_list(args.path, giant=args.giant)
-    report = run_heuristic(g, args.alg, args.seed, verify=args.verify)
+    report = run_heuristic(g, args.alg, verify=args.verify)
     print(f"algorithm: {report.heuristic.value}")
     print(f"size: {report.size}")
     print(f"set: {' '.join(str(v) for v in report.s)}")
@@ -133,62 +126,22 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _parse_datasets(specs: list[str]) -> list[DatasetDescriptor]:
-    descriptors = []
-    for spec in specs:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or not path:
-            raise EdgeListFormatError(f"dataset spec must be name=path, got {spec!r}")
-        descriptors.append(DatasetDescriptor.with_known_stats(name, path))
-    return descriptors
+def _dataset(spec: str) -> DatasetDescriptor:
+    name, sep, path = spec.partition("=")
+    if not sep or not name or not path:
+        raise argparse.ArgumentTypeError(f"dataset spec must be name=path, got {spec!r}")
+    return DatasetDescriptor.with_known_stats(name, path)
+
+
+def _timeout(text: str) -> float | None:
+    seconds = float(text)
+    return seconds if seconds > 0 else None
 
 
 def _cmd_experiment(args) -> int:
-    common = dict(master_seed=args.seed, timings=args.timings)
-    if args.number == "1":
-        run_experiment_1(
-            args.out,
-            models=args.models,
-            sizes=args.sizes,
-            count=args.count,
-            heuristics=args.heuristics,
-            **common,
-        )
-    elif args.number == "2":
-        run_experiment_2(
-            args.out,
-            models=args.models,
-            sizes=args.sizes,
-            count=args.count,
-            heuristics=args.heuristics,
-            oracle_cap=args.oracle_cap,
-            **common,
-        )
-    elif args.number == "3":
-        run_experiment_3(
-            args.out,
-            _parse_datasets(args.dataset),
-            heuristics=args.heuristics,
-            timeout_s=args.timeout if args.timeout > 0 else None,
-            verify_stats=args.verify_stats,
-            **common,
-        )
-    elif args.number == "4":
-        run_experiment_4(
-            args.out,
-            models=args.models,
-            sizes=args.sizes,
-            count=args.count,
-            **common,
-        )
-    else:
-        run_experiment_5(
-            args.out,
-            _parse_datasets(args.dataset),
-            i_range=args.i_range,
-            verify_stats=args.verify_stats,
-            **common,
-        )
+    runner = getattr(experiments, f"run_experiment_{args.number}")
+    accepted = inspect.signature(runner).parameters
+    runner(**{name: value for name, value in vars(args).items() if name in accepted})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -209,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("broker", help="run one centering heuristic")
     add_graph_arg(p)
     p.add_argument("--alg", required=True, choices=[h.value for h in BrokerHeuristic])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true", help="re-check the output set")
     p.set_defaults(fn=_cmd_broker)
 
@@ -242,37 +194,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, help="subset-size cap for the search")
     p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("experiment", help="run one of the five experiments")
+    # flags left out are absent from the namespace, so the runner's defaults apply
+    p = sub.add_parser(
+        "experiment", help="run one of the five experiments", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("number", choices=["1", "2", "3", "4", "5"])
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--seed", type=int, default=1, help="master seed")
-    p.add_argument("--models", type=lambda t: t.split(","), default=[BA, NWS])
-    p.add_argument("--sizes", type=_int_list, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument(
-        "--heuristics",
-        type=lambda t: t.split(","),
-        default=[h.value for h in BrokerHeuristic],
-    )
-    p.add_argument("--oracle-cap", type=int, default=8)
-    p.add_argument("--dataset", action="append", default=[], help="name=path, repeatable")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                   help="per-run budget in seconds; 0 disables")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=1,
+                   help="master seed (default 1)")
+    p.add_argument("--models", type=lambda t: t.split(","))
+    p.add_argument("--sizes", type=_int_list)
+    p.add_argument("--count", type=int)
+    p.add_argument("--heuristics", type=lambda t: t.split(","))
+    p.add_argument("--oracle-cap", type=int)
+    p.add_argument("--dataset", dest="datasets", metavar="NAME=PATH", type=_dataset, action="append",
+                   default=[], help="repeatable")
+    p.add_argument("--timeout", dest="timeout_s", metavar="SECONDS", type=_timeout,
+                   help="per-run budget; 0 disables")
     p.add_argument("--verify-stats", action="store_true", help="check datasets against published stats")
-    p.add_argument("--i-range", type=_int_list, default=[1, 2, 3, 4])
+    p.add_argument("--i-range", type=_int_list)
     p.add_argument("--timings", action="store_true", help="include wall-clock timings in the CSV")
     p.set_defaults(fn=_cmd_experiment)
 
     return parser
-
-
-_EXPERIMENT_DEFAULTS = {
-    "1": {"sizes": [100, 200, 400], "count": 30},
-    "2": {"sizes": [8, 10, 12], "count": 25},
-    "3": {"sizes": [], "count": 0},
-    "4": {"sizes": [100, 200, 400], "count": 10},
-    "5": {"sizes": [], "count": 0},
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -280,12 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    if args.command == "experiment":
-        defaults = _EXPERIMENT_DEFAULTS[args.number]
-        if args.sizes is None:
-            args.sizes = defaults["sizes"]
-        if args.count is None:
-            args.count = defaults["count"]
     try:
         return args.fn(args)
     except (OSError, UnicodeDecodeError, EdgeListFormatError) as exc:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import multiprocessing
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import fmean
 from typing import Sequence
@@ -23,35 +24,11 @@ from typing import Sequence
 from . import __version__
 from .broker import BrokerHeuristic, CapExceededError, brute_force_min_broker, run_heuristic
 from .datasets import DatasetDescriptor, load_edge_list
-from .diameter import DeltaReport, cp_algorithm, periphery_algorithm
+from .diameter import cp_algorithm, periphery_algorithm
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import Graph, GraphError, metric_profile
+from .graph import Graph, GraphError, MetricProfile, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
-
-CSV_COLUMNS = (
-    "experiment",
-    "kind",
-    "graph_id",
-    "source",
-    "n",
-    "m",
-    "radius",
-    "diameter",
-    "algorithm",
-    "output_size",
-    "valid",
-    "optimal_size",
-    "edges_added",
-    "delta",
-    "achieved_diameter",
-    "seed",
-    "elapsed_ms",
-    "group_size",
-    "mean_output_size",
-    "optimality_rate",
-    "note",
-)
 
 DEFAULT_BA_M = 2
 DEFAULT_NWS_K = 4
@@ -105,13 +82,13 @@ class ExperimentRecord:
                 return f"{value:.4f}"
             return str(value)
 
-        values = []
-        for name in CSV_COLUMNS:
-            if name == "elapsed_ms" and not timings:
-                values.append("")
-                continue
-            values.append(cell(getattr(self, name)))
-        return values
+        return [
+            "" if name == "elapsed_ms" and not timings else cell(getattr(self, name)) for name in CSV_COLUMNS
+        ]
+
+
+# the CSV header: the record's fields in declaration order
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def write_csv(
@@ -148,25 +125,97 @@ def default_model_params(model: str, n: int, seed: int) -> RandomModelParams:
     raise GraphError(f"unknown model {model!r}")
 
 
-def _models_metadata(models: Sequence[str]) -> str:
-    parts = []
-    for model in models:
-        parts.append(default_model_params(model, 10, 0).label())
-    return ", ".join(parts)
+def _require(name: str, values: Sequence) -> None:
+    if not values:
+        raise GraphError(f"{name} must not be empty")
 
 
-def _iter_graphs(models, sizes, count, master_seed):
-    """Yield (graph_id, params, graph) in a fixed order with split seeds."""
+def _graph_record(experiment, graph_id, source, g, profile, **columns) -> ExperimentRecord:
+    """A detail row carrying the graph's size, radius and diameter."""
+    return ExperimentRecord(
+        experiment=experiment,
+        graph_id=graph_id,
+        source=source,
+        n=g.n,
+        m=g.m,
+        radius=profile.radius,
+        diameter=profile.diameter,
+        **columns,
+    )
+
+
+def _summaries(records, keys: tuple[str, ...], aggregate) -> list[ExperimentRecord]:
+    """One summary row per group of detail rows that agree on ``keys``, in key order."""
+    groups: dict[tuple, list[ExperimentRecord]] = {}
+    for r in records:
+        if r.kind == "detail":
+            groups.setdefault(tuple(getattr(r, k) for k in keys), []).append(r)
+    return [
+        ExperimentRecord(
+            experiment=rows[0].experiment,
+            kind="summary",
+            **dict(zip(keys, key)),
+            group_size=len(rows),
+            **aggregate(rows),
+        )
+        for key, rows in sorted(groups.items())
+    ]
+
+
+def _run_generated(
+    out, experiment, rows, metadata, models, sizes, count, master_seed, timings, summary=None
+) -> list[ExperimentRecord]:
+    """Shared loop of experiments 1, 2 and 4 over seeded generated graphs.
+
+    Graphs come in a fixed order (model, size, index in the cell), the k-th
+    with seed ``split_seed(master_seed, k)``.  ``rows(graph_id, params, g,
+    profile)`` gives each graph's rows; ``summary`` is a (group keys,
+    aggregate) pair for :func:`_summaries`.  ``metadata`` follows the shared
+    '#' lines.
+    """
+    _require("sizes", sizes)
     if count < 1:
         raise GraphError(f"graph count per cell must be >= 1, got {count}")
-    index = 0
-    for model in models:
-        for n in sizes:
-            for j in range(count):
-                seed = split_seed(master_seed, index)
-                index += 1
-                params = default_model_params(model, n, seed)
-                yield f"{model}-n{n}-{j:03d}", params, generate(params)
+    records: list[ExperimentRecord] = []
+    for index, (model, n, j) in enumerate(itertools.product(models, sizes, range(count))):
+        params = default_model_params(model, n, split_seed(master_seed, index))
+        g = generate(params)
+        records.extend(rows(f"{model}-n{n}-{j:03d}", params, g, metric_profile(g)))
+    if summary is not None:
+        records.extend(_summaries(records, *summary))
+    shared = {
+        "experiment": experiment,
+        "master-seed": str(master_seed),
+        "seed-split": "splitmix64(master-seed, graph-index)",
+        "models": ", ".join(default_model_params(model, 10, 0).label() for model in models),
+        "sizes": ",".join(str(s) for s in sizes),
+        "per-cell": str(count),
+    }
+    write_csv(out, records, shared | metadata, timings=timings)
+    return records
+
+
+def _heuristic_rows(experiment, heuristics, graph_id, params, g, profile, **columns):
+    """One row per heuristic run on a generated graph, sharing its profile."""
+    rows = []
+    for h in heuristics:
+        report = run_heuristic(g, h, profile=profile)
+        rows.append(
+            _graph_record(
+                experiment,
+                graph_id,
+                params.model,
+                g,
+                profile,
+                algorithm=h.value,
+                output_size=report.size,
+                valid=report.valid,
+                seed=params.seed,
+                elapsed_ms=report.elapsed * 1000.0,
+                **columns,
+            )
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -188,57 +237,16 @@ def run_experiment_1(
     size) grouped by model, node count and radius.
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
-    records: list[ExperimentRecord] = []
-    groups: dict[tuple[str, int, int, str], list[int]] = {}
-    for graph_id, params, g in _iter_graphs(models, sizes, count, master_seed):
-        profile = metric_profile(g)
-        for h in heuristics:
-            report = run_heuristic(g, h, profile=profile)
-            records.append(
-                ExperimentRecord(
-                    experiment="1",
-                    graph_id=graph_id,
-                    source=params.model,
-                    n=g.n,
-                    m=g.m,
-                    radius=profile.radius,
-                    diameter=profile.diameter,
-                    algorithm=h.value,
-                    output_size=report.size,
-                    valid=report.valid,
-                    seed=params.seed,
-                    elapsed_ms=report.elapsed * 1000.0,
-                )
-            )
-            groups.setdefault((params.model, g.n, profile.radius, h.value), []).append(report.size)
-    for (model, n, radius, alg), sizes_seen in sorted(groups.items()):
-        records.append(
-            ExperimentRecord(
-                experiment="1",
-                kind="summary",
-                source=model,
-                n=n,
-                radius=radius,
-                algorithm=alg,
-                group_size=len(sizes_seen),
-                mean_output_size=fmean(sizes_seen),
-            )
-        )
-    write_csv(
-        out,
-        records,
-        {
-            "experiment": "1",
-            "master-seed": str(master_seed),
-            "seed-split": "splitmix64(master-seed, graph-index)",
-            "models": _models_metadata(models),
-            "sizes": ",".join(str(s) for s in sizes),
-            "per-cell": str(count),
-            "heuristics": ",".join(h.value for h in heuristics),
-        },
-        timings=timings,
-    )
-    return records
+
+    def rows(graph_id, params, g, profile):
+        return _heuristic_rows("1", heuristics, graph_id, params, g, profile)
+
+    def mean_size(group):
+        return {"mean_output_size": fmean(r.output_size for r in group)}
+
+    metadata = {"heuristics": ",".join(h.value for h in heuristics)}
+    summary = (("source", "n", "radius", "algorithm"), mean_size)
+    return _run_generated(out, "1", rows, metadata, models, sizes, count, master_seed, timings, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +270,15 @@ def run_experiment_2(
     oracle search exceeds ``oracle_cap`` are skipped with a reason row.
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
-    if max(sizes) > max_n:
+    if any(n > max_n for n in sizes):
         raise GraphError(f"experiment 2 sizes must stay <= {max_n} for the oracle")
-    records: list[ExperimentRecord] = []
-    hits: dict[tuple[str, str], list[bool]] = {}
-    for graph_id, params, g in _iter_graphs(models, sizes, count, master_seed):
-        profile = metric_profile(g)
+
+    def rows(graph_id, params, g, profile):
         try:
             optimal = len(brute_force_min_broker(g, size_cap=oracle_cap))
         except CapExceededError:
             log.warning("experiment 2: oracle cap exceeded on %s, skipping", graph_id)
-            records.append(
+            return [
                 ExperimentRecord(
                     experiment="2",
                     kind="skip",
@@ -283,55 +289,15 @@ def run_experiment_2(
                     seed=params.seed,
                     note=f"oracle cap {oracle_cap} exceeded",
                 )
-            )
-            continue
-        for h in heuristics:
-            report = run_heuristic(g, h, profile=profile)
-            records.append(
-                ExperimentRecord(
-                    experiment="2",
-                    graph_id=graph_id,
-                    source=params.model,
-                    n=g.n,
-                    m=g.m,
-                    radius=profile.radius,
-                    diameter=profile.diameter,
-                    algorithm=h.value,
-                    output_size=report.size,
-                    valid=report.valid,
-                    optimal_size=optimal,
-                    seed=params.seed,
-                    elapsed_ms=report.elapsed * 1000.0,
-                )
-            )
-            hits.setdefault((params.model, h.value), []).append(report.size == optimal)
-    for (model, alg), outcomes in sorted(hits.items()):
-        records.append(
-            ExperimentRecord(
-                experiment="2",
-                kind="summary",
-                source=model,
-                algorithm=alg,
-                group_size=len(outcomes),
-                optimality_rate=sum(outcomes) / len(outcomes),
-            )
-        )
-    write_csv(
-        out,
-        records,
-        {
-            "experiment": "2",
-            "master-seed": str(master_seed),
-            "seed-split": "splitmix64(master-seed, graph-index)",
-            "models": _models_metadata(models),
-            "sizes": ",".join(str(s) for s in sizes),
-            "per-cell": str(count),
-            "oracle-cap": str(oracle_cap),
-            "heuristics": ",".join(h.value for h in heuristics),
-        },
-        timings=timings,
-    )
-    return records
+            ]
+        return _heuristic_rows("2", heuristics, graph_id, params, g, profile, optimal_size=optimal)
+
+    def hit_rate(group):
+        return {"optimality_rate": sum(r.output_size == r.optimal_size for r in group) / len(group)}
+
+    metadata = {"oracle-cap": str(oracle_cap), "heuristics": ",".join(h.value for h in heuristics)}
+    summary = (("source", "algorithm"), hit_rate)
+    return _run_generated(out, "2", rows, metadata, models, sizes, count, master_seed, timings, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +353,8 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     return payload, valid, elapsed
 
 
-def verify_dataset_stats(name: str, g_full: Graph, g_lcc: Graph, expected) -> None:
-    """Compare a loaded dataset against its published stats; raises on mismatch."""
-    profile = metric_profile(g_lcc)
+def verify_dataset_stats(name: str, g_full: Graph, g_lcc: Graph, profile: MetricProfile, expected) -> None:
+    """Compare a loaded dataset (``profile`` is its giant component's) with its published stats."""
     observed = (g_full.n, g_full.m, g_lcc.n, profile.diameter, profile.radius)
     published = (expected.n, expected.m, expected.lcc_n, expected.diameter, expected.radius)
     if observed != published:
@@ -397,6 +362,41 @@ def verify_dataset_stats(name: str, g_full: Graph, g_lcc: Graph, expected) -> No
             f"dataset {name}: stats {observed} do not match published {published} "
             "(n, m, lcc_n, diameter, radius)"
         )
+
+
+def _run_datasets(
+    out, experiment, datasets, rows, metadata, master_seed, verify_stats, timings
+) -> list[ExperimentRecord]:
+    """Shared loop of experiments 3 and 5 over edge-list datasets.
+
+    A missing file gives a skip row.  A present one is parsed once and cut
+    to its largest component g; ``rows(name, g, profile)`` gives its rows.
+    ``metadata`` follows the experiment and master-seed '#' lines.
+    """
+    _require("datasets", datasets)
+    records: list[ExperimentRecord] = []
+    for d in datasets:
+        if not Path(d.path).is_file():
+            log.warning("experiment %s: dataset %s missing at %s", experiment, d.name, d.path)
+            records.append(
+                ExperimentRecord(
+                    experiment=experiment,
+                    kind="skip",
+                    graph_id=d.name,
+                    source=d.name,
+                    note=f"dataset missing: {d.path}",
+                )
+            )
+            continue
+        g_full, _ = load_edge_list(d.path)
+        g, _ = largest_connected_component(g_full)
+        profile = metric_profile(g)
+        if verify_stats and d.expected is not None:
+            verify_dataset_stats(d.name, g_full, g, profile, d.expected)
+        records.extend(rows(d.name, g, profile))
+    shared = {"experiment": experiment, "master-seed": str(master_seed)}
+    write_csv(out, records, shared | metadata, timings=timings)
+    return records
 
 
 def run_experiment_3(
@@ -415,84 +415,54 @@ def run_experiment_3(
     per-(dataset, heuristic) budget are recorded as timeouts.
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
-    records: list[ExperimentRecord] = []
-    for descriptor in datasets:
-        if not Path(descriptor.path).is_file():
-            log.warning("experiment 3: dataset %s missing at %s", descriptor.name, descriptor.path)
-            records.append(
-                ExperimentRecord(
-                    experiment="3",
-                    kind="skip",
-                    graph_id=descriptor.name,
-                    source=descriptor.name,
-                    note=f"dataset missing: {descriptor.path}",
-                )
-            )
-            continue
-        g_full, _ = load_edge_list(descriptor.path)
-        g, _ = load_edge_list(descriptor.path, giant=True)
-        if verify_stats and descriptor.expected is not None:
-            verify_dataset_stats(descriptor.name, g_full, g, descriptor.expected)
-        profile = metric_profile(g)
+
+    def rows(name, g, profile):
+        records = []
         for h in heuristics:
-            base = ExperimentRecord(
-                experiment="3",
-                graph_id=descriptor.name,
-                source=descriptor.name,
-                n=g.n,
-                m=g.m,
-                radius=profile.radius,
-                diameter=profile.diameter,
-                algorithm=h.value,
-                seed=master_seed,
-            )
             try:
                 members, valid, elapsed = run_with_timeout(g, h, timeout_s)
+                outcome = dict(output_size=len(members), valid=valid, elapsed_ms=elapsed * 1000.0)
             except RunTimedOut:
-                records.append(replace(base, note="timeout"))
-                continue
+                outcome = dict(note="timeout")
             records.append(
-                replace(
-                    base,
-                    output_size=len(members),
-                    valid=valid,
-                    elapsed_ms=elapsed * 1000.0,
-                )
+                _graph_record("3", name, name, g, profile, algorithm=h.value, seed=master_seed, **outcome)
             )
-    write_csv(
-        out,
-        records,
-        {
-            "experiment": "3",
-            "master-seed": str(master_seed),
-            "datasets": ",".join(d.name for d in datasets),
-            "timeout-s": "none" if timeout_s is None else f"{timeout_s:.0f}",
-            "heuristics": ",".join(h.value for h in heuristics),
-        },
-        timings=timings,
-    )
-    return records
+        return records
+
+    metadata = {
+        "datasets": ",".join(d.name for d in datasets),
+        "timeout-s": "none" if timeout_s is None else f"{timeout_s:.0f}",
+        "heuristics": ",".join(h.value for h in heuristics),
+    }
+    return _run_datasets(out, "3", datasets, rows, metadata, master_seed, verify_stats, timings)
 
 
 # ---------------------------------------------------------------------------
 # experiments 4 and 5: diameter reduction
 
-def _delta_record(experiment, graph_id, source, g, profile, alg, delta, seed, report: DeltaReport, elapsed):
-    return ExperimentRecord(
-        experiment=experiment,
-        graph_id=graph_id,
-        source=source,
-        n=g.n,
-        m=g.m,
-        radius=profile.radius,
-        diameter=profile.diameter,
-        algorithm=alg,
-        edges_added=report.edges_added,
-        delta=delta,
-        achieved_diameter=report.achieved_diameter,
-        seed=seed,
-        elapsed_ms=elapsed * 1000.0,
-    )
+def _reduction_rows(experiment, graph_id, source, g, profile, delta, seed) -> list[ExperimentRecord]:
+    """One row each for ``periphery`` then ``cp`` reducing ``g`` to diameter ``delta``."""
+    rows = []
+    for alg, fn in (("periphery", periphery_algorithm), ("cp", cp_algorithm)):
+        t0 = time.perf_counter()
+        report = fn(g, delta, seed)
+        elapsed = time.perf_counter() - t0
+        rows.append(
+            _graph_record(
+                experiment,
+                graph_id,
+                source,
+                g,
+                profile,
+                algorithm=alg,
+                edges_added=report.edges_added,
+                delta=delta,
+                achieved_diameter=report.achieved_diameter,
+                seed=seed,
+                elapsed_ms=elapsed * 1000.0,
+            )
+        )
+    return rows
 
 
 def run_experiment_4(
@@ -505,12 +475,11 @@ def run_experiment_4(
     timings: bool = False,
 ) -> list[ExperimentRecord]:
     """Edges needed to shrink random graphs' diameter by one, both heuristics."""
-    records: list[ExperimentRecord] = []
-    for graph_id, params, g in _iter_graphs(models, sizes, count, master_seed):
-        profile = metric_profile(g)
+
+    def rows(graph_id, params, g, profile):
         delta = profile.diameter - 1
         if delta < 2:
-            records.append(
+            return [
                 ExperimentRecord(
                     experiment="4",
                     kind="skip",
@@ -521,29 +490,10 @@ def run_experiment_4(
                     seed=params.seed,
                     note="diameter too small to reduce",
                 )
-            )
-            continue
-        for alg, fn in (("periphery", periphery_algorithm), ("cp", cp_algorithm)):
-            t0 = time.perf_counter()
-            report = fn(g, delta, params.seed)
-            elapsed = time.perf_counter() - t0
-            records.append(
-                _delta_record("4", graph_id, params.model, g, profile, alg, delta, params.seed, report, elapsed)
-            )
-    write_csv(
-        out,
-        records,
-        {
-            "experiment": "4",
-            "master-seed": str(master_seed),
-            "seed-split": "splitmix64(master-seed, graph-index)",
-            "models": _models_metadata(models),
-            "sizes": ",".join(str(s) for s in sizes),
-            "per-cell": str(count),
-        },
-        timings=timings,
-    )
-    return records
+            ]
+        return _reduction_rows("4", graph_id, params.model, g, profile, delta, params.seed)
+
+    return _run_generated(out, "4", rows, {}, models, sizes, count, master_seed, timings)
 
 
 def run_experiment_5(
@@ -556,61 +506,34 @@ def run_experiment_5(
     timings: bool = False,
 ) -> list[ExperimentRecord]:
     """Edges needed to shrink real datasets' diameter by i, for each i in range."""
-    records: list[ExperimentRecord] = []
-    run_index = 0
-    for descriptor in datasets:
-        if not Path(descriptor.path).is_file():
-            log.warning("experiment 5: dataset %s missing at %s", descriptor.name, descriptor.path)
-            records.append(
-                ExperimentRecord(
-                    experiment="5",
-                    kind="skip",
-                    graph_id=descriptor.name,
-                    source=descriptor.name,
-                    note=f"dataset missing: {descriptor.path}",
-                )
-            )
-            continue
-        g_full, _ = load_edge_list(descriptor.path)
-        g, _ = load_edge_list(descriptor.path, giant=True)
-        if verify_stats and descriptor.expected is not None:
-            verify_dataset_stats(descriptor.name, g_full, g, descriptor.expected)
-        profile = metric_profile(g)
+    _require("i-range", i_range)
+    # the k-th run that is not skipped, over all datasets, gets split_seed(master_seed, k)
+    seeds = (split_seed(master_seed, k) for k in itertools.count())
+
+    def rows(name, g, profile):
+        records = []
         for i in i_range:
             delta = profile.diameter - i
-            graph_id = f"{descriptor.name}-i{i}"
+            graph_id = f"{name}-i{i}"
             if delta < 2:
                 records.append(
                     ExperimentRecord(
                         experiment="5",
                         kind="skip",
                         graph_id=graph_id,
-                        source=descriptor.name,
+                        source=name,
                         n=g.n,
                         diameter=profile.diameter,
                         note=f"delta {delta} below 2",
                     )
                 )
-                continue
-            seed = split_seed(master_seed, run_index)
-            run_index += 1
-            for alg, fn in (("periphery", periphery_algorithm), ("cp", cp_algorithm)):
-                t0 = time.perf_counter()
-                report = fn(g, delta, seed)
-                elapsed = time.perf_counter() - t0
-                records.append(
-                    _delta_record("5", graph_id, descriptor.name, g, profile, alg, delta, seed, report, elapsed)
-                )
-    write_csv(
-        out,
-        records,
-        {
-            "experiment": "5",
-            "master-seed": str(master_seed),
-            "seed-split": "splitmix64(master-seed, run-index)",
-            "datasets": ",".join(d.name for d in datasets),
-            "i-range": ",".join(str(i) for i in i_range),
-        },
-        timings=timings,
-    )
-    return records
+            else:
+                records.extend(_reduction_rows("5", graph_id, name, g, profile, delta, next(seeds)))
+        return records
+
+    metadata = {
+        "seed-split": "splitmix64(master-seed, run-index)",
+        "datasets": ",".join(d.name for d in datasets),
+        "i-range": ",".join(str(i) for i in i_range),
+    }
+    return _run_datasets(out, "5", datasets, rows, metadata, master_seed, verify_stats, timings)

@@ -299,8 +299,12 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
     """Subgraph induced by ``members``, relabeled to 0..k-1 in ascending id order.
 
     Members that are exactly 0..n-1 give ``g`` itself, with whatever it keeps.
+    Raises :class:`GraphError` for an id outside 0..n-1.
     """
     ordered = sorted(set(members))
+    if ordered and not (ordered[0] >= 0 and ordered[-1] < g.n):
+        bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+        raise GraphError(f"node id {bad} out of range for graph with n={g.n}")
     if ordered == list(range(g.n)):
         return g
     index = {v: i for i, v in enumerate(ordered)}

@@ -74,7 +74,7 @@ def test_criterion_1_all_heuristics_emit_valid_sets():
     for g in _random_model_graphs(200, sizes, master_seed=101):
         profile = metric_profile(g)
         for h in BrokerHeuristic:
-            report = run_heuristic(g, h, seed=0, verify=False, profile=profile)
+            report = run_heuristic(g, h, verify=False, profile=profile)
             ok = is_sub_radius_dominating(g, report.s, radius=profile.radius) and is_broker_set(
                 g, report.s, radius=profile.radius
             )

@@ -93,9 +93,9 @@ def test_radius_one_graphs_return_everything(heuristic):
         assert report.valid is True
 
 
-def test_heuristic_accepts_string_and_ignores_seed():
-    a = run_heuristic(P5, "imp-center", seed=1)
-    b = run_heuristic(P5, BrokerHeuristic.IMP_CENTER, seed=999)
+def test_heuristic_accepts_string_or_enum():
+    a = run_heuristic(P5, "imp-center")
+    b = run_heuristic(P5, BrokerHeuristic.IMP_CENTER)
     assert a.s == b.s == NodeSet([1, 3])
 
 

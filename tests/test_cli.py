@@ -1,12 +1,19 @@
+import contextlib
 import errno
+import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tieset import cli
+from tieset.broker import BrokerHeuristic, brute_force_min_broker
 from tieset.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tieset.datasets import write_edge_list
+from tieset.graph import build_graph, is_connected, metric_profile
 
-from util import path_graph, random_connected
+from util import complete_graph, path_graph, random_connected
 
 
 def _edge_file(tmp_path, g, name="g.txt"):
@@ -159,10 +166,86 @@ def test_experiment_3_rejects_bad_dataset_spec(tmp_path):
     assert main(["experiment", "3", "--dataset", "no-equals-sign", "--out", str(out)]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("number", ["1", "2", "4"])
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_experiment_count_below_one_is_a_precondition_error(tmp_path, capsys, number, count):
+# a count below one, or an empty list of sizes, depths or datasets, leaves nothing to run
+EMPTY_EXPERIMENTS = [
+    *(pytest.param([number, "--sizes", "8", "--count", count], "count", id=f"{count}-{number}")
+      for number in ("1", "2", "4") for count in ("0", "-1")),
+    *(pytest.param([number, "--sizes", ","], "sizes", id=f"no-sizes-{number}") for number in ("1", "2", "4")),
+    *(pytest.param([number], "datasets", id=f"no-dataset-{number}") for number in ("3", "5")),
+    pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", ","], "i-range", id="no-i-range-5"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", EMPTY_EXPERIMENTS)
+def test_experiment_count_below_one_is_a_precondition_error(tmp_path, capsys, argv, reason):
     out = tmp_path / "e.csv"
-    assert main(["experiment", number, "--sizes", "8", "--count", count, "--out", str(out)]) == EXIT_PRECONDITION
-    assert "count" in capsys.readouterr().err
+    assert main(["experiment", *argv, "--out", str(out)]) == EXIT_PRECONDITION
+    assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+@st.composite
+def edge_list_files(draw):
+    """(graph or None, file text): self-loops only, one edge, K_n, two pieces, or connected.
+
+    Node ids are written as distinct random labels, so loading relabels them.
+    """
+    kind = draw(st.sampled_from(["self-loops", "pair", "complete", "disconnected", "connected"]))
+    if kind == "self-loops":
+        labels = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4))
+        return None, "".join(f"{v} {v}\n" for v in labels)
+    if kind == "pair":
+        g = build_graph(2, [(0, 1)])
+    elif kind == "complete":
+        g = complete_graph(draw(st.integers(3, 6)))
+    elif kind == "connected":
+        n, extra, seed = draw(st.integers(3, 9)), draw(st.integers(0, 6)), draw(st.integers(0, 999))
+        g = random_connected(n, extra, seed)
+    else:
+        a = random_connected(draw(st.integers(2, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 999)))
+        b = random_connected(draw(st.integers(2, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 999)))
+        g = build_graph(a.n + b.n, [*a.edges(), *((x + a.n, y + a.n) for x, y in b.edges())])
+    labels = draw(st.lists(st.integers(0, 10 ** 6), min_size=g.n, max_size=g.n, unique=True))
+    return g, "# edge-case input\n" + "".join(f"{labels[x]} {labels[y]}\n" for x, y in g.edges())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=edge_list_files(),
+    alg=st.sampled_from([h.value for h in BrokerHeuristic]),
+    reduction=st.sampled_from(["periphery", "cp"]),
+    delta=st.integers(-1, 10),
+    cap=st.integers(1, 4),
+)
+def test_exit_codes_follow_the_contract_on_edge_case_inputs(case, alg, reduction, delta, cap):
+    g, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+        def run(command, *flags):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                return main([command, path, *flags])
+
+        codes = {
+            "stats": run("stats"),
+            "broker": run("broker", "--alg", alg, "--verify"),
+            "diam": run("diam", "--delta", str(delta), "--alg", reduction),
+            "oracle broker": run("oracle", "--target", "broker", "--cap", str(cap)),
+            "oracle delta": run("oracle", "--target", "delta", "--delta", str(delta)),
+        }
+        if g is None:  # nothing survives cleaning
+            assert set(codes.values()) == {EXIT_INPUT}
+        elif not is_connected(g):
+            assert set(codes.values()) == {EXIT_PRECONDITION}
+            assert run("stats", "--giant") == EXIT_OK
+        else:
+            diameter = metric_profile(g).diameter
+            assert codes == {
+                "stats": EXIT_OK,
+                "broker": EXIT_OK,
+                "diam": EXIT_OK if 2 <= delta <= diameter else EXIT_PRECONDITION,
+                "oracle broker": EXIT_OK if len(brute_force_min_broker(g)) <= cap else EXIT_CAP,
+                "oracle delta": EXIT_OK if delta >= 2 else EXIT_PRECONDITION,
+            }

@@ -3,6 +3,8 @@
 The hashes pin the exact heuristic picks, sizes and tie-breaks (and the
 metadata block, including the tool version).  A change that alters any of
 them on purpose must re-record the hash here and say why in CHANGES.md.
+Experiments 3 and 5 read a BA and an NWS edge list written by ``gen``;
+experiment 3 keeps its default timeout, so each run goes through a worker.
 """
 
 import hashlib
@@ -11,6 +13,8 @@ import pytest
 
 from tieset.cli import EXIT_OK, main
 
+DATASETS = ["--dataset", "ba={ba}", "--dataset", "nws={nws}"]
+
 GOLDEN = [
     (["experiment", "1", "--sizes", "100,200", "--count", "2"],
      "78cb7a4a0128db5b0103f19cbe96ccb6714188ed8a476883e97500fca19cbaa1"),
@@ -18,11 +22,20 @@ GOLDEN = [
      "3e629be7616526c90f41c67406b092bd89b3c30e62fd0f8c7608d3cb7e9f7141"),
     (["experiment", "4", "--sizes", "100", "--count", "2"],
      "0a4b6b759262b7976df176759aba7bde123f104b16f0b71ddb96af5e66dfe718"),
+    (["experiment", "3", *DATASETS],
+     "57bf681aec4438850f4204e7d05bbe12c74bcefa714699d81b4636c6888a70d1"),
+    (["experiment", "5", *DATASETS],
+     "4fcebc9a59af51782a1d18942d8fe1b03aa8d1c0dab07871add853c9aff76e83"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["exp1", "exp2", "exp4"])
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["exp1", "exp2", "exp4", "exp3", "exp5"])
 def test_experiment_csv_matches_golden_hash(tmp_path, argv, digest):
+    files = {}
+    for model, seed in (("ba", "7"), ("nws", "8")):
+        files[model] = tmp_path / f"{model}.txt"
+        gen = ["gen", "--model", model, "--n", "60", "--seed", seed, "--out", str(files[model])]
+        assert main(gen) == EXIT_OK
     out = tmp_path / "out.csv"
-    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert main([*(arg.format(**files) for arg in argv), "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -142,6 +142,14 @@ def test_induced_subgraph_on_every_node_is_the_graph_itself():
     assert induced_subgraph(empty, []) is empty
 
 
+@pytest.mark.parametrize("members, bad", [([-1, 0], -1), ([0, 4], 4), ([9], 9), ([-2, 1, 7], -2)])
+def test_induced_subgraph_rejects_ids_out_of_range(members, bad):
+    g = path_graph(4)
+    with pytest.raises(GraphError, match=rf"node id {bad} out of range for graph with n=4"):
+        induced_subgraph(g, members)
+    assert induced_subgraph(g, [3, 0]).n == 2  # both ends in range
+
+
 def test_induced_subgraph_with_duplicates_still_relabels():
     g = cycle_graph(5)
     sub = induced_subgraph(g, [4, 0, 4, 1])
