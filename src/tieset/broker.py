@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import combinations
 from operator import or_
 from typing import Iterable
 
@@ -25,6 +24,7 @@ from .graph import (
     _balls_of_radius,
     _bfs,
     _bits,
+    _covering_subsets,
     augment,
     betweenness,
     connected_components,
@@ -78,16 +78,10 @@ class AlgorithmReport:
     elapsed: float
 
 
-def is_sub_radius_dominating(g: Graph, s: NodeSet | Iterable[int], radius: int | None = None) -> bool:
-    """True iff every node outside ``s`` is within rad(g)-1 hops of some member.
-
-    ``radius`` may be passed to skip recomputing the metric profile; ``g``
-    must be connected either way.
-    """
+def is_sub_radius_dominating(g: Graph, s: NodeSet | Iterable[int]) -> bool:
+    """True iff every node outside ``s`` is within rad(g)-1 hops of some member (``g`` connected)."""
     members = validated_members(g, s)
-    if radius is None:
-        radius = metric_profile(g).radius
-    cover = _coverage_balls(g, radius)
+    cover = _coverage_balls(g, metric_profile(g).radius)
     return reduce(or_, (cover[v] for v in members)) == (1 << g.n) - 1
 
 
@@ -96,7 +90,7 @@ def _coverage_balls(g: Graph, radius: int) -> list[int]:
     return _balls_of_radius(g.adj, max(radius - 1, 0))
 
 
-def is_broker_set(g: Graph, s: NodeSet | Iterable[int], radius: int | None = None) -> bool:
+def is_broker_set(g: Graph, s: NodeSet | Iterable[int]) -> bool:
     """True iff a newcomer tied to exactly ``s`` becomes as central as the host's radius.
 
     Builds the combined graph and checks that the newcomer's eccentricity in
@@ -108,13 +102,8 @@ def is_broker_set(g: Graph, s: NodeSet | Iterable[int], radius: int | None = Non
     every coverage-based strategy).  Equivalent to sub-radius domination,
     computed by an independent route.
     """
-    h = augment(g, s)
-    du = _bfs(h.adj, g.n)
-    if min(du) < 0:
-        raise GraphError("graph not connected")
-    if radius is None:
-        radius = metric_profile(g).radius
-    return max(du) <= radius
+    h = augment(g, s)  # a disconnected g has no radius: metric_profile raises
+    return max(_bfs(h.adj, g.n)) <= metric_profile(g).radius
 
 
 def is_dominating_set(g: Graph, s: NodeSet | Iterable[int]) -> bool:
@@ -141,7 +130,8 @@ def run_heuristic(
             strategies are deterministic.
         verify: re-check the output (sub-radius domination and the broker
             property); skip on graphs where the check itself is too slow.
-        profile: precomputed metric profile of ``g``, to share across runs.
+        profile: the metric profile of ``g``, if the caller has it; ``g`` keeps
+            its own anyway.  Kept because callers such as ``perfbench/workloads.py`` pass it.
 
     Returns:
         An :class:`AlgorithmReport`; its set is sub-radius dominating in
@@ -165,7 +155,7 @@ def run_heuristic(
     elapsed = time.perf_counter() - t0
     valid = None
     if verify:
-        valid = is_sub_radius_dominating(g, s, radius=r) and is_broker_set(g, s, radius=r)
+        valid = is_sub_radius_dominating(g, s) and is_broker_set(g, s)
     return AlgorithmReport(h, s, len(s), valid, elapsed)
 
 
@@ -348,23 +338,16 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
     cap = g.n if size_cap is None else min(size_cap, g.n)
     # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0
     cover = _coverage_balls(g, radius) if radius else [0] * g.n
-    full = (1 << g.n) - 1
-    nodes = range(g.n)
-    for k in range(1, cap + 1):
-        for combo, masks in zip(combinations(nodes, k), combinations(cover, k)):
-            if reduce(or_, masks) == full:
-                return NodeSet(combo)
+    for subset, _ in _covering_subsets(cover, 0, cap):
+        return NodeSet(subset)
     raise CapExceededError(f"no broker set of size <= {cap} found")
 
 
 def brute_force_min_dominating(g: Graph) -> NodeSet:
-    """Smallest dominating set, lexicographically first among the minima."""
-    nodes = range(g.n)
-    for k in range(1, g.n + 1):
-        for combo in combinations(nodes, k):
-            if is_dominating_set(g, combo):
-                return NodeSet(combo)
-    return NodeSet(nodes)  # n = 0 only
+    """Smallest dominating set (its members' 1-balls cover every node), lexicographically first."""
+    for subset, _ in _covering_subsets(_balls_of_radius(g.adj, 1), 0, g.n):
+        return NodeSet(subset)
+    return NodeSet(())  # n = 0 only
 
 
 def broker_decision(g: Graph, k: int) -> bool:

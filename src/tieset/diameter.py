@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
-from operator import or_
 from typing import Iterable
 
 from .graph import (
@@ -22,9 +19,9 @@ from .graph import (
     NodeSet,
     _balls,
     _balls_of_radius,
+    _covering_subsets,
     augment,
     is_complete,
-    is_connected,
     metric_profile,
 )
 from .broker import CapExceededError
@@ -87,15 +84,13 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     """
     if delta < 2:
         raise GraphError(f"target diameter must be >= 2, got {delta}")
-    if not is_connected(g):
-        raise GraphError("graph not connected")
+    metric_profile(g)  # rejects disconnected input
     n = g.n
     _, balls = _balls(g.adj, range(delta + 1), delta)
     full = (1 << n) - 1
     # each node's balls of radius 0..delta-1 in one int, radius t at bit
     # offset t*n, so one OR over S's members yields all of S's t-balls
     packed = [sum(balls[t][v] << (t * n) for t in range(delta)) for v in range(n)]
-    top = (delta - 1) * n
     # per node x with ecc > delta, and per a = 0..delta-2: the bit that says
     # d(x, S) <= a, and the nodes farther than delta from x placed in the
     # (delta-2-a)-ball layer, all of which that layer must contain
@@ -105,11 +100,9 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
         if b != full
     ]
     cap = n if size_cap is None else min(size_cap, n)
-    for k in range(1, cap + 1):
-        for combo, masks in zip(combinations(range(n), k), combinations(packed, k)):
-            s_balls = reduce(or_, masks)
-            if s_balls >> top == full and _far_pairs_bridged(s_balls, far):
-                return NodeSet(combo)
+    for subset, s_balls in _covering_subsets(packed, (delta - 1) * n, cap):
+        if _far_pairs_bridged(s_balls, far):
+            return NodeSet(subset)
     raise CapExceededError(f"no delta-enabling set of size <= {cap} found")
 
 

@@ -173,6 +173,7 @@ def _run_generated(
     aggregate) pair for :func:`_summaries`.  ``metadata`` follows the shared
     '#' lines.
     """
+    _require("models", models)
     _require("sizes", sizes)
     if count < 1:
         raise GraphError(f"graph count per cell must be >= 1, got {count}")

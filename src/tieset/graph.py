@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator
 
 UNREACHABLE = math.inf
@@ -33,13 +36,14 @@ class Graph:
     establishes the invariants (symmetric adjacency, sorted neighbor lists,
     no self-loops or duplicates).  Connectedness is *not* an invariant;
     operations that need it check it.  The graph never changes, so
-    :func:`betweenness` keeps its result on it; that slot takes no part in
-    equality, hashing or the repr.
+    :func:`metric_profile` and :func:`betweenness` keep their results on it;
+    those slots take no part in equality, hashing or the repr.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
     m: int
+    _profile: MetricProfile | None = field(default=None, init=False, repr=False, compare=False)
     _betweenness: tuple[float, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
@@ -95,6 +99,9 @@ class NodeSet:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NodeSet is immutable")
+
+    def __reduce__(self):  # through __init__: the default slot restore would hit __setattr__
+        return (NodeSet, (self.members,))
 
     def __repr__(self) -> str:
         return f"NodeSet({list(self.members)})"
@@ -225,12 +232,24 @@ def _bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
-def validated_members(g: Graph, s: NodeSet | Iterable[int], *, allow_empty: bool = False) -> tuple[int, ...]:
+def _covering_subsets(masks: list[int], shift: int, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(subset, union)`` for each subset of at most ``cap`` of the n = len(masks) nodes
+    whose masks' OR, ``union``, has all n bits set from bit ``shift`` up; smallest subsets
+    first, lexicographic within a size, so the first is the lexicographically first minimum.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    for k in range(1, cap + 1):
+        for subset, chosen in zip(combinations(range(n), k), combinations(masks, k)):
+            union = reduce(or_, chosen)
+            if union >> shift == full:
+                yield subset, union
+
+
+def validated_members(g: Graph, s: NodeSet | Iterable[int]) -> tuple[int, ...]:
     """Normalize a node-set argument against a host graph."""
     members = s.members if isinstance(s, NodeSet) else NodeSet(s).members
     if not members:
-        if allow_empty:
-            return members
         raise GraphError("node set must be non-empty")
     if members[-1] >= g.n:
         raise GraphError(f"node id {members[-1]} out of range for graph with n={g.n}")
@@ -254,20 +273,24 @@ def metric_profile(g: Graph) -> MetricProfile:
     """Eccentricity of every node plus radius, diameter, center and periphery.
 
     Grows every node's ball at once with the bit-parallel kernel
-    :func:`_balls`, one round per hop.  Raises :class:`NotConnectedError` on
-    disconnected input; callers wanting the giant component should apply
+    :func:`_balls`, one round per hop, once per graph: the immutable profile
+    is kept on ``g`` and every later call returns that same object.  Raises
+    :class:`NotConnectedError` on disconnected input, on every call;
+    callers wanting the giant component should apply
     :func:`largest_connected_component` first.
     """
-    if g.n == 0:
-        raise NotConnectedError("graph not connected: no nodes")
-    ecc, _ = _balls(g.adj)
-    if min(ecc) < 0:
-        raise NotConnectedError("graph not connected")
-    radius = min(ecc)
-    diameter = max(ecc)
-    center = NodeSet(v for v in range(g.n) if ecc[v] == radius)
-    periphery = NodeSet(v for v in range(g.n) if ecc[v] == diameter)
-    return MetricProfile(tuple(ecc), radius, diameter, center, periphery)
+    if g._profile is None:
+        if g.n == 0:
+            raise NotConnectedError("graph not connected: no nodes")
+        ecc, _ = _balls(g.adj)
+        if min(ecc) < 0:
+            raise NotConnectedError("graph not connected")
+        radius = min(ecc)
+        diameter = max(ecc)
+        center = NodeSet(v for v in range(g.n) if ecc[v] == radius)
+        periphery = NodeSet(v for v in range(g.n) if ecc[v] == diameter)
+        object.__setattr__(g, "_profile", MetricProfile(tuple(ecc), radius, diameter, center, periphery))
+    return g._profile
 
 
 def is_diametrically_uniform(g: Graph) -> bool:

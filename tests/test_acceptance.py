@@ -75,9 +75,7 @@ def test_criterion_1_all_heuristics_emit_valid_sets():
         profile = metric_profile(g)
         for h in BrokerHeuristic:
             report = run_heuristic(g, h, verify=False, profile=profile)
-            ok = is_sub_radius_dominating(g, report.s, radius=profile.radius) and is_broker_set(
-                g, report.s, radius=profile.radius
-            )
+            ok = is_sub_radius_dominating(g, report.s) and is_broker_set(g, report.s)
             if not ok:
                 failures += 1
     assert failures == 0
@@ -91,8 +89,8 @@ def test_criterion_2_sub_radius_domination_implies_broker():
         g = random_connected(rng.randint(4, 40), rng.randint(0, 30), seed=split_seed(202, i))
         radius = metric_profile(g).radius
         s = grow_to_sub_radius_dominating(g, radius, rng)
-        assert is_sub_radius_dominating(g, s, radius=radius)
-        if not is_broker_set(g, s, radius=radius):
+        assert is_sub_radius_dominating(g, s)
+        if not is_broker_set(g, s):
             exceptions += 1
     assert exceptions == 0
     _passed(2, "sub-radius dominating implies broker on 1000 pairs")
@@ -109,9 +107,9 @@ def test_criterion_3_oracle_soundness_on_small_graphs():
     for g in graphs:
         profile = metric_profile(g)
         best = brute_force_min_broker(g)
-        assert is_broker_set(g, best, radius=profile.radius)
+        assert is_broker_set(g, best)
         for combo in combinations(range(g.n), len(best) - 1):
-            assert not is_broker_set(g, combo, radius=profile.radius)
+            assert not is_broker_set(g, combo)
         for h in BrokerHeuristic:
             assert run_heuristic(g, h, verify=False, profile=profile).size >= len(best)
     _passed(3, "heuristics never beat the exact oracle on 213 small graphs")

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from tieset import experiments
+from tieset import experiments, graph
 from tieset.datasets import DatasetDescriptor, NetworkStats, write_edge_list
 from tieset.experiments import (
     CSV_COLUMNS,
@@ -125,6 +125,22 @@ def test_experiment_3_verifies_expected_stats(tmp_path):
     run_experiment_3(tmp_path / "e3b.csv", [bad], heuristics=("max",), timeout_s=None)
 
 
+def test_experiment_3_computes_the_giant_component_profile_once(tmp_path, monkeypatch):
+    full_passes = []
+    kernel = graph._balls
+
+    def counting(adj, keep=(), rounds=None):
+        if not keep and rounds is None:
+            full_passes.append(len(adj))
+        return kernel(adj, keep, rounds)
+
+    monkeypatch.setattr(graph, "_balls", counting)
+    d = DatasetDescriptor("tiny", str(_dataset_file(tmp_path, n=60, extra=20)))
+    records = run_experiment_3(tmp_path / "e3.csv", [d], heuristics=("max", "btw", "s-max", "center"), timeout_s=None)
+    assert len(records) == 4 and all(r.valid for r in records) and records[0].radius > 1
+    assert full_passes == [60]
+
+
 def test_experiment_3_records_timeouts(tmp_path):
     out = tmp_path / "e3.csv"
     big = DatasetDescriptor("slow", str(_dataset_file(tmp_path, n=300, extra=400)))
@@ -152,6 +168,14 @@ def test_run_with_timeout_raises_when_the_worker_dies(monkeypatch):
     monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: os._exit(7))
     with pytest.raises(RuntimeError, match="exited with code 7"):
         run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+
+
+@pytest.mark.parametrize("run", [run_experiment_1, run_experiment_2, run_experiment_4])
+def test_empty_models_is_a_precondition_error(tmp_path, run):
+    out = tmp_path / "x.csv"
+    with pytest.raises(GraphError, match="models must not be empty"):
+        run(out, models=())
+    assert not out.exists()
 
 
 def test_experiment_4_rows_reach_target(tmp_path):

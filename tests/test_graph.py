@@ -1,8 +1,11 @@
+import copy
 import math
 import pickle
 
 import pytest
 
+from tieset.broker import run_heuristic
+from tieset.diameter import periphery_algorithm
 from tieset.generators import BA, NWS, RandomModelParams, generate
 from tieset.graph import (
     GraphError,
@@ -100,6 +103,31 @@ def test_metric_profile_cycle6_vertex_transitive():
 def test_metric_profile_rejects_disconnected():
     with pytest.raises(NotConnectedError, match="not connected"):
         metric_profile(build_graph(4, [(0, 1), (2, 3)]))
+
+
+def test_metric_profile_is_computed_once_and_kept():
+    g = random_connected(15, 8, 4)
+    assert metric_profile(g) is metric_profile(g)
+    assert metric_profile(g) == metric_profile(random_connected(15, 8, 4))
+
+
+def test_disconnected_graph_raises_on_every_profile_call():
+    g = build_graph(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(NotConnectedError, match="not connected"):
+            metric_profile(g)
+
+
+def test_node_sets_and_reports_survive_pickle_and_deepcopy():
+    g = path_graph(5)
+    values = [NodeSet([2, 1]), metric_profile(g), run_heuristic(g, "s-max"), periphery_algorithm(g, 3, seed=7)]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+    twin = copy.deepcopy(values[0])
+    assert twin.members == (1, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        twin.members = (3,)
 
 
 def test_uniformity_and_completeness_flags():
@@ -202,15 +230,18 @@ def test_betweenness_returns_a_fresh_list():
 
 
 def test_kept_betweenness_leaves_equality_hash_repr_and_pickle_alone():
+    # covers both kept slots: the betweenness scores and the metric profile
     g, twin = random_connected(20, 10, 99), random_connected(20, 10, 99)
     before = (repr(g), hash(g), pickle.dumps(g))
     scores = betweenness(g)
+    profile = metric_profile(g)
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert (repr(g), hash(g)) == before[:2]
     for blob in (before[2], pickle.dumps(g)):
-        copy = pickle.loads(blob)
-        assert copy == g and hash(copy) == hash(g) and repr(copy) == repr(g)
-        assert betweenness(copy) == scores
+        loaded = pickle.loads(blob)
+        assert loaded == g and hash(loaded) == hash(g) and repr(loaded) == repr(g)
+        assert betweenness(loaded) == scores
+        assert metric_profile(loaded) == profile
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -4,13 +4,14 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tieset import broker
 from tieset.broker import (
     BrokerHeuristic,
     CapExceededError,
     brute_force_min_broker,
+    brute_force_min_dominating,
     is_broker_set,
     is_sub_radius_dominating,
     run_heuristic,
@@ -47,6 +48,7 @@ from util import (
     random_connected,
     random_tree,
     ref_brandes,
+    ref_min_dominating,
 )
 
 
@@ -112,16 +114,15 @@ def test_betweenness_mass_on_trees(n, seed):
 @given(graphs_with_node_sets())
 def test_sub_radius_domination_iff_broker(gs):
     g, s = gs
-    r = metric_profile(g).radius
-    assert is_sub_radius_dominating(g, s, radius=r) == is_broker_set(g, s, radius=r)
+    assert is_sub_radius_dominating(g, s) == is_broker_set(g, s)
 
 
 @given(connected_graphs(), st.integers(0, 2 ** 31))
 def test_grown_dominating_sets_are_broker_sets(g, seed):
     r = metric_profile(g).radius
     s = grow_to_sub_radius_dominating(g, r, random.Random(seed))
-    assert is_sub_radius_dominating(g, s, radius=r)
-    assert is_broker_set(g, s, radius=r)
+    assert is_sub_radius_dominating(g, s)
+    assert is_broker_set(g, s)
 
 
 @settings(max_examples=40)
@@ -138,10 +139,9 @@ def test_every_heuristic_emits_a_valid_set(g):
 @given(connected_graphs(min_n=2, max_n=7))
 def test_oracle_is_minimal_and_below_heuristics(g):
     best = brute_force_min_broker(g)
-    r = metric_profile(g).radius
-    assert is_broker_set(g, best, radius=r)
+    assert is_broker_set(g, best)
     for combo in combinations(range(g.n), len(best) - 1):
-        assert not is_broker_set(g, combo, radius=r)
+        assert not is_broker_set(g, combo)
     for h in BrokerHeuristic:
         assert run_heuristic(g, h, profile=None).size >= len(best)
 
@@ -246,10 +246,9 @@ def test_diameter_at_most_matches_floyd_warshall(g, data):
 
 
 def _min_broker_by_verifier(g: Graph) -> NodeSet | None:
-    r = metric_profile(g).radius
     for k in range(1, g.n + 1):
         for combo in combinations(range(g.n), k):
-            if is_broker_set(g, combo, radius=r):
+            if is_broker_set(g, combo):
                 return NodeSet(combo)
     return None
 
@@ -274,6 +273,18 @@ def test_mask_broker_oracle_matches_verifier_search_on_gadgets(g):
         return
     h, _ = reduction_gadget(g)
     assert _min_broker_or_none(h) == _min_broker_by_verifier(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        family_graphs(max_n=9),
+        st.tuples(family_graphs(max_n=4), family_graphs(max_n=5)).map(lambda ab: _disjoint_union(*ab)),
+    )
+)
+@example(build_graph(0, []))
+def test_mask_dominating_oracle_matches_set_based_search(g):
+    assert brute_force_min_dominating(g) == ref_min_dominating(g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,6 +13,7 @@ import random
 from collections import deque
 from itertools import combinations
 
+from tieset.broker import is_dominating_set
 from tieset.graph import Graph, NodeSet, augment, build_graph
 
 INF = 10 ** 9
@@ -164,3 +165,13 @@ def grow_to_sub_radius_dominating(g: Graph, radius: int, rng: random.Random) -> 
         if not uncovered:
             return NodeSet(members)
         members.add(rng.choice(uncovered))
+
+
+def ref_min_dominating(g: Graph) -> NodeSet:
+    """Smallest dominating set by a size-ordered search with the set-based checker."""
+    nodes = range(g.n)
+    for k in range(1, g.n + 1):
+        for combo in combinations(nodes, k):
+            if is_dominating_set(g, combo):
+                return NodeSet(combo)
+    return NodeSet(nodes)  # n = 0 only
