@@ -27,8 +27,8 @@ from .graph import (
     _covering_subsets,
     augment,
     betweenness,
-    connected_components,
     induced_subgraph,
+    largest_connected_component,
     metric_profile,
     MetricProfile,
     validated_members,
@@ -124,14 +124,20 @@ def run_heuristic(
 ) -> AlgorithmReport:
     """Run one tie-placement heuristic and report the resulting set.
 
+    The three metrics (degree, betweenness, leaf walk) are each a selection
+    rule, run by one of two greedy cover loops: on the shrinking uncovered
+    subgraph (``max``/``btw``/``ml``) or on ``g`` itself (the ``s-`` variants).
+    Every strategy reads the radius and center from ``metric_profile(g)``.
+
     Args:
         g: connected graph with at least two nodes.
         heuristic: a :class:`BrokerHeuristic` or its string value; all eight
             strategies are deterministic.
         verify: re-check the output (sub-radius domination and the broker
             property); skip on graphs where the check itself is too slow.
-        profile: the metric profile of ``g``, if the caller has it; ``g`` keeps
-            its own anyway.  Kept because callers such as ``perfbench/workloads.py`` pass it.
+        profile: ``g``'s own metric profile, if the caller holds it; anything
+            else raises :class:`GraphError`.  ``g`` keeps its profile anyway,
+            so this is only a consistency check.
 
     Returns:
         An :class:`AlgorithmReport`; its set is sub-radius dominating in
@@ -140,9 +146,9 @@ def run_heuristic(
     h = BrokerHeuristic(heuristic)
     if g.n < 2:
         raise GraphError("heuristics need a graph with at least 2 nodes")
-    if profile is None:
-        profile = metric_profile(g)
-    r = profile.radius
+    r = metric_profile(g).radius
+    if profile is not None and profile != metric_profile(g):
+        raise GraphError("profile is not the metric profile of this graph")
     if r > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
         betweenness(g)  # kept on g: the timed run reads it back
     t0 = time.perf_counter()
@@ -151,7 +157,7 @@ def run_heuristic(
         # node set is the only possible (and correct) answer
         s = NodeSet(range(g.n))
     else:
-        s = _STRATEGIES[h](g, profile)
+        s = _STRATEGIES[h](g)
     elapsed = time.perf_counter() - t0
     valid = None
     if verify:
@@ -160,32 +166,60 @@ def run_heuristic(
 
 
 # ---------------------------------------------------------------------------
-# greedy cover on the shrinking induced subgraph (max / btw / ml)
+# selection rules: rule(f, r) computes its metric on f once and returns a
+# chooser that maps candidate node ids of f to the node to adopt
 
-def _pick_max_degree(f: Graph, r: int) -> int:
-    return max(range(f.n), key=lambda v: len(f.adj[v]))
-
-
-def _pick_max_betweenness(f: Graph, r: int) -> int:
-    return max(range(f.n), key=betweenness(f).__getitem__)
-
-
-def _pick_leaf_walk(f: Graph, r: int) -> int:
+def _by_degree(f: Graph, r: int):
     degs = [len(row) for row in f.adj]
-    return _walk_endpoint(f.adj, degs, min(range(f.n), key=degs.__getitem__), r)
+    return lambda candidates: max(candidates, key=degs.__getitem__)
 
 
-def _greedy_shrinking(g: Graph, r: int, pick) -> NodeSet:
-    """Cover loop for the unsimplified strategies.
+def _by_betweenness(f: Graph, r: int):
+    btw = betweenness(f)
+    return lambda candidates: max(candidates, key=btw.__getitem__)
 
-    Maintains the subgraph induced by the uncovered nodes; the pick and the
-    coverage ball (hop radius r-1) both live in that subgraph.
+
+def _by_leaf_walk(f: Graph, r: int):
+    """Walk from a min-degree candidate toward high degrees; choose the endpoint.
+
+    Visits at most r nodes, never immediately backtracks, and stops early
+    when the only neighbor is the predecessor.  The endpoint is therefore
+    within r-1 hops of the start.
     """
+    degs = [len(row) for row in f.adj]
+
+    def choose(candidates) -> int:
+        prev = -1
+        cur = min(candidates, key=degs.__getitem__)
+        for _ in range(r - 1):
+            best = -1
+            best_deg = -1
+            for w in f.adj[cur]:
+                if w != prev and degs[w] > best_deg:
+                    best, best_deg = w, degs[w]
+            if best < 0:
+                break
+            prev, cur = cur, best
+        return cur
+
+    return choose
+
+
+# ---------------------------------------------------------------------------
+# greedy cover loops
+
+def _greedy_shrinking(g: Graph, rule) -> NodeSet:
+    """Cover loop for the unsimplified strategies (``max``/``btw``/``ml``).
+
+    Maintains the subgraph induced by the uncovered nodes; the rule's metric
+    and the coverage ball (hop radius r-1) both live in that subgraph.
+    """
+    r = metric_profile(g).radius
     uncovered = list(range(g.n))
     chosen: list[int] = []
     while uncovered:
         f = induced_subgraph(g, uncovered)
-        w_sub = pick(f, r)
+        w_sub = rule(f, r)(range(f.n))
         chosen.append(uncovered[w_sub])
         dist = _bfs(f.adj, w_sub, r - 1)
         remaining = [uncovered[i] for i in range(f.n) if dist[i] < 0]
@@ -195,42 +229,20 @@ def _greedy_shrinking(g: Graph, r: int, pick) -> NodeSet:
     return NodeSet(chosen)
 
 
-# ---------------------------------------------------------------------------
-# greedy cover with metrics frozen on the original graph (s-max / s-btw / s-ml)
+def _greedy_uncovered(g: Graph, rule) -> NodeSet:
+    """Cover loop for the simplified strategies (``s-max``/``s-btw``/``s-ml``).
 
-def _walk_endpoint(adj, degs, start: int, r: int) -> int:
-    """Walk from a min-degree node toward high degrees; return the endpoint.
-
-    Visits at most r nodes, never immediately backtracks, and stops early
-    when the only neighbor is the predecessor.  The endpoint is therefore
-    within r-1 hops of the start.
+    The rule's metric is computed once on ``g`` and chooses among the
+    uncovered ids; the coverage ball uses original-graph distances strictly
+    below r.  The uncovered set is a bitmask.
     """
-    prev = -1
-    cur = start
-    for _ in range(r - 1):
-        best = -1
-        best_deg = -1
-        for w in adj[cur]:
-            if w != prev and degs[w] > best_deg:
-                best, best_deg = w, degs[w]
-        if best < 0:
-            break
-        prev, cur = cur, best
-    return cur
-
-
-def _greedy_uncovered(g: Graph, r: int, select) -> NodeSet:
-    """Cover loop for the simplified strategies.
-
-    ``select`` maps the current uncovered id list to the node to adopt; the
-    coverage ball uses original-graph distances strictly below r.  The
-    uncovered set is a bitmask.
-    """
+    r = metric_profile(g).radius
+    choose = rule(g, r)
     cover = _coverage_balls(g, r)
     uncovered = (1 << g.n) - 1
     chosen: list[int] = []
     while uncovered:
-        w = select(_bits(uncovered))
+        w = choose(_bits(uncovered))
         chosen.append(w)
         newly = cover[w] & uncovered
         if not newly:
@@ -239,37 +251,18 @@ def _greedy_uncovered(g: Graph, r: int, select) -> NodeSet:
     return NodeSet(chosen)
 
 
-def _s_max(g: Graph, profile: MetricProfile) -> NodeSet:
-    degs = [len(row) for row in g.adj]
-    return _greedy_uncovered(g, profile.radius, lambda u_set: max(u_set, key=degs.__getitem__))
-
-
-def _s_btw(g: Graph, profile: MetricProfile) -> NodeSet:
-    btw = betweenness(g)
-    return _greedy_uncovered(g, profile.radius, lambda u_set: max(u_set, key=btw.__getitem__))
-
-
-def _s_ml(g: Graph, profile: MetricProfile) -> NodeSet:
-    degs = [len(row) for row in g.adj]
-    r = profile.radius
-    return _greedy_uncovered(
-        g, r, lambda u_set: _walk_endpoint(g.adj, degs, min(u_set, key=degs.__getitem__), r)
-    )
-
-
 # ---------------------------------------------------------------------------
 # center-based strategies
 
-def _min_degree_center(g: Graph, profile: MetricProfile) -> int:
-    return min(profile.center.members, key=lambda v: (len(g.adj[v]), v))
+def _min_degree_center(g: Graph) -> int:
+    return min(metric_profile(g).center.members, key=lambda v: (len(g.adj[v]), v))
 
 
-def _center_neighbors(g: Graph, profile: MetricProfile) -> NodeSet:
-    v = _min_degree_center(g, profile)
-    return NodeSet(g.adj[v])
+def _center_neighbors(g: Graph) -> NodeSet:
+    return NodeSet(g.adj[_min_degree_center(g)])
 
 
-def _imp_center(g: Graph, profile: MetricProfile) -> NodeSet:
+def _imp_center(g: Graph) -> NodeSet:
     """Center strategy with component-aware substitutions.
 
     Consumes the chosen center's neighbors in decreasing-degree order, but
@@ -278,8 +271,8 @@ def _imp_center(g: Graph, profile: MetricProfile) -> NodeSet:
     runs out first, keeps adopting component centers, which always cover at
     least themselves.
     """
-    r = profile.radius
-    v = _min_degree_center(g, profile)
+    r = metric_profile(g).radius
+    v = _min_degree_center(g)
     neighbor_queue = sorted(g.adj[v], key=lambda x: (-len(g.adj[x]), x))
     cover = _coverage_balls(g, r)
     uncovered = (1 << g.n) - 1
@@ -287,13 +280,12 @@ def _imp_center(g: Graph, profile: MetricProfile) -> NodeSet:
     i = 0
     while uncovered:
         members = _bits(uncovered)
-        f = induced_subgraph(g, members)
-        comp_sub = max(connected_components(f), key=len)
-        comp = [members[x] for x in comp_sub]
-        comp_profile = metric_profile(induced_subgraph(g, comp))
+        comp, ids = largest_connected_component(induced_subgraph(g, members))
+        comp_profile = metric_profile(comp)
         from_neighbors = False
         if comp_profile.radius < r - 1 or i >= len(neighbor_queue):
-            w = comp[comp_profile.center.members[0]]
+            # ids lists the component's positions in ``members``, ascending
+            w = members[list(ids)[comp_profile.center.members[0]]]
         else:
             w = neighbor_queue[i]
             i += 1
@@ -306,16 +298,17 @@ def _imp_center(g: Graph, profile: MetricProfile) -> NodeSet:
     return NodeSet(chosen)
 
 
-# BrokerHeuristic -> strategy(g, profile).  The entries are private and look public
-# functions such as ``betweenness`` up by name when they run, so a rebound module
-# attribute is seen.
+# BrokerHeuristic -> strategy(g): a metric's rule under one of the two cover
+# loops, or a center strategy.  The entries are private and look public
+# functions such as ``betweenness`` up by name when they run, so a rebound
+# module attribute is seen.
 _STRATEGIES = {
-    BrokerHeuristic.MAX: lambda g, profile: _greedy_shrinking(g, profile.radius, _pick_max_degree),
-    BrokerHeuristic.BTW: lambda g, profile: _greedy_shrinking(g, profile.radius, _pick_max_betweenness),
-    BrokerHeuristic.ML: lambda g, profile: _greedy_shrinking(g, profile.radius, _pick_leaf_walk),
-    BrokerHeuristic.S_MAX: _s_max,
-    BrokerHeuristic.S_BTW: _s_btw,
-    BrokerHeuristic.S_ML: _s_ml,
+    BrokerHeuristic.MAX: lambda g: _greedy_shrinking(g, _by_degree),
+    BrokerHeuristic.BTW: lambda g: _greedy_shrinking(g, _by_betweenness),
+    BrokerHeuristic.ML: lambda g: _greedy_shrinking(g, _by_leaf_walk),
+    BrokerHeuristic.S_MAX: lambda g: _greedy_uncovered(g, _by_degree),
+    BrokerHeuristic.S_BTW: lambda g: _greedy_uncovered(g, _by_betweenness),
+    BrokerHeuristic.S_ML: lambda g: _greedy_uncovered(g, _by_leaf_walk),
     BrokerHeuristic.CENTER: _center_neighbors,
     BrokerHeuristic.IMP_CENTER: _imp_center,
 }

@@ -175,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a seeded random graph")
     p.add_argument("--model", required=True, choices=[BA, NWS])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ba-m", type=int, default=2)
-    p.add_argument("--nws-k", type=int, default=4)
-    p.add_argument("--nws-p", type=float, default=0.1)
+    p.add_argument("--ba-m", type=int, default=experiments.DEFAULT_BA_M)
+    p.add_argument("--nws-k", type=int, default=experiments.DEFAULT_NWS_K)
+    p.add_argument("--nws-p", type=float, default=experiments.DEFAULT_NWS_P)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen)

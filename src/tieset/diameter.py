@@ -15,7 +15,6 @@ from typing import Iterable
 from .graph import (
     Graph,
     GraphError,
-    MetricProfile,
     NodeSet,
     _balls,
     _balls_of_radius,
@@ -119,15 +118,15 @@ def _far_pairs_bridged(s_balls: int, far: list[list[tuple[int, int]]]) -> bool:
     return True
 
 
-def _check_reduction_args(profile: MetricProfile, delta: int) -> None:
-    if not 2 <= delta <= profile.diameter:
-        raise GraphError(
-            f"target diameter {delta} outside valid range 2..{profile.diameter}"
-        )
+def _check_reduction_args(g: Graph, delta: int) -> None:
+    diameter = metric_profile(g).diameter  # also rejects disconnected input
+    if not 2 <= delta <= diameter:
+        raise GraphError(f"target diameter {delta} outside valid range 2..{diameter}")
 
 
-def _peripheral_pairs(g: Graph, profile: MetricProfile) -> list[tuple[int, int]]:
+def _peripheral_pairs(g: Graph) -> list[tuple[int, int]]:
     """All unordered node pairs at distance exactly diam(g), ascending."""
+    profile = metric_profile(g)
     near = _balls_of_radius(g.adj, profile.diameter - 1)
     periphery = profile.periphery.members
     return [
@@ -138,6 +137,14 @@ def _peripheral_pairs(g: Graph, profile: MetricProfile) -> list[tuple[int, int]]
     ]
 
 
+def _tie(g: Graph, s: set[int], prev: Graph | None = None) -> Graph:
+    """``g`` joined with a newcomer tied to ``s``; refuses a diameter above ``prev``'s."""
+    cur = augment(g, NodeSet(s))
+    if prev is not None and metric_profile(cur).diameter > metric_profile(prev).diameter:
+        raise RuntimeError("diameter increased")
+    return cur
+
+
 def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     """Reduce the combined diameter to <= delta by absorbing peripheral pairs.
 
@@ -146,30 +153,26 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     recomputes the diameter.  A chosen pair drops to distance 2 and can never
     be peripheral again, so the loop terminates.  Deterministic per seed.
     """
-    profile = metric_profile(g)
-    _check_reduction_args(profile, delta)
+    _check_reduction_args(g, delta)
     rng = random.Random(seed)
     u = g.n
     s: set[int] = set()
-    cur, cur_profile = g, profile
+    cur = g
     iterations = 0
     while True:
         candidates = []
-        for a, b in _peripheral_pairs(cur, cur_profile):
+        for a, b in _peripheral_pairs(cur):
             addable = [x for x in (a, b) if x != u and x not in s]
             if addable:
                 candidates.append(addable)
         if not candidates:
             raise RuntimeError("no addable peripheral pair despite oversized diameter")
         s.update(candidates[rng.randrange(len(candidates))])
+        # the first tie may lengthen the diameter through the newcomer itself
+        cur = _tie(g, s, cur if iterations else None)
         iterations += 1
-        prev_diameter = cur_profile.diameter if iterations > 1 else None
-        cur = augment(g, NodeSet(s))
-        cur_profile = metric_profile(cur)
-        if prev_diameter is not None and cur_profile.diameter > prev_diameter:
-            raise RuntimeError("diameter increased")
-        if cur_profile.diameter <= delta:
-            return DeltaReport(NodeSet(s), len(s), cur_profile.diameter, iterations)
+        if metric_profile(cur).diameter <= delta:
+            return DeltaReport(NodeSet(s), len(s), metric_profile(cur).diameter, iterations)
 
 
 def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -182,30 +185,25 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     through the newcomer and the initial center tie), which is checked.
     Deterministic per seed.
     """
-    profile = metric_profile(g)
-    _check_reduction_args(profile, delta)
+    _check_reduction_args(g, delta)
     rng = random.Random(seed)
     u = g.n
-    centers = profile.center.members
+    radius = metric_profile(g).radius
+    centers = metric_profile(g).center.members
     s: set[int] = {centers[rng.randrange(len(centers))]}
-    cur = augment(g, NodeSet(s))
-    cur_profile = metric_profile(cur)
+    cur = _tie(g, s)
     iterations = 1
-    while cur_profile.diameter > delta:
-        candidates = [w for w in cur_profile.periphery.members if w != u and w not in s]
+    while metric_profile(cur).diameter > delta:
+        candidates = [w for w in metric_profile(cur).periphery.members if w != u and w not in s]
         if not candidates:
             raise RuntimeError("periphery exhausted despite oversized diameter")
         w = candidates[rng.randrange(len(candidates))]
         s.add(w)
         iterations += 1
-        prev_diameter = cur_profile.diameter
-        cur = augment(g, NodeSet(s))
-        cur_profile = metric_profile(cur)
-        if cur_profile.diameter > prev_diameter:
-            raise RuntimeError("diameter increased")
-        if cur_profile.ecc[w] > profile.radius + 2:
+        cur = _tie(g, s, cur)
+        if metric_profile(cur).ecc[w] > radius + 2:
             raise RuntimeError(
-                f"picked periphery node {w} kept eccentricity {cur_profile.ecc[w]} "
-                f"> original radius {profile.radius} + 2"
+                f"picked periphery node {w} kept eccentricity {metric_profile(cur).ecc[w]} "
+                f"> original radius {radius} + 2"
             )
-    return DeltaReport(NodeSet(s), len(s), cur_profile.diameter, iterations)
+    return DeltaReport(NodeSet(s), len(s), metric_profile(cur).diameter, iterations)

@@ -34,6 +34,7 @@ DEFAULT_BA_M = 2
 DEFAULT_NWS_K = 4
 DEFAULT_NWS_P = 0.1
 DEFAULT_TIMEOUT_S = 600.0
+ORACLE_MAX_N = 14  # experiment 2's largest graph: the exhaustive oracle is exponential in n
 
 _MASK64 = (1 << 64) - 1
 
@@ -197,10 +198,10 @@ def _run_generated(
 
 
 def _heuristic_rows(experiment, heuristics, graph_id, params, g, profile, **columns):
-    """One row per heuristic run on a generated graph, sharing its profile."""
+    """One row per heuristic run on a generated graph; ``profile`` is ``g``'s own."""
     rows = []
     for h in heuristics:
-        report = run_heuristic(g, h, profile=profile)
+        report = run_heuristic(g, h)
         rows.append(
             _graph_record(
                 experiment,
@@ -262,7 +263,6 @@ def run_experiment_2(
     heuristics: Sequence[BrokerHeuristic | str] = tuple(BrokerHeuristic),
     master_seed: int = 2,
     oracle_cap: int = 8,
-    max_n: int = 14,
     timings: bool = False,
 ) -> list[ExperimentRecord]:
     """Fraction of graphs on which each heuristic matches the exact minimum.
@@ -271,8 +271,8 @@ def run_experiment_2(
     oracle search exceeds ``oracle_cap`` are skipped with a reason row.
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
-    if any(n > max_n for n in sizes):
-        raise GraphError(f"experiment 2 sizes must stay <= {max_n} for the oracle")
+    if any(n > ORACLE_MAX_N for n in sizes):
+        raise GraphError(f"experiment 2 sizes must stay <= {ORACLE_MAX_N} for the oracle")
 
     def rows(graph_id, params, g, profile):
         try:

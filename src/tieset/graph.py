@@ -304,17 +304,25 @@ def is_complete(g: Graph) -> bool:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as ascending id lists, ordered by smallest member."""
-    seen = [False] * g.n
+    """Connected components as ascending id lists, ordered by smallest member.
+
+    One linear sweep: each node not yet labeled, in id order, labels its
+    component by a stack walk; then every node joins its label's list.
+    """
+    label = [-1] * g.n
     comps: list[list[int]] = []
     for v in range(g.n):
-        if seen[v]:
-            continue
-        dist = _bfs(g.adj, v)
-        comp = [w for w in range(g.n) if dist[w] >= 0 and not seen[w]]
-        for w in comp:
-            seen[w] = True
-        comps.append(comp)
+        if label[v] < 0:
+            label[v] = len(comps)
+            comps.append([])
+            stack = [v]
+            while stack:
+                for w in g.adj[stack.pop()]:
+                    if label[w] < 0:
+                        label[w] = label[v]
+                        stack.append(w)
+    for v, c in enumerate(label):
+        comps[c].append(v)
     return comps
 
 

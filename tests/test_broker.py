@@ -124,6 +124,25 @@ def test_whole_graph_betweenness_is_computed_before_the_timer(monkeypatch, heuri
     assert events[:2] == [True, "clock"]
 
 
+def test_a_profile_of_another_graph_is_refused():
+    with pytest.raises(GraphError, match="profile"):
+        run_heuristic(P5, "s-max", profile=metric_profile(path_graph(9)))
+    # g's own profile, or an equal copy of it, is accepted
+    assert run_heuristic(P5, "s-max", profile=metric_profile(path_graph(5))).valid is True
+
+
+def test_s_btw_runs_betweenness_once_whatever_the_number_of_picks(monkeypatch):
+    g = random_connected(40, 10, 3)
+    events = []
+    kernel = broker.betweenness
+    monkeypatch.setattr(broker, "betweenness", lambda f: events.append("btw") or kernel(f))
+    monkeypatch.setattr(broker.time, "perf_counter", lambda: events.append("clock") or 0.0)
+    report = run_heuristic(g, "s-btw", verify=False)
+    assert report.size > 2
+    # one warm-up before the timer, then one for the whole timed cover loop
+    assert events == ["btw", "clock", "btw", "clock"]
+
+
 def test_min_broker_path5():
     s = brute_force_min_broker(P5)
     assert s == NodeSet([0, 3])  # lexicographically first of the size-2 minima

@@ -166,13 +166,15 @@ def test_experiment_3_rejects_bad_dataset_spec(tmp_path):
     assert main(["experiment", "3", "--dataset", "no-equals-sign", "--out", str(out)]) == EXIT_INPUT
 
 
-# a count below one, or an empty list of sizes, depths or datasets, leaves nothing to run
+# a count below one, or an empty list of sizes, depths or datasets, leaves nothing to run;
+# experiment 2 also refuses graphs too large for its exhaustive oracle
 EMPTY_EXPERIMENTS = [
     *(pytest.param([number, "--sizes", "8", "--count", count], "count", id=f"{count}-{number}")
       for number in ("1", "2", "4") for count in ("0", "-1")),
     *(pytest.param([number, "--sizes", ","], "sizes", id=f"no-sizes-{number}") for number in ("1", "2", "4")),
     *(pytest.param([number], "datasets", id=f"no-dataset-{number}") for number in ("3", "5")),
     pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", ","], "i-range", id="no-i-range-5"),
+    pytest.param(["2", "--sizes", "8,15"], "sizes must stay <= 14", id="oracle-size-2"),
 ]
 
 

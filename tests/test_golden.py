@@ -5,6 +5,7 @@ metadata block, including the tool version).  A change that alters any of
 them on purpose must re-record the hash here and say why in CHANGES.md.
 Experiments 3 and 5 read a BA and an NWS edge list written by ``gen``;
 experiment 3 keeps its default timeout, so each run goes through a worker.
+Experiments 2 and 4 are also pinned at their CLI defaults.
 """
 
 import hashlib
@@ -26,10 +27,17 @@ GOLDEN = [
      "57bf681aec4438850f4204e7d05bbe12c74bcefa714699d81b4636c6888a70d1"),
     (["experiment", "5", *DATASETS],
      "4fcebc9a59af51782a1d18942d8fe1b03aa8d1c0dab07871add853c9aff76e83"),
+    # the CLI defaults of experiments 2 and 4
+    (["experiment", "2"],
+     "eb44bb737b4506d0676349c21e2778771abc4fe457a863a6fe001b6acde5d219"),
+    (["experiment", "4"],
+     "a742d5f5304ec5efffd8b5762c02140eaf0c27879772302e40b2fc59eb66f452"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["exp1", "exp2", "exp4", "exp3", "exp5"])
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN, ids=["exp1", "exp2", "exp4", "exp3", "exp5", "exp2-defaults", "exp4-defaults"]
+)
 def test_experiment_csv_matches_golden_hash(tmp_path, argv, digest):
     files = {}
     for model, seed in (("ba", "7"), ("nws", "8")):

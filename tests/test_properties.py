@@ -34,6 +34,7 @@ from tieset.graph import (
     betweenness,
     bfs_distances,
     build_graph,
+    connected_components,
     metric_profile,
 )
 
@@ -48,6 +49,7 @@ from util import (
     random_connected,
     random_tree,
     ref_brandes,
+    ref_connected_components,
     ref_min_dominating,
 )
 
@@ -292,6 +294,20 @@ def test_mask_dominating_oracle_matches_set_based_search(g):
 def test_mask_delta_oracle_matches_floyd_warshall_search(g, data):
     delta = data.draw(st.integers(2, max(2, metric_profile(g).diameter + 1)))
     assert brute_force_min_delta_enabling(g, delta) == fw_min_delta_enabling(g, delta)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(family_graphs(max_n=8), st.integers(0, 3).map(lambda k: build_graph(k, []))),
+                max_size=5), st.randoms(use_true_random=False))
+def test_connected_components_match_per_component_bfs(parts, rnd):
+    g = build_graph(0, [])
+    for part in parts:
+        g = _disjoint_union(g, part)
+    # relabel, so a component's ids interleave with the others'
+    order = list(range(g.n))
+    rnd.shuffle(order)
+    g = build_graph(g.n, [(order[a], order[b]) for a, b in g.edges()])
+    assert connected_components(g) == ref_connected_components(g)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,29 @@ def ref_brandes(g: Graph) -> list[float]:
     return [x / 2.0 for x in score]
 
 
+def ref_connected_components(g: Graph) -> list[list[int]]:
+    """Components by a full-length BFS from each unseen node plus an O(n) scan per component."""
+    seen = [False] * g.n
+    comps: list[list[int]] = []
+    for v in range(g.n):
+        if seen[v]:
+            continue
+        dist = [-1] * g.n
+        dist[v] = 0
+        queue = deque((v,))
+        while queue:
+            x = queue.popleft()
+            for w in g.adj[x]:
+                if dist[w] < 0:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        comp = [w for w in range(g.n) if dist[w] >= 0 and not seen[w]]
+        for w in comp:
+            seen[w] = True
+        comps.append(comp)
+    return comps
+
+
 def grow_to_sub_radius_dominating(g: Graph, radius: int, rng: random.Random) -> NodeSet:
     """Random set grown node by node until it covers everything within radius-1."""
     members = set(rng.sample(range(g.n), rng.randint(1, max(1, g.n // 3))))
