@@ -68,7 +68,8 @@ class AlgorithmReport:
     It excludes the metric profile and, for ``btw`` and ``s-btw``, the
     whole-graph betweenness: both are computed before the timer starts
     (betweenness once per graph, kept on it), so the time does not depend
-    on which heuristic ran first.
+    on which heuristic ran first, nor on how many processes that
+    betweenness pass was split across.
     """
 
     heuristic: BrokerHeuristic

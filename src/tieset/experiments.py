@@ -26,7 +26,7 @@ from .broker import BrokerHeuristic, CapExceededError, brute_force_min_broker, r
 from .datasets import DatasetDescriptor, load_edge_list
 from .diameter import cp_algorithm, periphery_algorithm
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import Graph, GraphError, MetricProfile, largest_connected_component, metric_profile
+from .graph import Graph, GraphError, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
 
@@ -131,8 +131,9 @@ def _require(name: str, values: Sequence) -> None:
         raise GraphError(f"{name} must not be empty")
 
 
-def _graph_record(experiment, graph_id, source, g, profile, **columns) -> ExperimentRecord:
+def _graph_record(experiment, graph_id, source, g, **columns) -> ExperimentRecord:
     """A detail row carrying the graph's size, radius and diameter."""
+    profile = metric_profile(g)
     return ExperimentRecord(
         experiment=experiment,
         graph_id=graph_id,
@@ -169,8 +170,8 @@ def _run_generated(
     """Shared loop of experiments 1, 2 and 4 over seeded generated graphs.
 
     Graphs come in a fixed order (model, size, index in the cell), the k-th
-    with seed ``split_seed(master_seed, k)``.  ``rows(graph_id, params, g,
-    profile)`` gives each graph's rows; ``summary`` is a (group keys,
+    with seed ``split_seed(master_seed, k)``.  ``rows(graph_id, params, g)``
+    gives each graph's rows; ``summary`` is a (group keys,
     aggregate) pair for :func:`_summaries`.  ``metadata`` follows the shared
     '#' lines.
     """
@@ -182,7 +183,7 @@ def _run_generated(
     for index, (model, n, j) in enumerate(itertools.product(models, sizes, range(count))):
         params = default_model_params(model, n, split_seed(master_seed, index))
         g = generate(params)
-        records.extend(rows(f"{model}-n{n}-{j:03d}", params, g, metric_profile(g)))
+        records.extend(rows(f"{model}-n{n}-{j:03d}", params, g))
     if summary is not None:
         records.extend(_summaries(records, *summary))
     shared = {
@@ -197,8 +198,8 @@ def _run_generated(
     return records
 
 
-def _heuristic_rows(experiment, heuristics, graph_id, params, g, profile, **columns):
-    """One row per heuristic run on a generated graph; ``profile`` is ``g``'s own."""
+def _heuristic_rows(experiment, heuristics, graph_id, params, g, **columns):
+    """One row per heuristic run on a generated graph."""
     rows = []
     for h in heuristics:
         report = run_heuristic(g, h)
@@ -208,7 +209,6 @@ def _heuristic_rows(experiment, heuristics, graph_id, params, g, profile, **colu
                 graph_id,
                 params.model,
                 g,
-                profile,
                 algorithm=h.value,
                 output_size=report.size,
                 valid=report.valid,
@@ -240,8 +240,8 @@ def run_experiment_1(
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
 
-    def rows(graph_id, params, g, profile):
-        return _heuristic_rows("1", heuristics, graph_id, params, g, profile)
+    def rows(graph_id, params, g):
+        return _heuristic_rows("1", heuristics, graph_id, params, g)
 
     def mean_size(group):
         return {"mean_output_size": fmean(r.output_size for r in group)}
@@ -274,7 +274,7 @@ def run_experiment_2(
     if any(n > ORACLE_MAX_N for n in sizes):
         raise GraphError(f"experiment 2 sizes must stay <= {ORACLE_MAX_N} for the oracle")
 
-    def rows(graph_id, params, g, profile):
+    def rows(graph_id, params, g):
         try:
             optimal = len(brute_force_min_broker(g, size_cap=oracle_cap))
         except CapExceededError:
@@ -291,7 +291,7 @@ def run_experiment_2(
                     note=f"oracle cap {oracle_cap} exceeded",
                 )
             ]
-        return _heuristic_rows("2", heuristics, graph_id, params, g, profile, optimal_size=optimal)
+        return _heuristic_rows("2", heuristics, graph_id, params, g, optimal_size=optimal)
 
     def hit_rate(group):
         return {"optimality_rate": sum(r.output_size == r.optimal_size for r in group) / len(group)}
@@ -354,8 +354,9 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     return payload, valid, elapsed
 
 
-def verify_dataset_stats(name: str, g_full: Graph, g_lcc: Graph, profile: MetricProfile, expected) -> None:
-    """Compare a loaded dataset (``profile`` is its giant component's) with its published stats."""
+def verify_dataset_stats(name: str, g_full: Graph, g_lcc: Graph, expected) -> None:
+    """Compare a loaded dataset and its giant component ``g_lcc`` with its published stats."""
+    profile = metric_profile(g_lcc)
     observed = (g_full.n, g_full.m, g_lcc.n, profile.diameter, profile.radius)
     published = (expected.n, expected.m, expected.lcc_n, expected.diameter, expected.radius)
     if observed != published:
@@ -371,7 +372,7 @@ def _run_datasets(
     """Shared loop of experiments 3 and 5 over edge-list datasets.
 
     A missing file gives a skip row.  A present one is parsed once and cut
-    to its largest component g; ``rows(name, g, profile)`` gives its rows.
+    to its largest component g; ``rows(name, g)`` gives its rows.
     ``metadata`` follows the experiment and master-seed '#' lines.
     """
     _require("datasets", datasets)
@@ -391,10 +392,10 @@ def _run_datasets(
             continue
         g_full, _ = load_edge_list(d.path)
         g, _ = largest_connected_component(g_full)
-        profile = metric_profile(g)
+        metric_profile(g)  # kept on g, so experiment 3's forked workers inherit it
         if verify_stats and d.expected is not None:
-            verify_dataset_stats(d.name, g_full, g, profile, d.expected)
-        records.extend(rows(d.name, g, profile))
+            verify_dataset_stats(d.name, g_full, g, d.expected)
+        records.extend(rows(d.name, g))
     shared = {"experiment": experiment, "master-seed": str(master_seed)}
     write_csv(out, records, shared | metadata, timings=timings)
     return records
@@ -417,7 +418,7 @@ def run_experiment_3(
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
 
-    def rows(name, g, profile):
+    def rows(name, g):
         records = []
         for h in heuristics:
             try:
@@ -426,7 +427,7 @@ def run_experiment_3(
             except RunTimedOut:
                 outcome = dict(note="timeout")
             records.append(
-                _graph_record("3", name, name, g, profile, algorithm=h.value, seed=master_seed, **outcome)
+                _graph_record("3", name, name, g, algorithm=h.value, seed=master_seed, **outcome)
             )
         return records
 
@@ -441,7 +442,7 @@ def run_experiment_3(
 # ---------------------------------------------------------------------------
 # experiments 4 and 5: diameter reduction
 
-def _reduction_rows(experiment, graph_id, source, g, profile, delta, seed) -> list[ExperimentRecord]:
+def _reduction_rows(experiment, graph_id, source, g, delta, seed) -> list[ExperimentRecord]:
     """One row each for ``periphery`` then ``cp`` reducing ``g`` to diameter ``delta``."""
     rows = []
     for alg, fn in (("periphery", periphery_algorithm), ("cp", cp_algorithm)):
@@ -454,7 +455,6 @@ def _reduction_rows(experiment, graph_id, source, g, profile, delta, seed) -> li
                 graph_id,
                 source,
                 g,
-                profile,
                 algorithm=alg,
                 edges_added=report.edges_added,
                 delta=delta,
@@ -477,8 +477,9 @@ def run_experiment_4(
 ) -> list[ExperimentRecord]:
     """Edges needed to shrink random graphs' diameter by one, both heuristics."""
 
-    def rows(graph_id, params, g, profile):
-        delta = profile.diameter - 1
+    def rows(graph_id, params, g):
+        diameter = metric_profile(g).diameter
+        delta = diameter - 1
         if delta < 2:
             return [
                 ExperimentRecord(
@@ -487,12 +488,12 @@ def run_experiment_4(
                     graph_id=graph_id,
                     source=params.model,
                     n=g.n,
-                    diameter=profile.diameter,
+                    diameter=diameter,
                     seed=params.seed,
                     note="diameter too small to reduce",
                 )
             ]
-        return _reduction_rows("4", graph_id, params.model, g, profile, delta, params.seed)
+        return _reduction_rows("4", graph_id, params.model, g, delta, params.seed)
 
     return _run_generated(out, "4", rows, {}, models, sizes, count, master_seed, timings)
 
@@ -511,10 +512,11 @@ def run_experiment_5(
     # the k-th run that is not skipped, over all datasets, gets split_seed(master_seed, k)
     seeds = (split_seed(master_seed, k) for k in itertools.count())
 
-    def rows(name, g, profile):
+    def rows(name, g):
+        diameter = metric_profile(g).diameter
         records = []
         for i in i_range:
-            delta = profile.diameter - i
+            delta = diameter - i
             graph_id = f"{name}-i{i}"
             if delta < 2:
                 records.append(
@@ -524,12 +526,12 @@ def run_experiment_5(
                         graph_id=graph_id,
                         source=name,
                         n=g.n,
-                        diameter=profile.diameter,
+                        diameter=diameter,
                         note=f"delta {delta} below 2",
                     )
                 )
             else:
-                records.extend(_reduction_rows("5", graph_id, name, g, profile, delta, next(seeds)))
+                records.extend(_reduction_rows("5", graph_id, name, g, delta, next(seeds)))
         return records
 
     metadata = {

@@ -1,13 +1,17 @@
 import copy
 import math
+import os
 import pickle
+import threading
 
 import pytest
 
+from tieset import graph
 from tieset.broker import run_heuristic
 from tieset.diameter import periphery_algorithm
 from tieset.generators import BA, NWS, RandomModelParams, generate
 from tieset.graph import (
+    FORK_MIN_WORK,
     GraphError,
     NodeSet,
     NotConnectedError,
@@ -218,6 +222,107 @@ def test_betweenness_matches_path_enumeration(seed):
 def test_betweenness_equals_reference_bit_for_bit(params):
     g = generate(params)
     assert betweenness(g) == ref_brandes(g)
+
+
+# the split pass: forks, the cutoff and the failure paths
+
+ABOVE_CUTOFF = RandomModelParams(BA, 300, 11, ba_m=2)
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """Record the pid of every child ``os.fork`` starts from here on."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_betweenness_first_pass_above_the_cutoff_forks_one_child_per_extra_cpu(monkeypatch):
+    g = generate(ABOVE_CUTOFF)
+    assert g.n * (g.n + 2 * g.m) >= FORK_MIN_WORK
+    k = min(len(os.sched_getaffinity(0)), g.n)
+    pids = _count_forks(monkeypatch)
+    assert betweenness(g) == ref_brandes(g)
+    assert len(pids) == k - 1
+    _assert_no_child_left()
+    # the second call reads the kept result; btw's shrinking subgraphs are below the cutoff
+    assert betweenness(g) == ref_brandes(g)
+    assert run_heuristic(g, "btw").valid
+    assert len(pids) == k - 1
+
+
+@pytest.mark.parametrize("case", ["below-cutoff", "thread-running", "no-fork"])
+def test_betweenness_stays_in_process(monkeypatch, case):
+    g = generate(ABOVE_CUTOFF)
+    pids = _count_forks(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    if case == "below-cutoff":
+        g = generate(RandomModelParams(BA, 120, 11, ba_m=2))
+        assert g.n * (g.n + 2 * g.m) < FORK_MIN_WORK
+    elif case == "thread-running":
+        thread.start()
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        assert betweenness(g) == ref_brandes(g)
+        assert run_heuristic(g, "btw").valid
+    finally:
+        stop.set()
+        if case == "thread-running":
+            thread.join(timeout=10)
+    assert pids == []
+    assert not thread.is_alive()
+
+
+def _failing_dependencies(monkeypatch, in_child: bool):
+    """Make ``_dependencies`` fail from source 40 on, in the children or in this process."""
+    parent = os.getpid()
+    kernel = graph._dependencies
+
+    def failing(s, n, adj):
+        if s >= 40 and (os.getpid() != parent) == in_child:
+            if in_child:
+                os._exit(3)
+            raise ValueError(f"source {s} failed")
+        return kernel(s, n, adj)
+
+    monkeypatch.setattr(graph, "_dependencies", failing)
+    monkeypatch.setattr(graph, "_workers", lambda n, adj: 3)
+
+
+def test_betweenness_worker_that_dies_raises_and_leaves_no_child(monkeypatch):
+    g = generate(ABOVE_CUTOFF)
+    _failing_dependencies(monkeypatch, in_child=True)
+    pids = _count_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        betweenness(g)
+    assert len(pids) == 2
+    assert g._betweenness is None
+    _assert_no_child_left()
+
+
+def test_betweenness_failing_parent_source_reaps_every_child(monkeypatch):
+    g = generate(ABOVE_CUTOFF)
+    _failing_dependencies(monkeypatch, in_child=False)
+    pids = _count_forks(monkeypatch)
+    with pytest.raises(ValueError, match="source 42 failed"):
+        betweenness(g)
+    assert len(pids) == 2
+    assert g._betweenness is None
+    _assert_no_child_left()
 
 
 def test_betweenness_returns_a_fresh_list():

@@ -30,6 +30,7 @@ from tieset.graph import (
     NodeSet,
     NotConnectedError,
     _balls,
+    _brandes,
     augment,
     betweenness,
     bfs_distances,
@@ -313,17 +314,27 @@ def test_connected_components_match_per_component_bfs(parts, rnd):
 # ---------------------------------------------------------------------------
 # the betweenness kernel against the predecessor-list reference, bit for bit
 
-@settings(max_examples=80)
-@given(family_graphs(max_n=40))
-def test_betweenness_equals_reference_exactly(g):
-    assert betweenness(g) == ref_brandes(g)
+# k processes deal the sources, including k > n: the in-order sum is the same
+WORKERS = st.sampled_from([1, 2, 3])
 
 
-@settings(max_examples=40)
-@given(family_graphs(max_n=15), family_graphs(max_n=15), st.integers(0, 3))
-def test_betweenness_equals_reference_on_disconnected_graphs(a, b, isolated):
+@settings(max_examples=80, deadline=None)
+@given(family_graphs(min_n=0, max_n=40), WORKERS)
+@example(build_graph(0, []), 3)
+@example(path_graph(2), 3)
+def test_betweenness_equals_reference_exactly(g, k):
+    expected = ref_brandes(g)
+    assert betweenness(g) == expected
+    assert list(_brandes(g.n, g.adj, k)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_graphs(max_n=15), family_graphs(max_n=15), st.integers(0, 3), WORKERS)
+def test_betweenness_equals_reference_on_disconnected_graphs(a, b, isolated, k):
     g = _disjoint_union(_disjoint_union(a, build_graph(isolated, [])), b)
-    assert betweenness(g) == ref_brandes(g)
+    expected = ref_brandes(g)
+    assert betweenness(g) == expected
+    assert list(_brandes(g.n, g.adj, k)) == expected
 
 
 @settings(max_examples=40, deadline=None)
