@@ -69,7 +69,9 @@ class AlgorithmReport:
     whole-graph betweenness: both are computed before the timer starts
     (betweenness once per graph, kept on it), so the time does not depend
     on which heuristic ran first, nor on how many processes that
-    betweenness pass was split across.
+    betweenness pass was split across.  Experiment 3's per-run budget
+    excludes them too: it fills both on the graph before forking the timed
+    workers.
     """
 
     heuristic: BrokerHeuristic

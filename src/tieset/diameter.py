@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable
 
 from .graph import (
@@ -17,7 +19,8 @@ from .graph import (
     GraphError,
     NodeSet,
     _balls,
-    _balls_of_radius,
+    _bfs,
+    _bits,
     _covering_subsets,
     augment,
     is_complete,
@@ -124,25 +127,122 @@ def _check_reduction_args(g: Graph, delta: int) -> None:
         raise GraphError(f"target diameter {delta} outside valid range 2..{diameter}")
 
 
-def _peripheral_pairs(g: Graph) -> list[tuple[int, int]]:
-    """All unordered node pairs at distance exactly diam(g), ascending."""
-    profile = metric_profile(g)
-    near = _balls_of_radius(g.adj, profile.diameter - 1)
-    periphery = profile.periphery.members
-    return [
-        (a, b)
-        for i, a in enumerate(periphery)
-        for b in periphery[i + 1:]
-        if not near[a] >> b & 1
-    ]
+def _lower_distances(adj: tuple[tuple[int, ...], ...], dist: list[int], sources: Iterable[int]) -> None:
+    """Lower ``dist``, each node's hop distance to a node set, in place as ``sources`` join the set.
+
+    A BFS from the sources that expands only the nodes whose distance drops:
+    a node whose distance stays put already bounds its neighbors' by one more.
+    """
+    frontier = [v for v in sources if dist[v] > 0]
+    for v in frontier:
+        dist[v] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] > d:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
 
 
-def _tie(g: Graph, s: set[int], prev: Graph | None = None) -> Graph:
-    """``g`` joined with a newcomer tied to ``s``; refuses a diameter above ``prev``'s."""
-    cur = augment(g, NodeSet(s))
-    if prev is not None and metric_profile(cur).diameter > metric_profile(prev).diameter:
-        raise RuntimeError("diameter increased")
-    return cur
+class _Joined:
+    """``g`` joined with a newcomer u tied to a growing set S, read through the augmentation law.
+
+    By the law, d_H(x, y) = min(d(x, y), d(x, S) + 2 + d(S, y)) for host nodes
+    x and y, and d_H(x, u) = 1 + d(x, S).  So x reaches every host node within
+    t hops in H iff ``ball_t[x] | near[t - 2 - d(x, S)]`` is full, where
+    ``near[r]`` holds the nodes within r of S.  The host's balls of radius
+    low..diam(g), low = min(delta, diam(g) - 1), come from one kernel run;
+    each tie then costs one BFS that lowers d(., S) plus a few mask tests.
+
+    Only a node whose host eccentricity exceeds delta can end a host pair
+    farther apart than delta in H.  ``far`` maps each node of host
+    eccentricity above ``low`` (those, and the periphery of g when delta =
+    diam(g)) to r(x), the farthest any host node is from x in H; once
+    r(x) <= delta the node is dropped for good, since distances only shrink
+    as S grows.  ``diameter`` is diam(H), exact whenever it exceeds delta.
+    Before the first tie H is g itself.
+    """
+
+    def __init__(self, g: Graph, delta: int):
+        diameter = metric_profile(g).diameter
+        low = min(delta, diameter - 1)
+        ecc, self.balls = _balls(g.adj, range(low, diameter + 1))
+        self.adj = g.adj
+        self.delta = delta
+        self.full = (1 << g.n) - 1
+        self.dist = [g.n] * g.n  # d(x, S); n while S is empty, farther than any hop count
+        self.near: list[int] = []
+        self.far = {x: e for x, e in enumerate(ecc) if e > low}
+        self.diameter = diameter
+
+    def _near(self, r: int) -> int:
+        if r < 0:
+            return 0
+        return self.near[r] if r < len(self.near) else self.full
+
+    def _reaches(self, x: int, t: int) -> bool:
+        """True iff host node x is within t of every host node in H (t >= low)."""
+        return self.balls[t][x] | self._near(t - 2 - self.dist[x]) == self.full
+
+    def tie(self, members: Iterable[int]) -> None:
+        """Tie the newcomer to ``members`` as well, and update ``far`` and ``diameter``."""
+        dist = self.dist
+        _lower_distances(self.adj, dist, members)
+        layers = [0] * (max(dist) + 1)
+        for x, d in enumerate(dist):
+            layers[d] |= 1 << x
+        self.near = list(accumulate(layers, or_))
+        for x in list(self.far):
+            t = self.delta
+            while not self._reaches(x, t):  # ends by ecc(x): its ball is full there
+                t += 1
+            if t > self.delta:
+                self.far[x] = t
+            else:
+                del self.far[x]
+        self.diameter = max(1 + max(dist), max(self.far.values(), default=0))
+
+    def eccentricity(self, w: int) -> int:
+        """ecc_H(w) of host node w, from one BFS from w and the law."""
+        a = self.dist[w]
+        return max(1 + a, max(map(min, _bfs(self.adj, w), (a + 2 + d for d in self.dist))))
+
+    def periphery(self) -> list[int]:
+        """The host nodes in the periphery of H, ascending.
+
+        Only while diam(H) > delta, or before the first tie: a node at that
+        distance from a host node is in ``far``, one at that distance from
+        the newcomer is d(., S) = diam(H) - 1 away from S.
+        """
+        top = self.diameter
+        ends = {x for x, r in self.far.items() if r == top}
+        ends.update(x for x, d in enumerate(self.dist) if d == top - 1)
+        return sorted(ends)
+
+    def peripheral_pairs(self) -> list[tuple[int, int]]:
+        """All pairs of H at distance diam(H), as (a, b) with a < b, ascending.
+
+        The newcomer is node n.  Only while diam(H) > delta, or before the
+        first tie.
+        """
+        top = self.diameter
+        u = len(self.dist)
+        pairs = []
+        for a in self.periphery():
+            apart = self.full & ~(self.balls[top - 1][a] | self._near(top - 3 - self.dist[a]))
+            pairs.extend((a, b) for b in _bits(apart >> (a + 1) << (a + 1)))
+            if self.dist[a] == top - 1:
+                pairs.append((a, u))
+        return pairs
+
+
+def _report(g: Graph, s: set[int], iterations: int) -> DeltaReport:
+    """The report of a finished run; one profile of the combined graph gives its exact diameter."""
+    return DeltaReport(NodeSet(s), len(s), metric_profile(augment(g, s)).diameter, iterations)
 
 
 def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -152,27 +252,38 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     current combined graph, ties the newcomer to both endpoints, and
     recomputes the diameter.  A chosen pair drops to distance 2 and can never
     be peripheral again, so the loop terminates.  Deterministic per seed.
+
+    Cost per call: one kernel run on g for its balls of radius
+    min(delta, diam-1)..diam, then per tie one BFS that lowers the distances
+    to the tie set plus mask tests on the nodes still farther than delta from
+    some node, and one profile of the final combined graph for the exact
+    ``achieved_diameter``.  Memory: diam - min(delta, diam-1) + 1 kept mask
+    generations of up to n^2/8 bytes each, full masks sharing one int.
     """
     _check_reduction_args(g, delta)
     rng = random.Random(seed)
     u = g.n
     s: set[int] = set()
-    cur = g
+    joined = _Joined(g, delta)
     iterations = 0
     while True:
         candidates = []
-        for a, b in _peripheral_pairs(cur):
+        for a, b in joined.peripheral_pairs():
             addable = [x for x in (a, b) if x != u and x not in s]
             if addable:
                 candidates.append(addable)
         if not candidates:
             raise RuntimeError("no addable peripheral pair despite oversized diameter")
-        s.update(candidates[rng.randrange(len(candidates))])
+        chosen = candidates[rng.randrange(len(candidates))]
+        s.update(chosen)
+        before = joined.diameter
+        joined.tie(chosen)
         # the first tie may lengthen the diameter through the newcomer itself
-        cur = _tie(g, s, cur if iterations else None)
+        if iterations and joined.diameter > before:
+            raise RuntimeError("diameter increased")
         iterations += 1
-        if metric_profile(cur).diameter <= delta:
-            return DeltaReport(NodeSet(s), len(s), metric_profile(cur).diameter, iterations)
+        if joined.diameter <= delta:
+            return _report(g, s, iterations)
 
 
 def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -184,26 +295,37 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     picked node's eccentricity is at most rad(g) + 2 (it reaches everything
     through the newcomer and the initial center tie), which is checked.
     Deterministic per seed.
+
+    Cost per call: one kernel run on g for its balls of radius
+    min(delta, diam-1)..diam, then per tie one BFS that lowers the distances
+    to the tie set, one BFS from the picked node for the eccentricity check,
+    and mask tests on the nodes still farther than delta from some node;
+    one profile of the final combined graph gives the exact
+    ``achieved_diameter``.  Memory as for :func:`periphery_algorithm`.
     """
     _check_reduction_args(g, delta)
     rng = random.Random(seed)
-    u = g.n
-    radius = metric_profile(g).radius
-    centers = metric_profile(g).center.members
+    profile = metric_profile(g)
+    centers = profile.center.members
     s: set[int] = {centers[rng.randrange(len(centers))]}
-    cur = _tie(g, s)
+    joined = _Joined(g, delta)
+    joined.tie(s)
     iterations = 1
-    while metric_profile(cur).diameter > delta:
-        candidates = [w for w in metric_profile(cur).periphery.members if w != u and w not in s]
+    while joined.diameter > delta:
+        candidates = [w for w in joined.periphery() if w not in s]  # host nodes: never the newcomer
         if not candidates:
             raise RuntimeError("periphery exhausted despite oversized diameter")
         w = candidates[rng.randrange(len(candidates))]
         s.add(w)
         iterations += 1
-        cur = _tie(g, s, cur)
-        if metric_profile(cur).ecc[w] > radius + 2:
+        before = joined.diameter
+        joined.tie((w,))
+        if joined.diameter > before:
+            raise RuntimeError("diameter increased")
+        ecc = joined.eccentricity(w)
+        if ecc > profile.radius + 2:
             raise RuntimeError(
-                f"picked periphery node {w} kept eccentricity {metric_profile(cur).ecc[w]} "
-                f"> original radius {radius} + 2"
+                f"picked periphery node {w} kept eccentricity {ecc} "
+                f"> original radius {profile.radius} + 2"
             )
-    return DeltaReport(NodeSet(s), len(s), metric_profile(cur).diameter, iterations)
+    return _report(g, s, iterations)

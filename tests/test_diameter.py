@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from tieset import diameter, graph
 from tieset.broker import CapExceededError
 from tieset.diameter import (
     DeltaReport,
@@ -13,7 +14,7 @@ from tieset.diameter import (
 )
 from tieset.graph import GraphError, NodeSet, augment, build_graph, metric_profile
 
-from util import complete_graph, cycle_graph, path_graph, random_connected
+from util import complete_graph, cycle_graph, path_graph, random_connected, random_tree
 
 
 P5 = path_graph(5)
@@ -157,3 +158,23 @@ def test_tying_to_whole_periphery_never_increases_but_may_not_shrink():
             continue
         combined = metric_profile(augment(g, prof.periphery))
         assert combined.diameter <= prof.diameter
+
+
+@pytest.mark.parametrize("g, delta", [(path_graph(20), 2), (random_tree(60, 5), 3), (random_connected(80, 40, 2), 3)])
+def test_reductions_run_the_kernel_a_fixed_number_of_times_whatever_the_rounds(g, delta, monkeypatch):
+    metric_profile(g)  # kept on g, as every caller's check leaves it
+    runs = []
+    kernel = graph._balls
+
+    def counting(adj, keep=(), rounds=None):
+        runs.append(len(adj))
+        return kernel(adj, keep, rounds)
+
+    monkeypatch.setattr(graph, "_balls", counting)
+    monkeypatch.setattr(diameter, "_balls", counting)
+    for fn in (periphery_algorithm, cp_algorithm):
+        runs.clear()
+        report = fn(g, delta, 1)
+        assert report.iterations >= 3
+        # g's balls from radius min(delta, diam-1) up, then the final combined graph's profile
+        assert runs == [g.n, g.n + 1], fn.__name__

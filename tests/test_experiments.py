@@ -19,6 +19,7 @@ from tieset.experiments import (
     write_csv,
 )
 from tieset.broker import BrokerHeuristic
+from tieset.generators import BA, RandomModelParams, generate
 from tieset.graph import GraphError
 
 from util import random_connected, star_graph
@@ -139,6 +140,36 @@ def test_experiment_3_computes_the_giant_component_profile_once(tmp_path, monkey
     records = run_experiment_3(tmp_path / "e3.csv", [d], heuristics=("max", "btw", "s-max", "center"), timeout_s=None)
     assert len(records) == 4 and all(r.valid for r in records) and records[0].radius > 1
     assert full_passes == [60]
+
+
+def test_experiment_3_computes_the_whole_graph_betweenness_once_before_the_workers(tmp_path, monkeypatch):
+    log = tmp_path / "passes.log"
+    kernel = graph._brandes
+
+    def logging_pass(n, adj, k=None):
+        with open(log, "a") as f:  # the forked workers append here too
+            f.write(f"{os.getpid()} {n}\n")
+        return kernel(n, adj, k)
+
+    monkeypatch.setattr(graph, "_brandes", logging_pass)
+    g = generate(RandomModelParams(BA, 120, 7, ba_m=2))
+    path = tmp_path / "ba.txt"
+    write_edge_list(path, g)
+    d = DatasetDescriptor("ba", str(path))
+    records = run_experiment_3(tmp_path / "e3.csv", [d], heuristics=("btw", "s-btw"))
+    assert len(records) == 2 and all(r.valid for r in records) and records[0].radius > 1
+    passes = [line.split() for line in log.read_text().splitlines()]
+    assert [pid for pid, n in passes if int(n) == g.n] == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("star, heuristics", [(False, ("max", "s-max")), (True, ("btw", "s-btw"))])
+def test_experiment_3_skips_the_betweenness_pass_when_no_heuristic_reads_it(tmp_path, monkeypatch, star, heuristics):
+    # a radius-1 graph's answer is every node, without ranking them
+    path = tmp_path / "g.txt"
+    write_edge_list(path, star_graph(12) if star else random_connected(24, 30, 8))
+    monkeypatch.setattr(graph, "_brandes", lambda *args: pytest.fail("betweenness computed"))
+    records = run_experiment_3(tmp_path / "e3.csv", [DatasetDescriptor("g", str(path))], heuristics=heuristics)
+    assert len(records) == 2 and all(r.valid for r in records)
 
 
 def test_experiment_3_records_timeouts(tmp_path):

@@ -51,7 +51,9 @@ from util import (
     random_tree,
     ref_brandes,
     ref_connected_components,
+    ref_cp_algorithm,
     ref_min_dominating,
+    ref_periphery_algorithm,
 )
 
 
@@ -355,3 +357,23 @@ def test_betweenness_equals_reference_on_the_graphs_btw_ranks(g):
     assert all(f is g for f in seen if f.n == g.n)
     for f in seen:
         assert kernel(f) == ref_brandes(f)
+
+
+def _outcome(fn, *args):
+    """A run's report, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(family_graphs(min_n=2, max_n=40), st.lists(st.integers(0, 2 ** 31), min_size=3, max_size=3))
+@example(path_graph(40), [0, 1, 2])
+@example(cycle_graph(9), [0, 1, 2])
+def test_reductions_equal_the_per_round_reference(g, seeds):
+    # every target 2..diam, plus one on each side of that range
+    for delta in range(1, metric_profile(g).diameter + 2):
+        for seed in seeds:
+            for fn, ref in ((periphery_algorithm, ref_periphery_algorithm), (cp_algorithm, ref_cp_algorithm)):
+                assert _outcome(fn, g, delta, seed) == _outcome(ref, g, delta, seed), (fn.__name__, delta, seed)

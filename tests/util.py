@@ -5,6 +5,10 @@ come from Floyd-Warshall over the raw edge list, betweenness from literal
 enumeration of all shortest paths, so they can vouch for the fast paths.
 ``ref_brandes`` is the textbook predecessor-list Brandes accumulation, kept
 as the exact (bit-for-bit) reference for the library's betweenness kernel.
+``ref_periphery_algorithm`` and ``ref_cp_algorithm`` are the diameter
+reductions that build the combined graph and profile it every round, kept as
+the exact reference (same ties, same reports, same errors) for the library's
+versions, which read the combined graph through the augmentation law.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from collections import deque
 from itertools import combinations
 
 from tieset.broker import is_dominating_set
-from tieset.graph import Graph, NodeSet, augment, build_graph
+from tieset.diameter import DeltaReport, _check_reduction_args
+from tieset.graph import Graph, NodeSet, _balls_of_radius, augment, build_graph, metric_profile
 
 INF = 10 ** 9
 
@@ -198,3 +203,74 @@ def ref_min_dominating(g: Graph) -> NodeSet:
             if is_dominating_set(g, combo):
                 return NodeSet(combo)
     return NodeSet(nodes)  # n = 0 only
+
+
+def _ref_peripheral_pairs(g: Graph) -> list[tuple[int, int]]:
+    """All unordered node pairs at distance exactly diam(g), ascending."""
+    profile = metric_profile(g)
+    near = _balls_of_radius(g.adj, profile.diameter - 1)
+    periphery = profile.periphery.members
+    return [
+        (a, b)
+        for i, a in enumerate(periphery)
+        for b in periphery[i + 1:]
+        if not near[a] >> b & 1
+    ]
+
+
+def _ref_tie(g: Graph, s: set[int], prev: Graph | None = None) -> Graph:
+    """``g`` joined with a newcomer tied to ``s``; refuses a diameter above ``prev``'s."""
+    cur = augment(g, NodeSet(s))
+    if prev is not None and metric_profile(cur).diameter > metric_profile(prev).diameter:
+        raise RuntimeError("diameter increased")
+    return cur
+
+
+def ref_periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
+    """``periphery_algorithm`` with the combined graph built and profiled every round."""
+    _check_reduction_args(g, delta)
+    rng = random.Random(seed)
+    u = g.n
+    s: set[int] = set()
+    cur = g
+    iterations = 0
+    while True:
+        candidates = []
+        for a, b in _ref_peripheral_pairs(cur):
+            addable = [x for x in (a, b) if x != u and x not in s]
+            if addable:
+                candidates.append(addable)
+        if not candidates:
+            raise RuntimeError("no addable peripheral pair despite oversized diameter")
+        s.update(candidates[rng.randrange(len(candidates))])
+        # the first tie may lengthen the diameter through the newcomer itself
+        cur = _ref_tie(g, s, cur if iterations else None)
+        iterations += 1
+        if metric_profile(cur).diameter <= delta:
+            return DeltaReport(NodeSet(s), len(s), metric_profile(cur).diameter, iterations)
+
+
+def ref_cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
+    """``cp_algorithm`` with the combined graph built and profiled every round."""
+    _check_reduction_args(g, delta)
+    rng = random.Random(seed)
+    u = g.n
+    radius = metric_profile(g).radius
+    centers = metric_profile(g).center.members
+    s: set[int] = {centers[rng.randrange(len(centers))]}
+    cur = _ref_tie(g, s)
+    iterations = 1
+    while metric_profile(cur).diameter > delta:
+        candidates = [w for w in metric_profile(cur).periphery.members if w != u and w not in s]
+        if not candidates:
+            raise RuntimeError("periphery exhausted despite oversized diameter")
+        w = candidates[rng.randrange(len(candidates))]
+        s.add(w)
+        iterations += 1
+        cur = _ref_tie(g, s, cur)
+        if metric_profile(cur).ecc[w] > radius + 2:
+            raise RuntimeError(
+                f"picked periphery node {w} kept eccentricity {metric_profile(cur).ecc[w]} "
+                f"> original radius {radius} + 2"
+            )
+    return DeltaReport(NodeSet(s), len(s), metric_profile(cur).diameter, iterations)
