@@ -106,7 +106,9 @@ def is_broker_set(g: Graph, s: NodeSet | Iterable[int]) -> bool:
     computed by an independent route.
     """
     h = augment(g, s)  # a disconnected g has no radius: metric_profile raises
-    return max(_bfs(h.adj, g.n)) <= metric_profile(g).radius
+    dist = [h.n] * h.n
+    _bfs(h.adj, dist, (g.n,))
+    return max(dist) <= metric_profile(g).radius
 
 
 def is_dominating_set(g: Graph, s: NodeSet | Iterable[int]) -> bool:
@@ -152,8 +154,7 @@ def run_heuristic(
     r = metric_profile(g).radius
     if profile is not None and profile != metric_profile(g):
         raise GraphError("profile is not the metric profile of this graph")
-    if r > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
-        betweenness(g)  # kept on g: the timed run reads it back
+    _fill_untimed(g, h)
     t0 = time.perf_counter()
     if r == 1:
         # coverage radius r-1 = 0: each pick covers only itself, so the full
@@ -166,6 +167,14 @@ def run_heuristic(
     if verify:
         valid = is_sub_radius_dominating(g, s) and is_broker_set(g, s)
     return AlgorithmReport(h, s, len(s), valid, elapsed)
+
+
+def _fill_untimed(g: Graph, h: BrokerHeuristic) -> None:
+    """Keep on ``g`` what a run of ``h`` reads outside its timer and outside experiment 3's
+    budget: the metric profile and, for ``btw``/``s-btw`` at radius above 1, the betweenness.
+    """
+    if metric_profile(g).radius > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
+        betweenness(g)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +233,8 @@ def _greedy_shrinking(g: Graph, rule) -> NodeSet:
         f = induced_subgraph(g, uncovered)
         w_sub = rule(f, r)(range(f.n))
         chosen.append(uncovered[w_sub])
-        dist = _bfs(f.adj, w_sub, r - 1)
-        remaining = [uncovered[i] for i in range(f.n) if dist[i] < 0]
+        covered = set(_bfs(f.adj, [f.n] * f.n, (w_sub,), r - 1))
+        remaining = [v for i, v in enumerate(uncovered) if i not in covered]
         if len(remaining) == len(uncovered):
             raise RuntimeError("cover iteration made no progress")
         uncovered = remaining

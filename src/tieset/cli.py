@@ -135,12 +135,17 @@ def _dataset(spec: str) -> DatasetDescriptor:
 
 def _timeout(text: str) -> float | None:
     seconds = float(text)
-    return seconds if seconds > 0 else None
+    return None if seconds == 0 else seconds  # the runner refuses what it cannot wait for
 
 
 def _cmd_experiment(args) -> int:
     runner = getattr(experiments, f"run_experiment_{args.number}")
     accepted = inspect.signature(runner).parameters
+    given = {name for name, value in vars(args).items() if (name, value) != ("datasets", [])}
+    unused = [flag for name, flag in args.flags.items() if name in given and name not in accepted]
+    if unused:
+        print(f"tieset: experiment {args.number} takes no {', '.join(unused)}", file=sys.stderr)
+        return EXIT_INPUT
     runner(**{name: value for name, value in vars(args).items() if name in accepted})
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -199,22 +204,25 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run one of the five experiments", argument_default=argparse.SUPPRESS
     )
     p.add_argument("number", choices=["1", "2", "3", "4", "5"])
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=1,
-                   help="master seed (default 1)")
-    p.add_argument("--models", type=lambda t: t.split(","))
-    p.add_argument("--sizes", type=_int_list)
-    p.add_argument("--count", type=int)
-    p.add_argument("--heuristics", type=lambda t: t.split(","))
-    p.add_argument("--oracle-cap", type=int)
-    p.add_argument("--dataset", dest="datasets", metavar="NAME=PATH", type=_dataset, action="append",
-                   default=[], help="repeatable")
-    p.add_argument("--timeout", dest="timeout_s", metavar="SECONDS", type=_timeout,
-                   help="per-run budget; 0 disables")
-    p.add_argument("--verify-stats", action="store_true", help="check datasets against published stats")
-    p.add_argument("--i-range", type=_int_list)
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings in the CSV")
-    p.set_defaults(fn=_cmd_experiment)
+    flags: dict[str, str] = {}  # each option's namespace name -> its flag, for the unused-flag check
+
+    def option(flag, **kwargs):
+        flags[p.add_argument(flag, **kwargs).dest] = flag
+
+    option("--out", required=True, help="CSV output path")
+    option("--seed", dest="master_seed", metavar="SEED", type=int, default=1, help="master seed (default 1)")
+    option("--models", type=lambda t: t.split(","))
+    option("--sizes", type=_int_list)
+    option("--count", type=int)
+    option("--heuristics", type=lambda t: t.split(","))
+    option("--oracle-cap", type=int)
+    option("--dataset", dest="datasets", metavar="NAME=PATH", type=_dataset, action="append",
+           default=[], help="repeatable")
+    option("--timeout", dest="timeout_s", metavar="SECONDS", type=_timeout, help="per-run budget; 0 disables")
+    option("--verify-stats", action="store_true", help="check datasets against published stats")
+    option("--i-range", type=_int_list)
+    option("--timings", action="store_true", help="include wall-clock timings in the CSV")
+    p.set_defaults(fn=_cmd_experiment, flags=flags)
 
     return parser
 

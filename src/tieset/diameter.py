@@ -127,27 +127,6 @@ def _check_reduction_args(g: Graph, delta: int) -> None:
         raise GraphError(f"target diameter {delta} outside valid range 2..{diameter}")
 
 
-def _lower_distances(adj: tuple[tuple[int, ...], ...], dist: list[int], sources: Iterable[int]) -> None:
-    """Lower ``dist``, each node's hop distance to a node set, in place as ``sources`` join the set.
-
-    A BFS from the sources that expands only the nodes whose distance drops:
-    a node whose distance stays put already bounds its neighbors' by one more.
-    """
-    frontier = [v for v in sources if dist[v] > 0]
-    for v in frontier:
-        dist[v] = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if dist[w] > d:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-
-
 class _Joined:
     """``g`` joined with a newcomer u tied to a growing set S, read through the augmentation law.
 
@@ -191,7 +170,7 @@ class _Joined:
     def tie(self, members: Iterable[int]) -> None:
         """Tie the newcomer to ``members`` as well, and update ``far`` and ``diameter``."""
         dist = self.dist
-        _lower_distances(self.adj, dist, members)
+        _bfs(self.adj, dist, members)
         layers = [0] * (max(dist) + 1)
         for x, d in enumerate(dist):
             layers[d] |= 1 << x
@@ -209,7 +188,9 @@ class _Joined:
     def eccentricity(self, w: int) -> int:
         """ecc_H(w) of host node w, from one BFS from w and the law."""
         a = self.dist[w]
-        return max(1 + a, max(map(min, _bfs(self.adj, w), (a + 2 + d for d in self.dist))))
+        host = [len(self.adj)] * len(self.adj)
+        _bfs(self.adj, host, (w,))
+        return max(1 + a, max(map(min, host, (a + 2 + d for d in self.dist))))
 
     def periphery(self) -> list[int]:
         """The host nodes in the periphery of H, ascending.

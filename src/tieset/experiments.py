@@ -22,11 +22,11 @@ from statistics import fmean
 from typing import Sequence
 
 from . import __version__
-from .broker import BrokerHeuristic, CapExceededError, brute_force_min_broker, run_heuristic
+from .broker import BrokerHeuristic, CapExceededError, _fill_untimed, brute_force_min_broker, run_heuristic
 from .datasets import DatasetDescriptor, load_edge_list
 from .diameter import cp_algorithm, periphery_algorithm
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import Graph, GraphError, betweenness, largest_connected_component, metric_profile
+from .graph import Graph, GraphError, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
 
@@ -415,19 +415,21 @@ def run_experiment_3(
 
     Missing datasets are skipped with a reason row; runs that blow the
     per-(dataset, heuristic) budget are recorded as timeouts.  The budget
-    covers the heuristic's worker only: the metric profile and, when ``btw``
-    or ``s-btw`` is requested on a graph of radius above 1, the whole-graph
-    betweenness are computed once per dataset in this process before the
-    workers fork, so every worker inherits them and no budget includes them.
+    covers the heuristic's worker only: the metric profile and, for ``btw``
+    and ``s-btw`` on a graph of radius above 1, the whole-graph betweenness
+    are computed at most once per dataset, in this process, before the
+    heuristic's worker forks, so no budget includes them.  A ``timeout_s``
+    other than None or a number of seconds a pipe poll can wait, in (0,
+    2147483.647], raises :class:`GraphError` before any dataset is read.
     """
+    if timeout_s is not None and not 0 < timeout_s <= 2_147_483.647:
+        raise GraphError(f"timeout must be none or in (0, 2147483.647] seconds, got {timeout_s}")
     heuristics = [BrokerHeuristic(h) for h in heuristics]
-    ranks_by_betweenness = bool({BrokerHeuristic.BTW, BrokerHeuristic.S_BTW}.intersection(heuristics))
 
     def rows(name, g):
-        if ranks_by_betweenness and metric_profile(g).radius > 1:
-            betweenness(g)  # kept on g, like the profile
         records = []
         for h in heuristics:
+            _fill_untimed(g, h)  # inherited by the worker, outside its budget
             try:
                 members, valid, elapsed = run_with_timeout(g, h, timeout_s)
                 outcome = dict(output_size=len(members), valid=valid, elapsed_ms=elapsed * 1000.0)

@@ -12,7 +12,6 @@ import math
 import os
 import threading
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
@@ -145,24 +144,33 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj, m)
 
 
-def _bfs(adj: tuple[tuple[int, ...], ...], source: int, bound: int | None = None) -> list[int]:
-    """Hop distances from source, up to ``bound`` hops if given; -1 marks nodes not reached."""
+def _bfs(
+    adj: tuple[tuple[int, ...], ...], dist: list[int], sources: Iterable[int], bound: int | None = None
+) -> list[int]:
+    """Lower ``dist`` in place to each node's hop distance from ``sources``; return the lowered nodes.
+
+    The package's one scalar BFS.  A fresh search passes ``[n] * n`` (n stays
+    on the nodes it does not reach); one that follows earlier searches on the
+    same list leaves the distance from all their sources.  Only nodes whose
+    distance drops are expanded: one that stays put already bounds its
+    neighbors' by one more.  Nodes more than ``bound`` hops away keep their
+    entry.  The lowered nodes come back in BFS order, by nondecreasing distance.
+    """
     limit = len(adj) if bound is None else bound
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque((source,))
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        v = pop()
+    lowered = []
+    for v in sources:
+        if dist[v] > 0:
+            dist[v] = 0
+            lowered.append(v)
+    for v in lowered:  # the queue: the loop also visits the nodes appended while it runs
         dv = dist[v] + 1
         if dv > limit:
-            continue
+            break
         for w in adj[v]:
-            if dist[w] < 0:
+            if dist[w] > dv:
                 dist[w] = dv
-                push(w)
-    return dist
+                lowered.append(w)
+    return lowered
 
 
 def _balls(
@@ -263,13 +271,13 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
     """Shortest-path hop count from source to every node (UNREACHABLE if none)."""
     if not 0 <= source < g.n:
         raise GraphError(f"source node {source} out of range for graph with n={g.n}")
-    return [UNREACHABLE if d < 0 else d for d in _bfs(g.adj, source)]
+    dist = [g.n] * g.n
+    _bfs(g.adj, dist, (source,))
+    return [UNREACHABLE if d == g.n else d for d in dist]
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return min(_bfs(g.adj, 0)) >= 0
+    return g.n > 0 and len(_bfs(g.adj, [g.n] * g.n, (0,))) == g.n
 
 
 def metric_profile(g: Graph) -> MetricProfile:
@@ -309,24 +317,12 @@ def is_complete(g: Graph) -> bool:
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as ascending id lists, ordered by smallest member.
 
-    One linear sweep: each node not yet labeled, in id order, labels its
-    component by a stack walk; then every node joins its label's list.
+    One :func:`_bfs` per component, from its smallest id, all lowering one
+    shared distance list: a node still at n is unreached, and a search
+    expands only its own component, so the sweep is linear in n + m.
     """
-    label = [-1] * g.n
-    comps: list[list[int]] = []
-    for v in range(g.n):
-        if label[v] < 0:
-            label[v] = len(comps)
-            comps.append([])
-            stack = [v]
-            while stack:
-                for w in g.adj[stack.pop()]:
-                    if label[w] < 0:
-                        label[w] = label[v]
-                        stack.append(w)
-    for v, c in enumerate(label):
-        comps[c].append(v)
-    return comps
+    dist = [g.n] * g.n
+    return [sorted(_bfs(g.adj, dist, (v,))) for v in range(g.n) if dist[v] == g.n]
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:

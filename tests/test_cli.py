@@ -167,7 +167,8 @@ def test_experiment_3_rejects_bad_dataset_spec(tmp_path):
 
 
 # a count below one, or an empty list of sizes, depths or datasets, leaves nothing to run;
-# experiment 2 also refuses graphs too large for its exhaustive oracle
+# experiment 2 also refuses graphs too large for its exhaustive oracle, and experiment 3
+# a budget that is not a finite number of seconds a pipe poll can wait for
 EMPTY_EXPERIMENTS = [
     *(pytest.param([number, "--sizes", "8", "--count", count], "count", id=f"{count}-{number}")
       for number in ("1", "2", "4") for count in ("0", "-1")),
@@ -175,6 +176,9 @@ EMPTY_EXPERIMENTS = [
     *(pytest.param([number], "datasets", id=f"no-dataset-{number}") for number in ("3", "5")),
     pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", ","], "i-range", id="no-i-range-5"),
     pytest.param(["2", "--sizes", "8,15"], "sizes must stay <= 14", id="oracle-size-2"),
+    *(pytest.param(["3", "--dataset", "d=missing.txt", "--timeout", timeout], "timeout must be",
+                   id=f"timeout-{timeout}-3")
+      for timeout in ("inf", "1e400", "1e9", "1e20", "2147483.648", "nan", "-5")),
 ]
 
 
@@ -183,6 +187,20 @@ def test_experiment_count_below_one_is_a_precondition_error(tmp_path, capsys, ar
     out = tmp_path / "e.csv"
     assert main(["experiment", *argv, "--out", str(out)]) == EXIT_PRECONDITION
     assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["4", "--heuristics", "bogus", "--i-range", "9", "--timeout", "5"], "--heuristics, --timeout, --i-range"),
+    (["3", "--dataset", "d=missing.txt", "--count", "0"], "--count"),
+    (["1", "--dataset", "d=missing.txt", "--seed", "3"], "--dataset"),
+    (["5", "--dataset", "d=missing.txt", "--oracle-cap", "3", "--timings"], "--oracle-cap"),
+    (["2", "--verify-stats", "--models", "ba"], "--verify-stats"),
+])
+def test_experiment_flags_the_runner_does_not_take_are_input_errors(tmp_path, capsys, argv, unused):
+    out = tmp_path / "e.csv"
+    assert main(["experiment", *argv, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"tieset: experiment {argv[0]} takes no {unused}\n"
     assert not out.exists()
 
 

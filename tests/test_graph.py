@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import threading
+import time
 
 import pytest
 
@@ -157,6 +158,17 @@ def test_largest_connected_component_identity_on_connected():
 def test_connected_components_order():
     g = build_graph(6, [(4, 5), (1, 2), (2, 3)])
     assert connected_components(g) == [[0], [1, 2, 3], [4, 5]]
+
+
+@pytest.mark.parametrize("edges", [[], [(v, v + 1) for v in range(19_999)]], ids=["isolated", "path"])
+def test_connected_components_is_linear_on_20000_nodes(edges):
+    # one search per component over a shared distance list; a sweep that
+    # rescans the unlabeled nodes per component took 2.7 s at 8,000 nodes
+    g = build_graph(20_000, edges)
+    t0 = time.perf_counter()
+    comps = connected_components(g)
+    assert time.perf_counter() - t0 < 2.0
+    assert comps == ([[v] for v in range(20_000)] if not edges else [list(range(20_000))])
 
 
 def test_induced_subgraph_relabels_in_order():

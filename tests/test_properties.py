@@ -30,6 +30,7 @@ from tieset.graph import (
     NodeSet,
     NotConnectedError,
     _balls,
+    _bfs,
     _brandes,
     augment,
     betweenness,
@@ -40,6 +41,7 @@ from tieset.graph import (
 )
 
 from util import (
+    INF,
     complete_graph,
     cycle_graph,
     fw_distances,
@@ -311,6 +313,46 @@ def test_connected_components_match_per_component_bfs(parts, rnd):
     rnd.shuffle(order)
     g = build_graph(g.n, [(order[a], order[b]) for a, b in g.edges()])
     assert connected_components(g) == ref_connected_components(g)
+
+
+# ---------------------------------------------------------------------------
+# the scalar BFS against Floyd-Warshall: fresh, bounded and lowered in steps
+
+def _lowered_from(g, dist, sources, bound):
+    """Run _bfs on ``dist`` and check what it returns: each node it changed, once, by new distance."""
+    before = list(dist)
+    lowered = _bfs(g.adj, dist, sources, bound)
+    assert sorted(lowered) == [v for v in range(g.n) if dist[v] != before[v]]
+    assert all(dist[v] < before[v] for v in lowered)
+    assert [dist[v] for v in lowered] == sorted(dist[v] for v in lowered)
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(
+        family_graphs(),
+        st.tuples(family_graphs(max_n=10), family_graphs(max_n=10)).map(lambda ab: _disjoint_union(*ab)),
+    ),
+    st.data(),
+)
+def test_bfs_matches_floyd_warshall(g, data):
+    nodes = st.lists(st.integers(0, g.n - 1), max_size=4)  # repeats allowed; empty is a no-op
+    a, b = data.draw(nodes), data.draw(nodes)
+    bound = data.draw(st.none() | st.integers(0, g.n))
+    d = fw_distances(g)
+
+    def expected(sources):
+        near = [min((d[s][v] for s in sources), default=INF) for v in range(g.n)]
+        return [x if x <= (g.n if bound is None else bound) else g.n for x in near]
+
+    dist = [g.n] * g.n
+    _lowered_from(g, dist, a, bound)
+    assert dist == expected(a)
+    _lowered_from(g, dist, b, bound)
+    assert dist == expected(a + b)
+    union = [g.n] * g.n
+    _lowered_from(g, union, a + b, bound)
+    assert union == dist
 
 
 # ---------------------------------------------------------------------------
