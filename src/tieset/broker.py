@@ -64,14 +64,9 @@ class AlgorithmReport:
 
     ``valid`` is the broker-set verification result, or None when the run was
     made with ``verify=False`` (useful on graphs too large to re-check).
-    ``elapsed`` is the wall-clock time of the heuristic itself, in seconds.
-    It excludes the metric profile and, for ``btw`` and ``s-btw``, the
-    whole-graph betweenness: both are computed before the timer starts
-    (betweenness once per graph, kept on it), so the time does not depend
-    on which heuristic ran first, nor on how many processes that
-    betweenness pass was split across.  Experiment 3's per-run budget
-    excludes them too: it fills both on the graph before forking the timed
-    workers.
+    ``elapsed`` is the heuristic's own wall-clock time in seconds, without
+    what :func:`_fill_untimed` keeps on the graph first, which
+    ``experiments.run_with_timeout`` leaves outside its budget too.
     """
 
     heuristic: BrokerHeuristic
@@ -170,7 +165,7 @@ def run_heuristic(
 
 
 def _fill_untimed(g: Graph, h: BrokerHeuristic) -> None:
-    """Keep on ``g`` what a run of ``h`` reads outside its timer and outside experiment 3's
+    """Keep on ``g`` what a run of ``h`` reads outside its timer and outside ``run_with_timeout``'s
     budget: the metric profile and, for ``btw``/``s-btw`` at radius above 1, the betweenness.
     """
     if metric_profile(g).radius > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):

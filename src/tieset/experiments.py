@@ -22,7 +22,9 @@ from statistics import fmean
 from typing import Sequence
 
 from . import __version__
-from .broker import BrokerHeuristic, CapExceededError, _fill_untimed, brute_force_min_broker, run_heuristic
+from .broker import (
+    AlgorithmReport, BrokerHeuristic, CapExceededError, _fill_untimed, brute_force_min_broker, run_heuristic
+)
 from .datasets import DatasetDescriptor, load_edge_list
 from .diameter import cp_algorithm, periphery_algorithm
 from .generators import BA, NWS, RandomModelParams, generate
@@ -198,25 +200,77 @@ def _run_generated(
     return records
 
 
-def _heuristic_rows(experiment, heuristics, graph_id, params, g, **columns):
-    """One row per heuristic run on a generated graph."""
+def _skip(experiment, graph_id, source, note, **columns) -> ExperimentRecord:
+    """A skip row: no algorithm ran on the graph, for the reason ``note``."""
+    return ExperimentRecord(
+        experiment=experiment, kind="skip", graph_id=graph_id, source=source, note=note, **columns
+    )
+
+
+class RunTimedOut(Exception):
+    """A heuristic run exceeded its wall-clock budget."""
+
+
+def _child_run(conn, g, heuristic):
+    try:
+        conn.send(("ok", run_heuristic(g, heuristic)))
+    except Exception as exc:  # surfaced to the parent
+        conn.send(("error", repr(exc)))
+    conn.close()
+
+
+def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | None) -> AlgorithmReport:
+    """Run a heuristic with verification under a wall-clock budget and return its report.
+
+    With ``timeout_s`` None the run is made in this process.  Otherwise
+    what the heuristic reads outside its timer (the metric profile and, for
+    ``btw``/``s-btw``, the whole-graph betweenness) is first kept on ``g``,
+    so a forked worker inherits it and the budget covers only the heuristic
+    and its verification.  Raises :class:`RunTimedOut` when no report
+    arrives within the budget (the worker is terminated), and RuntimeError
+    when the worker raises or exits without a report.  The report is read
+    before the worker is joined, so one larger than the pipe buffer cannot
+    stall the worker until the deadline.
+    """
+    if timeout_s is None:
+        return run_heuristic(g, heuristic)
+    _fill_untimed(g, heuristic)
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child_run, args=(writer, g, heuristic))
+    proc.start()
+    writer.close()  # the worker holds the only write end: its exit reads as EOF
+    try:
+        if not reader.poll(timeout_s):
+            proc.terminate()
+            raise RunTimedOut(f"{heuristic.value} exceeded {timeout_s:.12g}s")
+        try:
+            outcome, payload = reader.recv()
+        except EOFError:
+            outcome = None
+    finally:
+        proc.join()
+        reader.close()
+    if outcome is None:
+        raise RuntimeError(
+            f"{heuristic.value} worker exited with code {proc.exitcode} before sending a result"
+        )
+    if outcome == "error":
+        raise RuntimeError(f"{heuristic.value} failed in worker: {payload}")
+    return payload
+
+
+def _heuristic_rows(experiment, heuristics, graph_id, source, seed, g, timeout_s=None, **columns):
+    """One row per heuristic run on ``g`` by :func:`run_with_timeout`; a blown budget gives a timeout row."""
     rows = []
     for h in heuristics:
-        report = run_heuristic(g, h)
-        rows.append(
-            _graph_record(
-                experiment,
-                graph_id,
-                params.model,
-                g,
-                algorithm=h.value,
-                output_size=report.size,
-                valid=report.valid,
-                seed=params.seed,
-                elapsed_ms=report.elapsed * 1000.0,
-                **columns,
-            )
-        )
+        try:
+            report = run_with_timeout(g, h, timeout_s)
+            outcome = dict(output_size=report.size, valid=report.valid, elapsed_ms=report.elapsed * 1000.0)
+        except RunTimedOut:
+            outcome = dict(note="timeout")
+        record = _graph_record(experiment, graph_id, source, g, algorithm=h.value, seed=seed, **outcome, **columns)
+        rows.append(record)
     return rows
 
 
@@ -241,7 +295,7 @@ def run_experiment_1(
     heuristics = [BrokerHeuristic(h) for h in heuristics]
 
     def rows(graph_id, params, g):
-        return _heuristic_rows("1", heuristics, graph_id, params, g)
+        return _heuristic_rows("1", heuristics, graph_id, params.model, params.seed, g)
 
     def mean_size(group):
         return {"mean_output_size": fmean(r.output_size for r in group)}
@@ -279,19 +333,9 @@ def run_experiment_2(
             optimal = len(brute_force_min_broker(g, size_cap=oracle_cap))
         except CapExceededError:
             log.warning("experiment 2: oracle cap exceeded on %s, skipping", graph_id)
-            return [
-                ExperimentRecord(
-                    experiment="2",
-                    kind="skip",
-                    graph_id=graph_id,
-                    source=params.model,
-                    n=g.n,
-                    m=g.m,
-                    seed=params.seed,
-                    note=f"oracle cap {oracle_cap} exceeded",
-                )
-            ]
-        return _heuristic_rows("2", heuristics, graph_id, params, g, optimal_size=optimal)
+            note = f"oracle cap {oracle_cap} exceeded"
+            return [_skip("2", graph_id, params.model, note, n=g.n, m=g.m, seed=params.seed)]
+        return _heuristic_rows("2", heuristics, graph_id, params.model, params.seed, g, optimal_size=optimal)
 
     def hit_rate(group):
         return {"optimality_rate": sum(r.output_size == r.optimal_size for r in group) / len(group)}
@@ -302,57 +346,7 @@ def run_experiment_2(
 
 
 # ---------------------------------------------------------------------------
-# experiment 3: heuristics on real datasets, with per-run timeouts
-
-class RunTimedOut(Exception):
-    """A dataset run exceeded its wall-clock budget."""
-
-
-def _child_run(conn, g, heuristic):
-    try:
-        report = run_heuristic(g, heuristic)
-        conn.send(("ok", report.s.members, report.valid, report.elapsed))
-    except Exception as exc:  # pragma: no cover - surfaced to the parent
-        conn.send(("error", repr(exc), None, None))
-    conn.close()
-
-
-def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | None):
-    """Run a heuristic with verification under a wall-clock budget.
-
-    Returns (members, valid, elapsed_seconds); raises :class:`RunTimedOut`
-    when no result arrives within the budget (the worker process is
-    terminated), and RuntimeError when the worker exits without a result.
-    The result is read before the worker is joined, so a result larger than
-    the pipe buffer cannot stall the worker until the deadline.
-    """
-    if timeout_s is None:
-        report = run_heuristic(g, heuristic)
-        return report.s.members, report.valid, report.elapsed
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child_run, args=(writer, g, heuristic))
-    proc.start()
-    writer.close()  # the worker holds the only write end: its exit reads as EOF
-    try:
-        if not reader.poll(timeout_s):
-            proc.terminate()
-            raise RunTimedOut(f"{heuristic.value} exceeded {timeout_s:.0f}s")
-        try:
-            outcome, payload, valid, elapsed = reader.recv()
-        except EOFError:
-            outcome = None
-    finally:
-        proc.join()
-        reader.close()
-    if outcome is None:
-        raise RuntimeError(
-            f"{heuristic.value} worker exited with code {proc.exitcode} before sending a result"
-        )
-    if outcome == "error":
-        raise RuntimeError(f"{heuristic.value} failed in worker: {payload}")
-    return payload, valid, elapsed
-
+# experiment 3: heuristics on real datasets
 
 def verify_dataset_stats(name: str, g_full: Graph, g_lcc: Graph, expected) -> None:
     """Compare a loaded dataset and its giant component ``g_lcc`` with its published stats."""
@@ -380,19 +374,10 @@ def _run_datasets(
     for d in datasets:
         if not Path(d.path).is_file():
             log.warning("experiment %s: dataset %s missing at %s", experiment, d.name, d.path)
-            records.append(
-                ExperimentRecord(
-                    experiment=experiment,
-                    kind="skip",
-                    graph_id=d.name,
-                    source=d.name,
-                    note=f"dataset missing: {d.path}",
-                )
-            )
+            records.append(_skip(experiment, d.name, d.name, f"dataset missing: {d.path}"))
             continue
         g_full, _ = load_edge_list(d.path)
         g, _ = largest_connected_component(g_full)
-        metric_profile(g)  # kept on g, so experiment 3's forked workers inherit it
         if verify_stats and d.expected is not None:
             verify_dataset_stats(d.name, g_full, g, d.expected)
         records.extend(rows(d.name, g))
@@ -413,36 +398,24 @@ def run_experiment_3(
 ) -> list[ExperimentRecord]:
     """Broker-set sizes on real edge-list datasets (giant component).
 
-    Missing datasets are skipped with a reason row; runs that blow the
-    per-(dataset, heuristic) budget are recorded as timeouts.  The budget
-    covers the heuristic's worker only: the metric profile and, for ``btw``
-    and ``s-btw`` on a graph of radius above 1, the whole-graph betweenness
-    are computed at most once per dataset, in this process, before the
-    heuristic's worker forks, so no budget includes them.  A ``timeout_s``
-    other than None or a number of seconds a pipe poll can wait, in (0,
-    2147483.647], raises :class:`GraphError` before any dataset is read.
+    Missing datasets are skipped with a reason row.  Each (dataset,
+    heuristic) run goes through :func:`run_with_timeout`, as in experiments
+    1 and 2 but under ``timeout_s``, so the profile and the betweenness are
+    computed once per dataset, outside every budget, and a blown budget is a
+    ``timeout`` row.  The budget is written in full ('0.0001'), or ``none``.
+    A ``timeout_s`` other than None or in (0, 2147483.647], the seconds a
+    pipe poll can wait, raises :class:`GraphError` before any dataset is read.
     """
     if timeout_s is not None and not 0 < timeout_s <= 2_147_483.647:
         raise GraphError(f"timeout must be none or in (0, 2147483.647] seconds, got {timeout_s}")
     heuristics = [BrokerHeuristic(h) for h in heuristics]
 
     def rows(name, g):
-        records = []
-        for h in heuristics:
-            _fill_untimed(g, h)  # inherited by the worker, outside its budget
-            try:
-                members, valid, elapsed = run_with_timeout(g, h, timeout_s)
-                outcome = dict(output_size=len(members), valid=valid, elapsed_ms=elapsed * 1000.0)
-            except RunTimedOut:
-                outcome = dict(note="timeout")
-            records.append(
-                _graph_record("3", name, name, g, algorithm=h.value, seed=master_seed, **outcome)
-            )
-        return records
+        return _heuristic_rows("3", heuristics, name, name, master_seed, g, timeout_s)
 
     metadata = {
         "datasets": ",".join(d.name for d in datasets),
-        "timeout-s": "none" if timeout_s is None else f"{timeout_s:.0f}",
+        "timeout-s": "none" if timeout_s is None else f"{timeout_s:.12g}",
         "heuristics": ",".join(h.value for h in heuristics),
     }
     return _run_datasets(out, "3", datasets, rows, metadata, master_seed, verify_stats, timings)
@@ -490,18 +463,8 @@ def run_experiment_4(
         diameter = metric_profile(g).diameter
         delta = diameter - 1
         if delta < 2:
-            return [
-                ExperimentRecord(
-                    experiment="4",
-                    kind="skip",
-                    graph_id=graph_id,
-                    source=params.model,
-                    n=g.n,
-                    diameter=diameter,
-                    seed=params.seed,
-                    note="diameter too small to reduce",
-                )
-            ]
+            note = "diameter too small to reduce"
+            return [_skip("4", graph_id, params.model, note, n=g.n, diameter=diameter, seed=params.seed)]
         return _reduction_rows("4", graph_id, params.model, g, delta, params.seed)
 
     return _run_generated(out, "4", rows, {}, models, sizes, count, master_seed, timings)
@@ -528,17 +491,7 @@ def run_experiment_5(
             delta = diameter - i
             graph_id = f"{name}-i{i}"
             if delta < 2:
-                records.append(
-                    ExperimentRecord(
-                        experiment="5",
-                        kind="skip",
-                        graph_id=graph_id,
-                        source=name,
-                        n=g.n,
-                        diameter=diameter,
-                        note=f"delta {delta} below 2",
-                    )
-                )
+                records.append(_skip("5", graph_id, name, f"delta {delta} below 2", n=g.n, diameter=diameter))
             else:
                 records.extend(_reduction_rows("5", graph_id, name, g, delta, next(seeds)))
         return records

@@ -1,5 +1,6 @@
 import csv
 import os
+import time
 
 import pytest
 
@@ -172,32 +173,60 @@ def test_experiment_3_skips_the_betweenness_pass_when_no_heuristic_reads_it(tmp_
     assert len(records) == 2 and all(r.valid for r in records)
 
 
-def test_experiment_3_records_timeouts(tmp_path):
+def test_experiment_3_records_timeouts(tmp_path, monkeypatch):
     out = tmp_path / "e3.csv"
-    big = DatasetDescriptor("slow", str(_dataset_file(tmp_path, n=300, extra=400)))
-    records = run_experiment_3(out, [big], heuristics=("btw",), timeout_s=1e-4)
+    slow = DatasetDescriptor("slow", str(_dataset_file(tmp_path)))
+    # the forked worker inherits the patch, so it outlives the budget however fast the machine
+    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: time.sleep(60))
+    records = run_experiment_3(out, [slow], heuristics=("btw",), timeout_s=1e-4)
     assert [r.note for r in records if r.kind == "detail"] == ["timeout"]
+    # a sub-second budget is written as itself, not rounded to 0 ("no budget")
+    assert "# timeout-s: 0.0001" in _read_csv(out)[0]
 
 
-def test_run_with_timeout_passthrough_and_expiry():
+def test_experiment_3_records_the_same_rows_in_process_and_in_workers(tmp_path):
+    d = DatasetDescriptor("tiny", str(_dataset_file(tmp_path, n=60, extra=20)))
+    run_experiment_3(tmp_path / "inline.csv", [d], timeout_s=None)
+    run_experiment_3(tmp_path / "forked.csv", [d])
+    inline = (tmp_path / "inline.csv").read_text().splitlines()
+    forked = (tmp_path / "forked.csv").read_text().splitlines()
+    differing = [(a, b) for a, b in zip(inline, forked) if a != b]
+    assert len(inline) == len(forked) == 8 + 7
+    assert differing == [("# timeout-s: none", "# timeout-s: 600")]
+
+
+def test_run_with_timeout_passthrough_and_expiry(monkeypatch):
     g = random_connected(30, 20, 2)
-    members, valid, elapsed = run_with_timeout(g, BrokerHeuristic.MAX, None)
-    assert valid and len(members) >= 1
-    with pytest.raises(RunTimedOut):
-        run_with_timeout(g, BrokerHeuristic.BTW, 1e-6)
+    report = run_with_timeout(g, BrokerHeuristic.MAX, None)
+    assert report.valid and report.size == len(report.s) >= 1
+    # the forked worker inherits the patch, so it outlives any budget below a minute
+    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: time.sleep(60))
+    t0 = time.monotonic()
+    with pytest.raises(RunTimedOut, match=r"btw exceeded 0\.05s"):
+        run_with_timeout(g, BrokerHeuristic.BTW, 0.05)
+    assert time.monotonic() - t0 < 30
 
 
 def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
     # radius 1, so the set is every node: its pickle (~90 kB) overfills a 64 KiB pipe
     g = star_graph(30_000)
-    members, valid, _ = run_with_timeout(g, BrokerHeuristic.MAX, 60.0)
-    assert valid is True
-    assert members == tuple(range(g.n))
+    report = run_with_timeout(g, BrokerHeuristic.MAX, 60.0)
+    assert report.valid is True
+    assert report.s.members == tuple(range(g.n))
 
 
 def test_run_with_timeout_raises_when_the_worker_dies(monkeypatch):
     monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: os._exit(7))
     with pytest.raises(RuntimeError, match="exited with code 7"):
+        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+
+
+def test_run_with_timeout_raises_the_worker_error(monkeypatch):
+    def failing(*args, **kwargs):
+        raise GraphError("boom")
+
+    monkeypatch.setattr(experiments, "run_heuristic", failing)
+    with pytest.raises(RuntimeError, match=r"max failed in worker: GraphError\('boom'\)"):
         run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
 
 
