@@ -14,7 +14,10 @@ import csv
 import io
 import itertools
 import logging
-import multiprocessing
+import os
+import pickle
+import select
+import signal
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -28,7 +31,7 @@ from .broker import (
 from .datasets import DatasetDescriptor, load_edge_list
 from .diameter import cp_algorithm, periphery_algorithm
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import Graph, GraphError, largest_connected_component, metric_profile
+from .graph import Graph, GraphError, _fork, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
 
@@ -211,12 +214,13 @@ class RunTimedOut(Exception):
     """A heuristic run exceeded its wall-clock budget."""
 
 
-def _child_run(conn, g, heuristic):
+def _send_report(out, g, heuristic) -> None:
+    """Body of a budgeted worker (see :func:`_fork`): pickle the report, or the error, to ``out``."""
     try:
-        conn.send(("ok", run_heuristic(g, heuristic)))
+        result = ("ok", run_heuristic(g, heuristic))
     except Exception as exc:  # surfaced to the parent
-        conn.send(("error", repr(exc)))
-    conn.close()
+        result = ("error", repr(exc))
+    pickle.dump(result, out)
 
 
 def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | None) -> AlgorithmReport:
@@ -225,36 +229,30 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     With ``timeout_s`` None the run is made in this process.  Otherwise
     what the heuristic reads outside its timer (the metric profile and, for
     ``btw``/``s-btw``, the whole-graph betweenness) is first kept on ``g``,
-    so a forked worker inherits it and the budget covers only the heuristic
-    and its verification.  Raises :class:`RunTimedOut` when no report
-    arrives within the budget (the worker is terminated), and RuntimeError
-    when the worker raises or exits without a report.  The report is read
-    before the worker is joined, so one larger than the pipe buffer cannot
-    stall the worker until the deadline.
+    so a worker started by :func:`_fork` inherits it and the budget covers
+    only the heuristic and its verification.  Raises :class:`RunTimedOut`
+    when no report arrives within the budget (the worker is sent SIGTERM),
+    and RuntimeError when the worker raises or exits without a whole report.
+    The worker is reaped on every path, after its report is read, so a
+    report larger than the pipe buffer cannot stall it until the deadline.
     """
     if timeout_s is None:
         return run_heuristic(g, heuristic)
     _fill_untimed(g, heuristic)
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child_run, args=(writer, g, heuristic))
-    proc.start()
-    writer.close()  # the worker holds the only write end: its exit reads as EOF
+    pid, reader = _fork(_send_report, (g, heuristic))
     try:
-        if not reader.poll(timeout_s):
-            proc.terminate()
+        if not select.select([reader], [], [], timeout_s)[0]:
+            os.kill(pid, signal.SIGTERM)
             raise RunTimedOut(f"{heuristic.value} exceeded {timeout_s:.12g}s")
         try:
-            outcome, payload = reader.recv()
-        except EOFError:
+            outcome, payload = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
             outcome = None
     finally:
-        proc.join()
         reader.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if outcome is None:
-        raise RuntimeError(
-            f"{heuristic.value} worker exited with code {proc.exitcode} before sending a result"
-        )
+        raise RuntimeError(f"{heuristic.value} worker exited with code {status} before sending a result")
     if outcome == "error":
         raise RuntimeError(f"{heuristic.value} failed in worker: {payload}")
     return payload
@@ -403,8 +401,8 @@ def run_experiment_3(
     1 and 2 but under ``timeout_s``, so the profile and the betweenness are
     computed once per dataset, outside every budget, and a blown budget is a
     ``timeout`` row.  The budget is written in full ('0.0001'), or ``none``.
-    A ``timeout_s`` other than None or in (0, 2147483.647], the seconds a
-    pipe poll can wait, raises :class:`GraphError` before any dataset is read.
+    A ``timeout_s`` other than None or in (0, 2147483.647] (2^31 - 1 ms, well
+    within what ``select`` accepts) raises :class:`GraphError` first.
     """
     if timeout_s is not None and not 0 < timeout_s <= 2_147_483.647:
         raise GraphError(f"timeout must be none or in (0, 2147483.647] seconds, got {timeout_s}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import add, or_
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 UNREACHABLE = math.inf
 """Distance reported for node pairs with no connecting path."""
@@ -400,13 +400,43 @@ def _workers(n: int, adj: tuple[tuple[int, ...], ...]) -> int:
     return os.cpu_count() or 1
 
 
+def _fork(body, args, inherited=()) -> tuple[int, BinaryIO]:
+    """Run ``body(write_end, *args)`` in a forked child; return ``(pid, read_end)``.
+
+    The package's one call of ``os.fork``.  The child closes its read end and
+    ``inherited`` (earlier workers' read ends), runs ``body``, flushes, and
+    leaves only through ``os._exit``: 0 when ``body`` returns, 1 on any
+    exception.  The parent closes the write end, or both ends if the fork fails.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            for f in inherited:
+                f.close()
+            with os.fdopen(w, "wb") as out:
+                body(out, *args)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
 def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> tuple[float, ...]:
     """Brandes from every source, the sources dealt round-robin to ``k`` processes.
 
     One source's dependency vector (:func:`_dependencies`) is one unit of
     work.  Source s goes to worker s % k: worker 0 is this process, and
-    workers 1..k-1 are forked children that send their vectors back over a
-    pipe as packed doubles.  Whichever worker computed it, each vector is
+    workers 1..k-1 are :func:`_fork` children that send their vectors over
+    its pipe as packed doubles.  Whichever worker computed it, each vector is
     added into the scores in source order 0..n-1, so every score receives
     the same IEEE additions in the same order for every k, and k = 1 is the
     one-process pass.  A child blocks once its pipe is full, so it runs at
@@ -422,15 +452,7 @@ def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> 
     children = {}
     try:
         for j in range(1, k):
-            r, w = os.pipe()
-            readers[j] = os.fdopen(r, "rb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_dependencies(w, j, k, n, adj, readers)  # never returns
-            finally:
-                os.close(w)
-            children[j] = pid
+            children[j], readers[j] = _fork(_send_dependencies, (j, k, n, adj), readers.values())
         for s in range(n):
             j = s % k
             if j == 0:
@@ -455,26 +477,11 @@ def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> 
     return tuple(x / 2.0 for x in score)
 
 
-def _send_dependencies(
-    fd: int, j: int, k: int, n: int, adj: tuple[tuple[int, ...], ...], inherited: dict
-) -> None:
-    """Body of forked worker j: write the vectors of sources j, j+k, ... to ``fd``, then exit.
-
-    ``inherited`` holds the parent's read ends, which the child closes.  The
-    child leaves only through ``os._exit``: status 0 once every vector is
-    written, 1 on any exception, a pipe the parent closed included.
-    """
-    status = 1
-    try:
-        for reader in inherited.values():
-            reader.close()
-        with os.fdopen(fd, "wb") as out:
-            for s in range(j, n, k):
-                out.write(array("d", _dependencies(s, n, adj)))
-                out.flush()
-        status = 0
-    finally:
-        os._exit(status)
+def _send_dependencies(out: BinaryIO, j: int, k: int, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
+    """Body of worker j (see :func:`_fork`): write the vectors of sources j, j+k, ... to ``out``."""
+    for s in range(j, n, k):
+        out.write(array("d", _dependencies(s, n, adj)))
+        out.flush()
 
 
 def _dependencies(s: int, n: int, adj: tuple[tuple[int, ...], ...]) -> list[float]:

@@ -168,7 +168,7 @@ def test_experiment_3_rejects_bad_dataset_spec(tmp_path):
 
 # a count below one, or an empty list of sizes, depths or datasets, leaves nothing to run;
 # experiment 2 also refuses graphs too large for its exhaustive oracle, and experiment 3
-# a budget that is not a finite number of seconds a pipe poll can wait for
+# a budget that is not 0 or a finite number of seconds up to 2,147,483.647 (the CLI contract)
 EMPTY_EXPERIMENTS = [
     *(pytest.param([number, "--sizes", "8", "--count", count], "count", id=f"{count}-{number}")
       for number in ("1", "2", "4") for count in ("0", "-1")),

@@ -1,5 +1,7 @@
 import csv
+import errno
 import os
+import pickle
 import time
 
 import pytest
@@ -23,7 +25,7 @@ from tieset.broker import BrokerHeuristic
 from tieset.generators import BA, RandomModelParams, generate
 from tieset.graph import GraphError
 
-from util import random_connected, star_graph
+from util import _assert_no_child_left, open_descriptors, random_connected, star_graph
 
 
 def _read_csv(path):
@@ -205,6 +207,7 @@ def test_run_with_timeout_passthrough_and_expiry(monkeypatch):
     with pytest.raises(RunTimedOut, match=r"btw exceeded 0\.05s"):
         run_with_timeout(g, BrokerHeuristic.BTW, 0.05)
     assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
 
 
 def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
@@ -213,12 +216,38 @@ def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
     report = run_with_timeout(g, BrokerHeuristic.MAX, 60.0)
     assert report.valid is True
     assert report.s.members == tuple(range(g.n))
+    _assert_no_child_left()
 
 
 def test_run_with_timeout_raises_when_the_worker_dies(monkeypatch):
     monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: os._exit(7))
     with pytest.raises(RuntimeError, match="exited with code 7"):
         run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+    _assert_no_child_left()
+
+
+class Die:
+    """Ends the process that pickles it, with status 5."""
+
+    def __reduce__(self):
+        os._exit(5)
+
+
+def test_run_with_timeout_raises_when_the_worker_dies_mid_report(monkeypatch):
+    # the worker writes more than a pipe buffer of its report, then exits: the pickle stops between opcodes
+    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: [bytes(300_000), Die()])
+    with pytest.raises(RuntimeError, match="exited with code 5"):
+        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+    _assert_no_child_left()
+
+
+def test_run_with_timeout_raises_when_the_report_ends_inside_a_value(monkeypatch):
+    # the stream stops inside the bytes' payload, not between opcodes: UnpicklingError, not EOFError
+    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: bytes(300_000))
+    monkeypatch.setattr(pickle, "dump", lambda obj, out: out.write(pickle.dumps(obj)[:150_000]))
+    with pytest.raises(RuntimeError, match="exited with code 0 before sending a result"):
+        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+    _assert_no_child_left()
 
 
 def test_run_with_timeout_raises_the_worker_error(monkeypatch):
@@ -228,6 +257,20 @@ def test_run_with_timeout_raises_the_worker_error(monkeypatch):
     monkeypatch.setattr(experiments, "run_heuristic", failing)
     with pytest.raises(RuntimeError, match=r"max failed in worker: GraphError\('boom'\)"):
         run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_run_with_timeout_failing_fork_raises_and_closes_every_pipe(monkeypatch):
+    def refused():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    before = open_descriptors()
+    with pytest.raises(OSError, match="fork refused"):
+        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+    assert open_descriptors() == before
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("run", [run_experiment_1, run_experiment_2, run_experiment_4])

@@ -1,4 +1,5 @@
 import copy
+import errno
 import math
 import os
 import pickle
@@ -31,10 +32,13 @@ from tieset.graph import (
 )
 
 from util import (
+    _assert_no_child_left,
+    _count_forks,
     brute_betweenness,
     complete_graph,
     cycle_graph,
     fw_distances,
+    open_descriptors,
     path_graph,
     random_connected,
     ref_brandes,
@@ -241,26 +245,6 @@ def test_betweenness_equals_reference_bit_for_bit(params):
 ABOVE_CUTOFF = RandomModelParams(BA, 300, 11, ba_m=2)
 
 
-def _count_forks(monkeypatch) -> list[int]:
-    """Record the pid of every child ``os.fork`` starts from here on."""
-    pids = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_betweenness_first_pass_above_the_cutoff_forks_one_child_per_extra_cpu(monkeypatch):
     g = generate(ABOVE_CUTOFF)
     assert g.n * (g.n + 2 * g.m) >= FORK_MIN_WORK
@@ -334,6 +318,28 @@ def test_betweenness_failing_parent_source_reaps_every_child(monkeypatch):
         betweenness(g)
     assert len(pids) == 2
     assert g._betweenness is None
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_betweenness_failing_second_fork_reaps_the_first_and_closes_every_pipe(monkeypatch):
+    g = generate(ABOVE_CUTOFF)
+    monkeypatch.setattr(graph, "_workers", lambda n, adj: 3)
+    pids = _count_forks(monkeypatch)
+    counting_fork = os.fork
+
+    def second_fork_fails():
+        if pids:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    before = open_descriptors()
+    with pytest.raises(OSError, match="fork refused"):
+        betweenness(g)
+    assert len(pids) == 1
+    assert g._betweenness is None
+    assert open_descriptors() == before
     _assert_no_child_left()
 
 

@@ -9,13 +9,18 @@ as the exact (bit-for-bit) reference for the library's betweenness kernel.
 reductions that build the combined graph and profile it every round, kept as
 the exact reference (same ties, same reports, same errors) for the library's
 versions, which read the combined graph through the augmentation law.
+``_count_forks``, ``_assert_no_child_left`` and ``open_descriptors`` watch
+the processes and descriptors a forking call leaves behind.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 from itertools import combinations
+
+import pytest
 
 from tieset.broker import is_dominating_set
 from tieset.diameter import DeltaReport, _check_reduction_args
@@ -53,6 +58,31 @@ def random_connected(n: int, extra: int, seed: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     return random_connected(n, 0, seed)
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """Record the pid of every child ``os.fork`` starts from here on."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_descriptors() -> int:
+    """Number of file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd"))
 
 
 def fw_distances(g: Graph) -> list[list[int]]:
