@@ -66,7 +66,10 @@ class AlgorithmReport:
     made with ``verify=False`` (useful on graphs too large to re-check).
     ``elapsed`` is the heuristic's own wall-clock time in seconds, without
     what :func:`_fill_untimed` keeps on the graph first, which
-    ``experiments.run_with_timeout`` leaves outside its budget too.
+    ``experiments.run_with_timeout`` leaves outside its budget too.  That
+    includes the coverage balls, kept by :func:`metric_profile`, so the s-*
+    heuristics and ``imp-center`` time no kernel run; the default CSVs carry
+    no timings and are unchanged.
     """
 
     heuristic: BrokerHeuristic
@@ -79,13 +82,20 @@ class AlgorithmReport:
 def is_sub_radius_dominating(g: Graph, s: NodeSet | Iterable[int]) -> bool:
     """True iff every node outside ``s`` is within rad(g)-1 hops of some member (``g`` connected)."""
     members = validated_members(g, s)
-    cover = _coverage_balls(g, metric_profile(g).radius)
+    cover = _coverage_balls(g)
     return reduce(or_, (cover[v] for v in members)) == (1 << g.n) - 1
 
 
-def _coverage_balls(g: Graph, radius: int) -> list[int]:
-    """Mask of the nodes each node covers: its (radius-1)-ball, or itself alone if radius <= 1."""
-    return _balls_of_radius(g.adj, max(radius - 1, 0))
+def _coverage_balls(g: Graph) -> tuple[int, ...]:
+    """Mask of the nodes each node covers: its (radius-1)-ball, or itself alone if radius <= 1.
+
+    The generation :func:`metric_profile` keeps on ``g`` from its own kernel
+    run, so no caller starts one; the s-* heuristics and ``imp-center`` thus
+    time none, and the default CSVs are unchanged.  Raises
+    :class:`NotConnectedError` on disconnected input.
+    """
+    metric_profile(g)
+    return g._coverage
 
 
 def is_broker_set(g: Graph, s: NodeSet | Iterable[int]) -> bool:
@@ -166,7 +176,9 @@ def run_heuristic(
 
 def _fill_untimed(g: Graph, h: BrokerHeuristic) -> None:
     """Keep on ``g`` what a run of ``h`` reads outside its timer and outside ``run_with_timeout``'s
-    budget: the metric profile and, for ``btw``/``s-btw`` at radius above 1, the betweenness.
+    budget: the metric profile with the coverage balls of its kernel run (so the s-* heuristics
+    and ``imp-center`` time no kernel run, and the default CSVs are unchanged) and, for
+    ``btw``/``s-btw`` at radius above 1, the betweenness.
     """
     if metric_profile(g).radius > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
         betweenness(g)
@@ -245,7 +257,7 @@ def _greedy_uncovered(g: Graph, rule) -> NodeSet:
     """
     r = metric_profile(g).radius
     choose = rule(g, r)
-    cover = _coverage_balls(g, r)
+    cover = _coverage_balls(g)
     uncovered = (1 << g.n) - 1
     chosen: list[int] = []
     while uncovered:
@@ -281,7 +293,7 @@ def _imp_center(g: Graph) -> NodeSet:
     r = metric_profile(g).radius
     v = _min_degree_center(g)
     neighbor_queue = sorted(g.adj[v], key=lambda x: (-len(g.adj[x]), x))
-    cover = _coverage_balls(g, r)
+    cover = _coverage_balls(g)
     uncovered = (1 << g.n) - 1
     chosen: list[int] = []
     i = 0
@@ -330,14 +342,17 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
     Returns the lexicographically first minimum.  Intended for small graphs;
     ``size_cap`` bounds the subset size, and exceeding it raises
     :class:`CapExceededError` (on two or more nodes a broker set of size n
-    always exists, so with an unbounded cap the search then succeeds).  A
-    subset is a broker set iff its members' (radius-1)-balls cover every
-    node, so each test is k ORs of masks computed once per graph.
+    always exists, so with an unbounded cap the search then succeeds); a
+    cap below 1 raises :class:`GraphError`.  A subset is a broker set iff
+    its members' (radius-1)-balls cover every node, so each test is k ORs of
+    the masks :func:`metric_profile` keeps on the graph.
     """
+    if size_cap is not None and size_cap < 1:
+        raise GraphError(f"size cap must be >= 1, got {size_cap}")
     radius = metric_profile(g).radius  # also rejects disconnected input
     cap = g.n if size_cap is None else min(size_cap, g.n)
     # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0
-    cover = _coverage_balls(g, radius) if radius else [0] * g.n
+    cover = _coverage_balls(g) if radius else [0] * g.n
     for subset, _ in _covering_subsets(cover, 0, cap):
         return NodeSet(subset)
     raise CapExceededError(f"no broker set of size <= {cap} found")

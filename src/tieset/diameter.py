@@ -41,7 +41,7 @@ class DeltaReport:
 
 def _diameter_at_most(g: Graph, bound: int) -> bool:
     # every ball must be full after `bound` rounds
-    ecc, _ = _balls(g.adj, rounds=bound)
+    ecc, _, _ = _balls(g.adj, rounds=bound)
     return min(ecc, default=0) >= 0
 
 
@@ -74,7 +74,8 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
 
     ``delta`` must be at least 2 (tying to all nodes always reaches diameter
     2, so an answer exists; below 2 none may).  Lexicographically first
-    minimum; :class:`CapExceededError` when ``size_cap`` cuts the search off.
+    minimum; :class:`CapExceededError` when ``size_cap`` cuts the search off,
+    and :class:`GraphError` when it is below 1.
 
     The host's balls of radius 0..delta are computed once.  A subset S is
     then tested with the augmentation law d_H(x, y) = min(d(x, y),
@@ -86,9 +87,11 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     """
     if delta < 2:
         raise GraphError(f"target diameter must be >= 2, got {delta}")
+    if size_cap is not None and size_cap < 1:
+        raise GraphError(f"size cap must be >= 1, got {size_cap}")
     metric_profile(g)  # rejects disconnected input
     n = g.n
-    _, balls = _balls(g.adj, range(delta + 1), delta)
+    _, balls, _ = _balls(g.adj, range(delta + 1), delta)
     full = (1 << n) - 1
     # each node's balls of radius 0..delta-1 in one int, radius t at bit
     # offset t*n, so one OR over S's members yields all of S's t-balls
@@ -149,7 +152,7 @@ class _Joined:
     def __init__(self, g: Graph, delta: int):
         diameter = metric_profile(g).diameter
         low = min(delta, diameter - 1)
-        ecc, self.balls = _balls(g.adj, range(low, diameter + 1))
+        ecc, self.balls, _ = _balls(g.adj, range(low, diameter + 1))
         self.adj = g.adj
         self.delta = delta
         self.full = (1 << g.n) - 1

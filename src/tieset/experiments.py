@@ -320,11 +320,14 @@ def run_experiment_2(
     """Fraction of graphs on which each heuristic matches the exact minimum.
 
     Restricted to sizes where the exhaustive oracle is feasible; graphs whose
-    oracle search exceeds ``oracle_cap`` are skipped with a reason row.
+    oracle search exceeds ``oracle_cap`` are skipped with a reason row.  An
+    ``oracle_cap`` below 1 raises :class:`GraphError` before any graph is drawn.
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
     if any(n > ORACLE_MAX_N for n in sizes):
         raise GraphError(f"experiment 2 sizes must stay <= {ORACLE_MAX_N} for the oracle")
+    if oracle_cap < 1:
+        raise GraphError(f"oracle cap must be >= 1, got {oracle_cap}")
 
     def rows(graph_id, params, g):
         try:
@@ -477,8 +480,13 @@ def run_experiment_5(
     verify_stats: bool = False,
     timings: bool = False,
 ) -> list[ExperimentRecord]:
-    """Edges needed to shrink real datasets' diameter by i, for each i in range."""
+    """Edges needed to shrink real datasets' diameter by i, for each i in range.
+
+    A negative i raises :class:`GraphError` before any dataset is read.
+    """
     _require("i-range", i_range)
+    if min(i_range) < 0:
+        raise GraphError(f"--i-range values must be >= 0, got {min(i_range)}")
     # the k-th run that is not skipped, over all datasets, gets split_seed(master_seed, k)
     seeds = (split_seed(master_seed, k) for k in itertools.count())
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import add, or_
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 UNREACHABLE = math.inf
 """Distance reported for node pairs with no connecting path."""
@@ -38,8 +38,9 @@ class Graph:
     establishes the invariants (symmetric adjacency, sorted neighbor lists,
     no self-loops or duplicates).  Connectedness is *not* an invariant;
     operations that need it check it.  The graph never changes, so
-    :func:`metric_profile` and :func:`betweenness` keep their results on it;
-    those slots take no part in equality, hashing or the repr.
+    :func:`metric_profile` keeps its profile and the coverage balls on it,
+    and :func:`betweenness` its scores; those slots take no part in
+    equality, hashing or the repr.
     """
 
     n: int
@@ -47,6 +48,7 @@ class Graph:
     m: int
     _profile: MetricProfile | None = field(default=None, init=False, repr=False, compare=False)
     _betweenness: tuple[float, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _coverage: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -177,21 +179,31 @@ def _balls(
     adj: tuple[tuple[int, ...], ...],
     keep: Iterable[int] = (),
     rounds: int | None = None,
-) -> tuple[list[int], dict[int, list[int]]]:
+) -> tuple[list[int], dict[int, list[int]], list[int] | None]:
     """Bit-parallel BFS from every node at once (Akiba, Iwata & Yoshida 2013).
 
     Node v's r-ball is a Python int with bit w set iff d(v, w) <= r.  Round
     r+1 computes ball_{r+1}[v] = ball_r[v] | OR of ball_r[w] over w in N(v).
-    Returns ``(ecc, kept)``: ``ecc[v]`` is the first round at which v's mask
-    is full (-1 if it never is within the rounds run, e.g. on disconnected
-    input), and ``kept[r]`` is the list of r-ball masks for each r in
-    ``keep`` (at most ``rounds``).  Runs until every mask is full or a round
-    changes nothing, or for at most ``rounds`` rounds; a kept radius past
-    the last round gets the final, stable generation.
+    Returns ``(ecc, kept, cover)``: ``ecc[v]`` is the first round at which
+    v's mask is full (-1 if it never is within the rounds run, e.g. on
+    disconnected input), and ``kept[r]`` is the list of r-ball masks for
+    each r in ``keep`` (at most ``rounds``).  Runs until every mask is full
+    or a round changes nothing, or for at most ``rounds`` rounds; a kept
+    radius past the last round gets the final, stable generation.
+
+    ``cover`` is the generation in force just before the first round in
+    which some mask is full, i.e. the (radius-1)-balls, or the 0-balls when
+    the radius is at most 1: the coverage balls of sub-radius domination,
+    which :func:`metric_profile` keeps on the graph so that the broker
+    heuristics, their verification and the broker oracle run no kernel of
+    their own.  So the s-* heuristics and ``imp-center`` time none inside
+    their timer; the default CSVs, which carry no timings, are unchanged.
+    ``cover`` is None when no mask becomes full within the rounds run.
 
     Memory is up to n^2/8 bytes per mask generation: two while running, plus
-    one per kept radius.  Full masks share one int object, so a node whose
-    ball is complete costs a pointer.
+    one per kept radius, plus ``cover`` from the radius round on.  Full
+    masks share one int object, so a node whose ball is complete costs a
+    pointer.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -200,6 +212,8 @@ def _balls(
     kept: dict[int, list[int]] = {}
     ecc = [-1] * n
     ball = [1 << v for v in range(n)]
+    before = ball  # generation r-1 (generation 0 in round 0), held only through round r's scan
+    cover = None
     pending = list(range(n))
     r = 0
     while True:
@@ -210,6 +224,9 @@ def _balls(
                 ball[v] = full
             else:
                 still.append(v)
+        if cover is None and len(still) < len(pending):
+            cover = before
+        before = None
         pending = still
         if r in keep:
             kept[r] = ball
@@ -226,11 +243,11 @@ def _balls(
                 changed = True
         if not changed:
             break
-        ball = grown
+        before, ball = ball, grown
         r += 1
     for k in keep:
         kept.setdefault(k, ball)
-    return ecc, kept
+    return ecc, kept, cover
 
 
 def _balls_of_radius(adj: tuple[tuple[int, ...], ...], radius: int) -> list[int]:
@@ -243,7 +260,7 @@ def _bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
-def _covering_subsets(masks: list[int], shift: int, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _covering_subsets(masks: Sequence[int], shift: int, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield ``(subset, union)`` for each subset of at most ``cap`` of the n = len(masks) nodes
     whose masks' OR, ``union``, has all n bits set from bit ``shift`` up; smallest subsets
     first, lexicographic within a size, so the first is the lexicographically first minimum.
@@ -285,21 +302,27 @@ def metric_profile(g: Graph) -> MetricProfile:
 
     Grows every node's ball at once with the bit-parallel kernel
     :func:`_balls`, one round per hop, once per graph: the immutable profile
-    is kept on ``g`` and every later call returns that same object.  Raises
-    :class:`NotConnectedError` on disconnected input, on every call;
-    callers wanting the giant component should apply
+    is kept on ``g`` and every later call returns that same object.  The
+    same run's coverage generation, every node's (radius-1)-ball (its 0-ball
+    at radius 1 or less), is kept on ``g`` beside it as a tuple, for the
+    broker heuristics, their verification and the broker oracle.  So the
+    s-* heuristics and ``imp-center`` run no kernel inside their timer; the
+    default CSVs, which carry no timings, are unchanged.  Raises
+    :class:`NotConnectedError` on disconnected input, on every call, and
+    keeps nothing; callers wanting the giant component should apply
     :func:`largest_connected_component` first.
     """
     if g._profile is None:
         if g.n == 0:
             raise NotConnectedError("graph not connected: no nodes")
-        ecc, _ = _balls(g.adj)
+        ecc, _, cover = _balls(g.adj)
         if min(ecc) < 0:
             raise NotConnectedError("graph not connected")
         radius = min(ecc)
         diameter = max(ecc)
         center = NodeSet(v for v in range(g.n) if ecc[v] == radius)
         periphery = NodeSet(v for v in range(g.n) if ecc[v] == diameter)
+        object.__setattr__(g, "_coverage", tuple(cover))
         object.__setattr__(g, "_profile", MetricProfile(tuple(ecc), radius, diameter, center, periphery))
     return g._profile
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from tieset import broker
+from tieset import broker, graph
 from tieset.broker import (
     AlgorithmReport,
     BrokerHeuristic,
@@ -143,6 +143,24 @@ def test_s_btw_runs_betweenness_once_whatever_the_number_of_picks(monkeypatch):
     assert events == ["btw", "clock", "btw", "clock"]
 
 
+def test_coverage_readers_start_no_kernel_run_after_the_profile(monkeypatch):
+    g = random_connected(14, 4, 5)
+    metric_profile(g)  # the one run, which keeps the coverage balls on g
+    runs = []
+    kernel = graph._balls
+
+    def counting(adj, keep=(), rounds=None):
+        runs.append(adj == g.adj)
+        return kernel(adj, keep, rounds)
+
+    monkeypatch.setattr(graph, "_balls", counting)
+    assert metric_profile(g).radius > 1
+    for h in BrokerHeuristic:
+        assert run_heuristic(g, h, verify=True).valid is True
+    assert is_broker_set(g, brute_force_min_broker(g))
+    assert not any(runs)  # imp-center's component profiles run the kernel on subgraphs only
+
+
 def test_min_broker_path5():
     s = brute_force_min_broker(P5)
     assert s == NodeSet([0, 3])  # lexicographically first of the size-2 minima
@@ -161,6 +179,9 @@ def test_min_broker_cap_exceeded_is_distinct():
         brute_force_min_broker(P5, size_cap=1)
     with pytest.raises(GraphError):
         brute_force_min_broker(build_graph(3, [(0, 1)]))
+    for cap in (0, -1):  # no search is made at all
+        with pytest.raises(GraphError, match="size cap must be >= 1"):
+            brute_force_min_broker(P5, size_cap=cap)
 
 
 def test_min_dominating_examples():

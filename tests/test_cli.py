@@ -139,6 +139,14 @@ def test_oracle_cap_exit_code(tmp_path):
     assert main(["oracle", path, "--target", "broker", "--cap", "1"]) == EXIT_CAP
 
 
+@pytest.mark.parametrize("target", [["broker"], ["delta", "--delta", "3"]], ids=["broker", "delta"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_below_one_is_a_precondition_error(tmp_path, capsys, target, cap):
+    path = _edge_file(tmp_path, path_graph(5))
+    assert main(["oracle", path, "--target", *target, "--cap", cap]) == EXIT_PRECONDITION
+    assert f"size cap must be >= 1, got {cap}" in capsys.readouterr().err
+
+
 def test_oracle_delta_requires_delta(tmp_path):
     path = _edge_file(tmp_path, path_graph(5))
     assert main(["oracle", path, "--target", "delta"]) == EXIT_PRECONDITION
@@ -167,8 +175,9 @@ def test_experiment_3_rejects_bad_dataset_spec(tmp_path):
 
 
 # a count below one, or an empty list of sizes, depths or datasets, leaves nothing to run;
-# experiment 2 also refuses graphs too large for its exhaustive oracle, and experiment 3
-# a budget that is not 0 or a finite number of seconds up to 2,147,483.647 (the CLI contract)
+# experiment 2 also refuses graphs too large for its exhaustive oracle and an oracle cap
+# below one, experiment 5 a negative depth, and experiment 3 a budget that is not 0 or a
+# finite number of seconds up to 2,147,483.647 (the CLI contract)
 EMPTY_EXPERIMENTS = [
     *(pytest.param([number, "--sizes", "8", "--count", count], "count", id=f"{count}-{number}")
       for number in ("1", "2", "4") for count in ("0", "-1")),
@@ -176,6 +185,9 @@ EMPTY_EXPERIMENTS = [
     *(pytest.param([number], "datasets", id=f"no-dataset-{number}") for number in ("3", "5")),
     pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", ","], "i-range", id="no-i-range-5"),
     pytest.param(["2", "--sizes", "8,15"], "sizes must stay <= 14", id="oracle-size-2"),
+    *(pytest.param(["2", "--oracle-cap", cap], "oracle cap must be >= 1", id=f"oracle-cap-{cap}-2")
+      for cap in ("0", "-1")),
+    pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", "1,-1"], "--i-range", id="negative-i-5"),
     *(pytest.param(["3", "--dataset", "d=missing.txt", "--timeout", timeout], "timeout must be",
                    id=f"timeout-{timeout}-3")
       for timeout in ("inf", "1e400", "1e9", "1e20", "2147483.648", "nan", "-5")),

@@ -72,6 +72,9 @@ def test_min_delta_enabling_rejects_delta_below_two():
 def test_min_delta_enabling_cap_exceeded():
     with pytest.raises(CapExceededError):
         brute_force_min_delta_enabling(C6, 3, size_cap=1)
+    for cap in (0, -1):  # no search is made at all
+        with pytest.raises(GraphError, match="size cap must be >= 1"):
+            brute_force_min_delta_enabling(C6, 3, size_cap=cap)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])

@@ -30,6 +30,7 @@ from tieset.graph import (
     NodeSet,
     NotConnectedError,
     _balls,
+    _balls_of_radius,
     _bfs,
     _brandes,
     augment,
@@ -56,6 +57,7 @@ from util import (
     ref_cp_algorithm,
     ref_min_dominating,
     ref_periphery_algorithm,
+    star_graph,
 )
 
 
@@ -226,21 +228,38 @@ def _disjoint_union(a: Graph, b: Graph) -> Graph:
 @settings(max_examples=60)
 @given(family_graphs(), st.integers(0, 6))
 def test_kernel_matches_floyd_warshall(g, r):
-    ecc, kept = _balls(g.adj, keep=(r,))
+    ecc, kept, cover = _balls(g.adj, keep=(r,))
     assert ecc == fw_eccentricities(g)
     d = fw_distances(g)
+    coverage_radius = max(min(ecc) - 1, 0)
     for v in range(g.n):
         assert kept[r][v] == sum(1 << w for w in range(g.n) if d[v][w] <= r)
+        assert cover[v] == sum(1 << w for w in range(g.n) if d[v][w] <= coverage_radius)
+
+
+@settings(max_examples=60)
+@given(family_graphs())
+@example(path_graph(1))
+@example(path_graph(2))
+@example(path_graph(9))
+@example(cycle_graph(8))
+@example(star_graph(6))
+@example(complete_graph(5))
+def test_profile_keeps_the_coverage_generation(g):
+    radius = metric_profile(g).radius
+    assert g._coverage == tuple(_balls_of_radius(g.adj, max(radius - 1, 0)))
+    assert broker._coverage_balls(g) is g._coverage
 
 
 @settings(max_examples=30)
 @given(family_graphs(max_n=12), family_graphs(max_n=12))
 def test_kernel_marks_disconnected_nodes(a, b):
     g = _disjoint_union(a, b)
-    ecc, _ = _balls(g.adj)
-    assert ecc == [-1] * g.n
+    ecc, _, cover = _balls(g.adj)
+    assert ecc == [-1] * g.n and cover is None
     with pytest.raises(NotConnectedError, match="graph not connected"):
         metric_profile(g)
+    assert g._profile is None and g._coverage is None  # the failed profile keeps nothing
 
 
 @settings(max_examples=60)
