@@ -11,6 +11,7 @@ graph models, a hardness-reduction gadget, and a CSV experiment harness.
 __version__ = "0.1.0"
 
 from .graph import (
+    CapExceededError,
     Graph,
     GraphError,
     MetricProfile,
@@ -32,7 +33,6 @@ from .graph import (
 from .broker import (
     AlgorithmReport,
     BrokerHeuristic,
-    CapExceededError,
     broker_decision,
     brute_force_min_broker,
     brute_force_min_dominating,

@@ -18,6 +18,7 @@ from operator import or_
 from typing import Iterable
 
 from .graph import (
+    CapExceededError,
     Graph,
     GraphError,
     NodeSet,
@@ -33,10 +34,6 @@ from .graph import (
     MetricProfile,
     validated_members,
 )
-
-
-class CapExceededError(RuntimeError):
-    """A brute-force search hit its size cap before finding a witness."""
 
 
 class BrokerHeuristic(str, Enum):
@@ -64,12 +61,8 @@ class AlgorithmReport:
 
     ``valid`` is the broker-set verification result, or None when the run was
     made with ``verify=False`` (useful on graphs too large to re-check).
-    ``elapsed`` is the heuristic's own wall-clock time in seconds, without
-    what :func:`_fill_untimed` keeps on the graph first, which
-    ``experiments.run_with_timeout`` leaves outside its budget too.  That
-    includes the coverage balls, kept by :func:`metric_profile`, so the s-*
-    heuristics and ``imp-center`` time no kernel run; the default CSVs carry
-    no timings and are unchanged.
+    ``elapsed`` is the heuristic's own wall-clock time in seconds, timed as
+    :func:`_fill_untimed` says.
     """
 
     heuristic: BrokerHeuristic
@@ -90,9 +83,8 @@ def _coverage_balls(g: Graph) -> tuple[int, ...]:
     """Mask of the nodes each node covers: its (radius-1)-ball, or itself alone if radius <= 1.
 
     The generation :func:`metric_profile` keeps on ``g`` from its own kernel
-    run, so no caller starts one; the s-* heuristics and ``imp-center`` thus
-    time none, and the default CSVs are unchanged.  Raises
-    :class:`NotConnectedError` on disconnected input.
+    run, so no caller starts one.  Raises :class:`NotConnectedError` on
+    disconnected input.
     """
     metric_profile(g)
     return g._coverage
@@ -175,10 +167,12 @@ def run_heuristic(
 
 
 def _fill_untimed(g: Graph, h: BrokerHeuristic) -> None:
-    """Keep on ``g`` what a run of ``h`` reads outside its timer and outside ``run_with_timeout``'s
-    budget: the metric profile with the coverage balls of its kernel run (so the s-* heuristics
-    and ``imp-center`` time no kernel run, and the default CSVs are unchanged) and, for
-    ``btw``/``s-btw`` at radius above 1, the betweenness.
+    """Keep on ``g`` what a run of ``h`` reads but does not time.
+
+    That is the metric profile with the coverage balls of its kernel run
+    and, for ``btw``/``s-btw`` at radius above 1, the betweenness.  A run's
+    ``elapsed`` and ``experiments.run_with_timeout``'s budget both leave
+    them out, so the s-* heuristics and ``imp-center`` time no kernel run.
     """
     if metric_profile(g).radius > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
         betweenness(g)
@@ -340,37 +334,29 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
     """Smallest broker set, by exhaustive size-ordered subset search.
 
     Returns the lexicographically first minimum.  Intended for small graphs;
-    ``size_cap`` bounds the subset size, and exceeding it raises
-    :class:`CapExceededError` (on two or more nodes a broker set of size n
-    always exists, so with an unbounded cap the search then succeeds); a
-    cap below 1 raises :class:`GraphError`.  A subset is a broker set iff
+    ``size_cap`` bounds the subset size as :func:`_covering_subsets` says
+    (on two or more nodes a broker set of size n always exists, so with an
+    unbounded cap the search then succeeds).  A subset is a broker set iff
     its members' (radius-1)-balls cover every node, so each test is k ORs of
     the masks :func:`metric_profile` keeps on the graph.
     """
-    if size_cap is not None and size_cap < 1:
-        raise GraphError(f"size cap must be >= 1, got {size_cap}")
     radius = metric_profile(g).radius  # also rejects disconnected input
-    cap = g.n if size_cap is None else min(size_cap, g.n)
     # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0
     cover = _coverage_balls(g) if radius else [0] * g.n
-    for subset, _ in _covering_subsets(cover, 0, cap):
-        return NodeSet(subset)
-    raise CapExceededError(f"no broker set of size <= {cap} found")
+    return NodeSet(next(_covering_subsets(cover, 0, size_cap, "broker set"))[0])
 
 
 def brute_force_min_dominating(g: Graph) -> NodeSet:
     """Smallest dominating set (its members' 1-balls cover every node), lexicographically first."""
-    for subset, _ in _covering_subsets(_balls_of_radius(g.adj, 1), 0, g.n):
-        return NodeSet(subset)
-    return NodeSet(())  # n = 0 only
+    if not g.n:  # the empty set dominates the empty graph
+        return NodeSet(())
+    return NodeSet(next(_covering_subsets(_balls_of_radius(g.adj, 1), 0, None, "dominating set"))[0])
 
 
 def broker_decision(g: Graph, k: int) -> bool:
-    """Decide whether the graph has a broker set of size at most ``k``."""
-    if k < 1:
-        raise GraphError(f"target size must be >= 1, got {k}")
+    """Decide whether the graph has a broker set of size at most ``k`` (at least 1)."""
     try:
-        brute_force_min_broker(g, size_cap=min(k, g.n))
+        brute_force_min_broker(g, size_cap=k)
     except CapExceededError:
         return False
     return True

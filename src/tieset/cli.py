@@ -12,18 +12,14 @@ import sys
 import time
 
 from . import __version__, experiments
-from .broker import (
-    BrokerHeuristic,
-    CapExceededError,
-    brute_force_min_broker,
-    brute_force_min_dominating,
-    run_heuristic,
-)
+from .broker import BrokerHeuristic, brute_force_min_broker, brute_force_min_dominating, run_heuristic
 from .datasets import DatasetDescriptor, EdgeListFormatError, load_edge_list, write_edge_list
-from .diameter import brute_force_min_delta_enabling, cp_algorithm, periphery_algorithm
+from .diameter import REDUCTIONS, brute_force_min_delta_enabling
 from .experiments import RunTimedOut
-from .generators import BA, NWS, RandomModelParams, generate, reduction_gadget
-from .graph import GraphError, metric_profile
+from .generators import (
+    BA, DEFAULT_BA_M, DEFAULT_NWS_K, DEFAULT_NWS_P, NWS, RandomModelParams, generate, reduction_gadget
+)
+from .graph import CapExceededError, GraphError, metric_profile
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -67,9 +63,8 @@ def _cmd_broker(args) -> int:
 
 def _cmd_diam(args) -> int:
     g, _ = load_edge_list(args.path, giant=args.giant)
-    fn = periphery_algorithm if args.alg == "periphery" else cp_algorithm
     t0 = time.perf_counter()
-    report = fn(g, args.delta, args.seed)
+    report = REDUCTIONS[args.alg](g, args.delta, args.seed)
     elapsed = time.perf_counter() - t0
     print(f"algorithm: {args.alg}")
     print(f"edges added: {report.edges_added}")
@@ -80,10 +75,7 @@ def _cmd_diam(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.model == BA:
-        params = RandomModelParams(BA, args.n, args.seed, ba_m=args.ba_m)
-    else:
-        params = RandomModelParams(NWS, args.n, args.seed, nws_k=args.nws_k, nws_p=args.nws_p)
+    params = RandomModelParams(args.model, args.n, args.seed, ba_m=args.ba_m, nws_k=args.nws_k, nws_p=args.nws_p)
     g = generate(params)
     write_edge_list(
         args.out,
@@ -110,7 +102,16 @@ def _cmd_gadget(args) -> int:
     return EXIT_OK
 
 
+# the flags each oracle target reads, of --delta and --cap
+_ORACLE_FLAGS = {"broker": ("--cap",), "dom": (), "delta": ("--delta", "--cap")}
+
+
 def _cmd_oracle(args) -> int:
+    given = [flag for flag in ("--delta", "--cap") if getattr(args, flag[2:]) is not None]
+    unused = [flag for flag in given if flag not in _ORACLE_FLAGS[args.target]]
+    if unused:
+        print(f"tieset: oracle --target {args.target} takes no {', '.join(unused)}", file=sys.stderr)
+        return EXIT_INPUT
     g, _ = load_edge_list(args.path, giant=args.giant)
     if args.target == "broker":
         s = brute_force_min_broker(g, size_cap=args.cap)
@@ -173,16 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diam", help="reduce the combined diameter to a target")
     add_graph_arg(p)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--alg", required=True, choices=["periphery", "cp"])
+    p.add_argument("--alg", required=True, choices=list(REDUCTIONS))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_diam)
 
     p = sub.add_parser("gen", help="generate a seeded random graph")
     p.add_argument("--model", required=True, choices=[BA, NWS])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ba-m", type=int, default=experiments.DEFAULT_BA_M)
-    p.add_argument("--nws-k", type=int, default=experiments.DEFAULT_NWS_K)
-    p.add_argument("--nws-p", type=float, default=experiments.DEFAULT_NWS_P)
+    p.add_argument("--ba-m", type=int, default=DEFAULT_BA_M)
+    p.add_argument("--nws-k", type=int, default=DEFAULT_NWS_K)
+    p.add_argument("--nws-p", type=float, default=DEFAULT_NWS_P)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen)
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact minimum by exhaustive search")
     add_graph_arg(p)
-    p.add_argument("--target", required=True, choices=["broker", "dom", "delta"])
+    p.add_argument("--target", required=True, choices=list(_ORACLE_FLAGS))
     p.add_argument("--delta", type=int)
     p.add_argument("--cap", type=int, help="subset-size cap for the search")
     p.set_defaults(fn=_cmd_oracle)

@@ -19,6 +19,7 @@ from .graph import (
     GraphError,
     NodeSet,
     _balls,
+    _balls_of_radius,
     _bfs,
     _bits,
     _covering_subsets,
@@ -26,7 +27,6 @@ from .graph import (
     is_complete,
     metric_profile,
 )
-from .broker import CapExceededError
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,15 +39,14 @@ class DeltaReport:
     iterations: int
 
 
-def _diameter_at_most(g: Graph, bound: int) -> bool:
-    # every ball must be full after `bound` rounds
-    ecc, _, _ = _balls(g.adj, rounds=bound)
-    return min(ecc, default=0) >= 0
-
-
 def is_delta_enabling(g: Graph, s: NodeSet | Iterable[int], delta: int) -> bool:
-    """True iff the graph joined with a newcomer tied to ``s`` has diameter <= delta."""
-    return _diameter_at_most(augment(g, s), delta)
+    """True iff the graph joined with a newcomer tied to ``s`` has diameter <= delta.
+
+    That is, iff every node's delta-ball in the combined graph holds every node.
+    """
+    h = augment(g, s)
+    full = (1 << h.n) - 1
+    return all(ball == full for ball in _balls_of_radius(h.adj, delta))
 
 
 def preserve_diameter(g: Graph) -> NodeSet:
@@ -74,8 +73,8 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
 
     ``delta`` must be at least 2 (tying to all nodes always reaches diameter
     2, so an answer exists; below 2 none may).  Lexicographically first
-    minimum; :class:`CapExceededError` when ``size_cap`` cuts the search off,
-    and :class:`GraphError` when it is below 1.
+    minimum; ``size_cap`` bounds the subset size as
+    :func:`_covering_subsets` says.
 
     The host's balls of radius 0..delta are computed once.  A subset S is
     then tested with the augmentation law d_H(x, y) = min(d(x, y),
@@ -87,11 +86,9 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     """
     if delta < 2:
         raise GraphError(f"target diameter must be >= 2, got {delta}")
-    if size_cap is not None and size_cap < 1:
-        raise GraphError(f"size cap must be >= 1, got {size_cap}")
     metric_profile(g)  # rejects disconnected input
     n = g.n
-    _, balls, _ = _balls(g.adj, range(delta + 1), delta)
+    _, balls, _ = _balls(g.adj, range(delta + 1))
     full = (1 << n) - 1
     # each node's balls of radius 0..delta-1 in one int, radius t at bit
     # offset t*n, so one OR over S's members yields all of S's t-balls
@@ -104,11 +101,10 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
         for x, b in enumerate(balls[delta])
         if b != full
     ]
-    cap = n if size_cap is None else min(size_cap, n)
-    for subset, s_balls in _covering_subsets(packed, (delta - 1) * n, cap):
+    # the search raises CapExceededError once no subset is left
+    for subset, s_balls in _covering_subsets(packed, (delta - 1) * n, size_cap, "delta-enabling set"):
         if _far_pairs_bridged(s_balls, far):
             return NodeSet(subset)
-    raise CapExceededError(f"no delta-enabling set of size <= {cap} found")
 
 
 def _far_pairs_bridged(s_balls: int, far: list[list[tuple[int, int]]]) -> bool:
@@ -225,8 +221,9 @@ class _Joined:
 
 
 def _report(g: Graph, s: set[int], iterations: int) -> DeltaReport:
-    """The report of a finished run; one profile of the combined graph gives its exact diameter."""
-    return DeltaReport(NodeSet(s), len(s), metric_profile(augment(g, s)).diameter, iterations)
+    """The report of a finished run; one kernel run on the combined graph gives its exact diameter."""
+    ecc, _, _ = _balls(augment(g, s).adj)
+    return DeltaReport(NodeSet(s), len(s), max(ecc), iterations)
 
 
 def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -240,7 +237,7 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     Cost per call: one kernel run on g for its balls of radius
     min(delta, diam-1)..diam, then per tie one BFS that lowers the distances
     to the tie set plus mask tests on the nodes still farther than delta from
-    some node, and one profile of the final combined graph for the exact
+    some node, and one kernel run on the final combined graph for the exact
     ``achieved_diameter``.  Memory: diam - min(delta, diam-1) + 1 kept mask
     generations of up to n^2/8 bytes each, full masks sharing one int.
     """
@@ -284,7 +281,7 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     min(delta, diam-1)..diam, then per tie one BFS that lowers the distances
     to the tie set, one BFS from the picked node for the eccentricity check,
     and mask tests on the nodes still farther than delta from some node;
-    one profile of the final combined graph gives the exact
+    one kernel run on the final combined graph gives the exact
     ``achieved_diameter``.  Memory as for :func:`periphery_algorithm`.
     """
     _check_reduction_args(g, delta)
@@ -313,3 +310,12 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
                 f"> original radius {profile.radius} + 2"
             )
     return _report(g, s, iterations)
+
+
+# reduction name -> run(g, delta, seed), for ``tieset diam --alg`` and
+# experiments 4 and 5.  The entries look the algorithms up by name when they
+# run, so a rebound module attribute is seen.
+REDUCTIONS = {
+    "periphery": lambda g, delta, seed: periphery_algorithm(g, delta, seed),
+    "cp": lambda g, delta, seed: cp_algorithm(g, delta, seed),
+}

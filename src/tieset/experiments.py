@@ -25,19 +25,14 @@ from statistics import fmean
 from typing import Sequence
 
 from . import __version__
-from .broker import (
-    AlgorithmReport, BrokerHeuristic, CapExceededError, _fill_untimed, brute_force_min_broker, run_heuristic
-)
+from .broker import AlgorithmReport, BrokerHeuristic, _fill_untimed, brute_force_min_broker, run_heuristic
 from .datasets import DatasetDescriptor, load_edge_list
-from .diameter import cp_algorithm, periphery_algorithm
+from .diameter import REDUCTIONS
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import Graph, GraphError, _fork, largest_connected_component, metric_profile
+from .graph import CapExceededError, Graph, GraphError, _fork, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BA_M = 2
-DEFAULT_NWS_K = 4
-DEFAULT_NWS_P = 0.1
 DEFAULT_TIMEOUT_S = 600.0
 ORACLE_MAX_N = 14  # experiment 2's largest graph: the exhaustive oracle is exponential in n
 
@@ -123,14 +118,6 @@ def write_csv(
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
-def default_model_params(model: str, n: int, seed: int) -> RandomModelParams:
-    if model == BA:
-        return RandomModelParams(BA, n, seed, ba_m=DEFAULT_BA_M)
-    if model == NWS:
-        return RandomModelParams(NWS, n, seed, nws_k=DEFAULT_NWS_K, nws_p=DEFAULT_NWS_P)
-    raise GraphError(f"unknown model {model!r}")
-
-
 def _require(name: str, values: Sequence) -> None:
     if not values:
         raise GraphError(f"{name} must not be empty")
@@ -186,7 +173,7 @@ def _run_generated(
         raise GraphError(f"graph count per cell must be >= 1, got {count}")
     records: list[ExperimentRecord] = []
     for index, (model, n, j) in enumerate(itertools.product(models, sizes, range(count))):
-        params = default_model_params(model, n, split_seed(master_seed, index))
+        params = RandomModelParams(model, n, split_seed(master_seed, index))
         g = generate(params)
         records.extend(rows(f"{model}-n{n}-{j:03d}", params, g))
     if summary is not None:
@@ -195,7 +182,7 @@ def _run_generated(
         "experiment": experiment,
         "master-seed": str(master_seed),
         "seed-split": "splitmix64(master-seed, graph-index)",
-        "models": ", ".join(default_model_params(model, 10, 0).label() for model in models),
+        "models": ", ".join(RandomModelParams(model, 10, 0).label() for model in models),
         "sizes": ",".join(str(s) for s in sizes),
         "per-cell": str(count),
     }
@@ -428,7 +415,7 @@ def run_experiment_3(
 def _reduction_rows(experiment, graph_id, source, g, delta, seed) -> list[ExperimentRecord]:
     """One row each for ``periphery`` then ``cp`` reducing ``g`` to diameter ``delta``."""
     rows = []
-    for alg, fn in (("periphery", periphery_algorithm), ("cp", cp_algorithm)):
+    for alg, fn in REDUCTIONS.items():
         t0 = time.perf_counter()
         report = fn(g, delta, seed)
         elapsed = time.perf_counter() - t0

@@ -15,6 +15,9 @@ from .graph import Graph, GraphError, NodeSet, build_graph, metric_profile
 
 BA = "ba"
 NWS = "nws"
+DEFAULT_BA_M = 2
+DEFAULT_NWS_K = 4
+DEFAULT_NWS_P = 0.1
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,25 +27,27 @@ class RandomModelParams:
     ``ba`` grows a scale-free graph by preferential attachment (``ba_m``
     edges per new node); ``nws`` overlays random shortcuts on a ring lattice
     of even degree ``nws_k`` with per-edge shortcut probability ``nws_p``.
+    Only the model's own parameters are checked; each defaults to the value
+    the experiments use.
     """
 
     model: str
     n: int
     seed: int
-    ba_m: int | None = None
-    nws_k: int | None = None
-    nws_p: float | None = None
+    ba_m: int = DEFAULT_BA_M
+    nws_k: int = DEFAULT_NWS_K
+    nws_p: float = DEFAULT_NWS_P
 
     def __post_init__(self) -> None:
         if self.model not in (BA, NWS):
             raise GraphError(f"unknown model {self.model!r}, expected 'ba' or 'nws'")
         if self.model == BA:
-            if self.ba_m is None or not 1 <= self.ba_m < self.n:
+            if not 1 <= self.ba_m < self.n:
                 raise GraphError(f"ba needs 1 <= ba_m < n, got ba_m={self.ba_m}, n={self.n}")
         else:
-            if self.nws_k is None or self.nws_k % 2 or not 2 <= self.nws_k < self.n:
+            if self.nws_k % 2 or not 2 <= self.nws_k < self.n:
                 raise GraphError(f"nws needs even 2 <= nws_k < n, got nws_k={self.nws_k}, n={self.n}")
-            if self.nws_p is None or not 0.0 <= self.nws_p <= 1.0:
+            if not 0.0 <= self.nws_p <= 1.0:
                 raise GraphError(f"nws needs 0 <= nws_p <= 1, got {self.nws_p}")
 
     def label(self) -> str:

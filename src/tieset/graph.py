@@ -30,6 +30,10 @@ class NotConnectedError(GraphError):
     """Raised by metric operations that require a connected graph."""
 
 
+class CapExceededError(RuntimeError):
+    """A brute-force search hit its size cap before finding a witness."""
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph: ``n`` nodes, sorted adjacency, ``m`` edges.
@@ -176,29 +180,23 @@ def _bfs(
 
 
 def _balls(
-    adj: tuple[tuple[int, ...], ...],
-    keep: Iterable[int] = (),
-    rounds: int | None = None,
+    adj: tuple[tuple[int, ...], ...], keep: Iterable[int] = ()
 ) -> tuple[list[int], dict[int, list[int]], list[int] | None]:
     """Bit-parallel BFS from every node at once (Akiba, Iwata & Yoshida 2013).
 
     Node v's r-ball is a Python int with bit w set iff d(v, w) <= r.  Round
     r+1 computes ball_{r+1}[v] = ball_r[v] | OR of ball_r[w] over w in N(v).
-    Returns ``(ecc, kept, cover)``: ``ecc[v]`` is the first round at which
-    v's mask is full (-1 if it never is within the rounds run, e.g. on
-    disconnected input), and ``kept[r]`` is the list of r-ball masks for
-    each r in ``keep`` (at most ``rounds``).  Runs until every mask is full
-    or a round changes nothing, or for at most ``rounds`` rounds; a kept
-    radius past the last round gets the final, stable generation.
+    The kernel runs until every mask is full or a round changes nothing, or
+    only up to the largest radius in ``keep`` if that comes first.
 
-    ``cover`` is the generation in force just before the first round in
-    which some mask is full, i.e. the (radius-1)-balls, or the 0-balls when
-    the radius is at most 1: the coverage balls of sub-radius domination,
-    which :func:`metric_profile` keeps on the graph so that the broker
-    heuristics, their verification and the broker oracle run no kernel of
-    their own.  So the s-* heuristics and ``imp-center`` time none inside
-    their timer; the default CSVs, which carry no timings, are unchanged.
-    ``cover`` is None when no mask becomes full within the rounds run.
+    Returns ``(ecc, kept, cover)``.  ``ecc[v]`` is the first round at which
+    v's mask is full, or -1 if it is not full by the last round run (as on
+    disconnected input).  ``kept[r]`` is the list of r-ball masks for each r
+    in ``keep``; a radius past the last round gets the final, stable
+    generation.  ``cover`` is the generation in force just before the first
+    round in which some mask is full, i.e. the (radius-1)-balls, or the
+    0-balls when the radius is at most 1: the coverage balls of sub-radius
+    domination.  It is None when no mask becomes full.
 
     Memory is up to n^2/8 bytes per mask generation: two while running, plus
     one per kept radius, plus ``cover`` from the radius round on.  Full
@@ -207,8 +205,8 @@ def _balls(
     """
     n = len(adj)
     full = (1 << n) - 1
-    rounds = n if rounds is None else rounds  # n-1 rounds reach every node
     keep = set(keep)
+    last = max(keep, default=n)  # n-1 rounds reach every node
     kept: dict[int, list[int]] = {}
     ecc = [-1] * n
     ball = [1 << v for v in range(n)]
@@ -230,7 +228,7 @@ def _balls(
         pending = still
         if r in keep:
             kept[r] = ball
-        if not pending or r >= rounds:
+        if not pending or r >= last:
             break
         grown = ball[:]
         changed = False
@@ -252,7 +250,7 @@ def _balls(
 
 def _balls_of_radius(adj: tuple[tuple[int, ...], ...], radius: int) -> list[int]:
     """Every node's ``radius``-ball mask (see :func:`_balls`)."""
-    return _balls(adj, (radius,), radius)[1][radius]
+    return _balls(adj, (radius,))[1][radius]
 
 
 def _bits(mask: int) -> list[int]:
@@ -260,18 +258,28 @@ def _bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
-def _covering_subsets(masks: Sequence[int], shift: int, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(subset, union)`` for each subset of at most ``cap`` of the n = len(masks) nodes
+def _covering_subsets(
+    masks: Sequence[int], shift: int, size_cap: int | None, what: str
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(subset, union)`` for each subset of at most ``size_cap`` of the n = len(masks) nodes
     whose masks' OR, ``union``, has all n bits set from bit ``shift`` up; smallest subsets
     first, lexicographic within a size, so the first is the lexicographically first minimum.
+
+    The exhaustive oracles' one cap rule: a cap of None means n, a larger one
+    is cut to n, and one below 1 raises :class:`GraphError`.  When no subset
+    is left it raises :class:`CapExceededError`, naming the ``what`` it sought.
     """
     n = len(masks)
+    if size_cap is not None and size_cap < 1:
+        raise GraphError(f"size cap must be >= 1, got {size_cap}")
+    cap = n if size_cap is None else min(size_cap, n)
     full = (1 << n) - 1
     for k in range(1, cap + 1):
         for subset, chosen in zip(combinations(range(n), k), combinations(masks, k)):
             union = reduce(or_, chosen)
             if union >> shift == full:
                 yield subset, union
+    raise CapExceededError(f"no {what} of size <= {cap} found")
 
 
 def validated_members(g: Graph, s: NodeSet | Iterable[int]) -> tuple[int, ...]:
@@ -305,9 +313,7 @@ def metric_profile(g: Graph) -> MetricProfile:
     is kept on ``g`` and every later call returns that same object.  The
     same run's coverage generation, every node's (radius-1)-ball (its 0-ball
     at radius 1 or less), is kept on ``g`` beside it as a tuple, for the
-    broker heuristics, their verification and the broker oracle.  So the
-    s-* heuristics and ``imp-center`` run no kernel inside their timer; the
-    default CSVs, which carry no timings, are unchanged.  Raises
+    broker heuristics, their verification and the broker oracle.  Raises
     :class:`NotConnectedError` on disconnected input, on every call, and
     keeps nothing; callers wanting the giant component should apply
     :func:`largest_connected_component` first.

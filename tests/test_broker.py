@@ -149,9 +149,9 @@ def test_coverage_readers_start_no_kernel_run_after_the_profile(monkeypatch):
     runs = []
     kernel = graph._balls
 
-    def counting(adj, keep=(), rounds=None):
+    def counting(adj, keep=()):
         runs.append(adj == g.adj)
-        return kernel(adj, keep, rounds)
+        return kernel(adj, keep)
 
     monkeypatch.setattr(graph, "_balls", counting)
     assert metric_profile(g).radius > 1

@@ -147,6 +147,20 @@ def test_oracle_cap_below_one_is_a_precondition_error(tmp_path, capsys, target, 
     assert f"size cap must be >= 1, got {cap}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, target, unused", [
+    pytest.param(["--cap", "1"], "dom", "--cap", id="dom-cap"),
+    pytest.param(["--delta", "3"], "dom", "--delta", id="dom-delta"),
+    pytest.param(["--delta", "3", "--cap", "2"], "dom", "--delta, --cap", id="dom-delta-cap"),
+    pytest.param(["--delta", "3"], "broker", "--delta", id="broker-delta"),
+    pytest.param(["--delta", "3", "--cap", "2"], "broker", "--delta", id="broker-delta-cap"),
+])
+def test_oracle_flags_the_target_does_not_read_are_input_errors(tmp_path, capsys, flags, target, unused):
+    missing = str(tmp_path / "never-read.txt")  # refused before the file is read
+    assert main(["oracle", missing, "--target", target, *flags]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"tieset: oracle --target {target} takes no {unused}\n" and captured.out == ""
+
+
 def test_oracle_delta_requires_delta(tmp_path):
     path = _edge_file(tmp_path, path_graph(5))
     assert main(["oracle", path, "--target", "delta"]) == EXIT_PRECONDITION

@@ -169,15 +169,23 @@ def test_reductions_run_the_kernel_a_fixed_number_of_times_whatever_the_rounds(g
     runs = []
     kernel = graph._balls
 
-    def counting(adj, keep=(), rounds=None):
+    def counting(adj, keep=()):
         runs.append(len(adj))
-        return kernel(adj, keep, rounds)
+        return kernel(adj, keep)
 
+    profiled = []
+    profile = diameter.metric_profile
     monkeypatch.setattr(graph, "_balls", counting)
     monkeypatch.setattr(diameter, "_balls", counting)
+    monkeypatch.setattr(diameter, "metric_profile", lambda f: profiled.append(f) or profile(f))
     for fn in (periphery_algorithm, cp_algorithm):
         runs.clear()
+        profiled.clear()
         report = fn(g, delta, 1)
         assert report.iterations >= 3
-        # g's balls from radius min(delta, diam-1) up, then the final combined graph's profile
+        # g's balls from radius min(delta, diam-1) up, then one run on the final combined graph
         assert runs == [g.n, g.n + 1], fn.__name__
+        # that run gives the exact diameter, and no graph but g is profiled
+        assert report.achieved_diameter == metric_profile(augment(g, report.s)).diameter
+        assert profiled and all(f is g for f in profiled), fn.__name__
+

@@ -133,10 +133,10 @@ def test_experiment_3_computes_the_giant_component_profile_once(tmp_path, monkey
     full_passes = []
     kernel = graph._balls
 
-    def counting(adj, keep=(), rounds=None):
-        if not keep and rounds is None:
+    def counting(adj, keep=()):
+        if not keep:
             full_passes.append(len(adj))
-        return kernel(adj, keep, rounds)
+        return kernel(adj, keep)
 
     monkeypatch.setattr(graph, "_balls", counting)
     d = DatasetDescriptor("tiny", str(_dataset_file(tmp_path, n=60, extra=20)))

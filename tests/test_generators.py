@@ -78,6 +78,14 @@ def test_nws_shortcuts_only_add_edges():
     assert gen_nws(p) == g
 
 
+@pytest.mark.parametrize("n, seed", [(12, 5), (100, 3)])
+def test_model_params_default_to_the_experiment_values(n, seed):
+    assert RandomModelParams(BA, n, seed) == RandomModelParams(BA, n, seed, ba_m=2)
+    assert RandomModelParams(NWS, n, seed) == RandomModelParams(NWS, n, seed, nws_k=4, nws_p=0.1)
+    assert RandomModelParams(BA, n, seed).label() == "ba(m=2)"
+    assert RandomModelParams(NWS, n, seed).label() == "nws(k=4, p=0.1)"
+
+
 def test_generate_dispatches_on_model():
     assert generate(RandomModelParams(BA, 12, 5, ba_m=2)).n == 12
     assert generate(RandomModelParams(NWS, 12, 5, nws_k=4, nws_p=0.2)).n == 12

@@ -1,11 +1,14 @@
 """Property-based checks of the library's structural invariants."""
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tieset
 from tieset import broker
 from tieset.broker import (
     BrokerHeuristic,
@@ -17,7 +20,6 @@ from tieset.broker import (
     run_heuristic,
 )
 from tieset.diameter import (
-    _diameter_at_most,
     brute_force_min_delta_enabling,
     cp_algorithm,
     is_delta_enabling,
@@ -27,12 +29,14 @@ from tieset.diameter import (
 from tieset.generators import BA, NWS, RandomModelParams, generate, reduction_gadget
 from tieset.graph import (
     Graph,
+    GraphError,
     NodeSet,
     NotConnectedError,
     _balls,
     _balls_of_radius,
     _bfs,
     _brandes,
+    _covering_subsets,
     augment,
     betweenness,
     bfs_distances,
@@ -226,15 +230,26 @@ def _disjoint_union(a: Graph, b: Graph) -> Graph:
 
 
 @settings(max_examples=60)
-@given(family_graphs(), st.integers(0, 6))
-def test_kernel_matches_floyd_warshall(g, r):
-    ecc, kept, cover = _balls(g.adj, keep=(r,))
-    assert ecc == fw_eccentricities(g)
+@given(family_graphs())
+def test_kernel_matches_floyd_warshall(g):
+    ecc, kept, cover = _balls(g.adj)  # keeping nothing, it runs until every ball is full
+    assert ecc == fw_eccentricities(g) and kept == {}
     d = fw_distances(g)
     coverage_radius = max(min(ecc) - 1, 0)
     for v in range(g.n):
-        assert kept[r][v] == sum(1 << w for w in range(g.n) if d[v][w] <= r)
         assert cover[v] == sum(1 << w for w in range(g.n) if d[v][w] <= coverage_radius)
+
+
+@settings(max_examples=60)
+@given(family_graphs(), st.integers(0, 6))
+def test_kernel_stops_at_the_largest_kept_radius(g, r):
+    ecc, kept, cover = _balls(g.adj, keep=(r,))
+    fw_ecc = fw_eccentricities(g)
+    assert ecc == [e if e <= r else -1 for e in fw_ecc]  # a ball first full past r is never seen
+    assert (cover is None) == (min(fw_ecc) > r)
+    d = fw_distances(g)
+    for v in range(g.n):
+        assert kept[r][v] == sum(1 << w for w in range(g.n) if d[v][w] <= r)
 
 
 @settings(max_examples=60)
@@ -267,8 +282,38 @@ def test_kernel_marks_disconnected_nodes(a, b):
 def test_diameter_at_most_matches_floyd_warshall(g, data):
     s = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True))
     bound = data.draw(st.integers(0, g.n + 1))
-    h = augment(g, s)
-    assert _diameter_at_most(h, bound) == (max(fw_eccentricities(h)) <= bound)
+    assert is_delta_enabling(g, s, bound) == (max(fw_eccentricities(augment(g, s))) <= bound)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_covering_subsets_follow_the_one_cap_rule(data):
+    n = data.draw(st.integers(1, 6))
+    shift = data.draw(st.integers(0, 3))
+    masks = data.draw(st.lists(st.integers(0, (1 << (n + shift)) - 1), min_size=n, max_size=n))
+    cap = data.draw(st.none() | st.integers(-1, n + 2))
+    search = _covering_subsets(masks, shift, cap, "widget")
+    if cap is not None and cap < 1:
+        with pytest.raises(GraphError, match=f"^size cap must be >= 1, got {cap}$"):
+            next(search)
+        return
+    limit = n if cap is None else min(cap, n)
+    covers = [
+        subset
+        for k in range(1, limit + 1)
+        for subset in combinations(range(n), k)
+        if reduce(or_, (masks[i] for i in subset)) >> shift == (1 << n) - 1
+    ]
+    found = []
+    with pytest.raises(CapExceededError, match=f"^no widget of size <= {limit} found$"):
+        for subset, union in search:
+            assert union == reduce(or_, (masks[i] for i in subset))
+            found.append(subset)
+    assert found == covers  # smallest first, so the first found is the first minimum
+
+
+def test_cap_exceeded_error_is_one_class_on_every_import_path():
+    assert broker.CapExceededError is tieset.CapExceededError is tieset.graph.CapExceededError
 
 
 def _min_broker_by_verifier(g: Graph) -> NodeSet | None:
