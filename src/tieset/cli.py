@@ -74,8 +74,17 @@ def _cmd_diam(args) -> int:
     return EXIT_OK
 
 
+# the generator parameters each model reads; one left out takes the model's default
+_GEN_PARAMS = {BA: ("ba_m",), NWS: ("nws_k", "nws_p")}
+
+
 def _cmd_gen(args) -> int:
-    params = RandomModelParams(args.model, args.n, args.seed, ba_m=args.ba_m, nws_k=args.nws_k, nws_p=args.nws_p)
+    given = [name for names in _GEN_PARAMS.values() for name in names if getattr(args, name) is not None]
+    unused = ", ".join("--" + name.replace("_", "-") for name in given if name not in _GEN_PARAMS[args.model])
+    if unused:
+        print(f"tieset: gen --model {args.model} takes no {unused}", file=sys.stderr)
+        return EXIT_INPUT
+    params = RandomModelParams(args.model, args.n, args.seed, **{name: getattr(args, name) for name in given})
     g = generate(params)
     write_edge_list(
         args.out,
@@ -181,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a seeded random graph")
     p.add_argument("--model", required=True, choices=[BA, NWS])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ba-m", type=int, default=DEFAULT_BA_M)
-    p.add_argument("--nws-k", type=int, default=DEFAULT_NWS_K)
-    p.add_argument("--nws-p", type=float, default=DEFAULT_NWS_P)
+    p.add_argument("--ba-m", type=int, help=f"ba only (default {DEFAULT_BA_M})")
+    p.add_argument("--nws-k", type=int, help=f"nws only (default {DEFAULT_NWS_K})")
+    p.add_argument("--nws-p", type=float, help=f"nws only (default {DEFAULT_NWS_P})")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen)

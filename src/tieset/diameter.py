@@ -21,7 +21,6 @@ from .graph import (
     _balls,
     _balls_of_radius,
     _bfs,
-    _bits,
     _covering_subsets,
     augment,
     is_complete,
@@ -133,28 +132,31 @@ class _Joined:
     x and y, and d_H(x, u) = 1 + d(x, S).  So x reaches every host node within
     t hops in H iff ``ball_t[x] | near[t - 2 - d(x, S)]`` is full, where
     ``near[r]`` holds the nodes within r of S.  The host's balls of radius
-    low..diam(g), low = min(delta, diam(g) - 1), come from one kernel run;
-    each tie then costs one BFS that lowers d(., S) plus a few mask tests.
+    delta-1..diam(g) come from one kernel run.  Each tie then costs one BFS
+    that lowers d(., S), an update of ``near`` from the nodes it lowered,
+    and a few mask tests.  ``near`` ends at its first full entry, so its
+    length is ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
 
-    Only a node whose host eccentricity exceeds delta can end a host pair
-    farther apart than delta in H.  ``far`` maps each node of host
-    eccentricity above ``low`` (those, and the periphery of g when delta =
-    diam(g)) to r(x), the farthest any host node is from x in H; once
-    r(x) <= delta the node is dropped for good, since distances only shrink
-    as S grows.  ``diameter`` is diam(H), exact whenever it exceeds delta.
+    Only a node of host eccentricity at least delta can end a host pair
+    delta or more apart in H; ``wide`` lists them.  ``far`` maps each such
+    node not yet known to be within delta of every host node to r(x), the
+    farthest any host node is from x in H (its host eccentricity before the
+    first tie); once r(x) <= delta the node is dropped for good, since
+    distances only shrink as S grows.  ``diameter`` is diam(H), exact
+    whenever it exceeds delta; :meth:`at_delta` tells delta from less.
     Before the first tie H is g itself.
     """
 
     def __init__(self, g: Graph, delta: int):
         diameter = metric_profile(g).diameter
-        low = min(delta, diameter - 1)
-        ecc, self.balls, _ = _balls(g.adj, range(low, diameter + 1))
+        ecc, self.balls, _ = _balls(g.adj, range(delta - 1, diameter + 1))
         self.adj = g.adj
         self.delta = delta
         self.full = (1 << g.n) - 1
         self.dist = [g.n] * g.n  # d(x, S); n while S is empty, farther than any hop count
         self.near: list[int] = []
-        self.far = {x: e for x, e in enumerate(ecc) if e > low}
+        self.far = {x: e for x, e in enumerate(ecc) if e >= delta}
+        self.wide = list(self.far)
         self.diameter = diameter
 
     def _near(self, r: int) -> int:
@@ -163,17 +165,21 @@ class _Joined:
         return self.near[r] if r < len(self.near) else self.full
 
     def _reaches(self, x: int, t: int) -> bool:
-        """True iff host node x is within t of every host node in H (t >= low)."""
+        """True iff host node x is within t of every host node in H (t >= delta - 1)."""
         return self.balls[t][x] | self._near(t - 2 - self.dist[x]) == self.full
 
     def tie(self, members: Iterable[int]) -> None:
-        """Tie the newcomer to ``members`` as well, and update ``far`` and ``diameter``."""
+        """Tie the newcomer to ``members`` as well, and update ``near``, ``far`` and ``diameter``."""
         dist = self.dist
-        _bfs(self.adj, dist, members)
-        layers = [0] * (max(dist) + 1)
-        for x, d in enumerate(dist):
-            layers[d] |= 1 << x
-        self.near = list(accumulate(layers, or_))
+        lowered = _bfs(self.adj, dist, members)
+        near = self.near or [0] * (1 + max(dist))  # the first tie: every node was n away
+        joined = [0] * len(near)  # the lowered nodes, each at its new distance
+        for x in lowered:
+            joined[dist[x]] |= 1 << x
+        near = [old | new for old, new in zip(near, accumulate(joined, or_))]
+        while len(near) > 1 and near[-2] == self.full:
+            near.pop()
+        self.near = near
         for x in list(self.far):
             t = self.delta
             while not self._reaches(x, t):  # ends by ecc(x): its ball is full there
@@ -182,7 +188,16 @@ class _Joined:
                 self.far[x] = t
             else:
                 del self.far[x]
-        self.diameter = max(1 + max(dist), max(self.far.values(), default=0))
+        self.diameter = max(len(near), max(self.far.values(), default=0))
+
+    def at_delta(self) -> bool:
+        """Once diam(H) <= delta: True iff it equals delta.
+
+        That holds iff the newcomer is delta away from some node, or a node
+        of ``wide`` is not within delta - 1 of every host node.
+        """
+        t = self.delta - 1
+        return len(self.near) > t or not all(self._reaches(x, t) for x in self.wide)
 
     def eccentricity(self, w: int) -> int:
         """ecc_H(w) of host node w, from one BFS from w and the law."""
@@ -196,34 +211,63 @@ class _Joined:
 
         Only while diam(H) > delta, or before the first tie: a node at that
         distance from a host node is in ``far``, one at that distance from
-        the newcomer is d(., S) = diam(H) - 1 away from S.
+        the newcomer is d(., S) = diam(H) - 1 away from S, which only
+        happens when ecc_H(u) = diam(H).
         """
         top = self.diameter
         ends = {x for x, r in self.far.items() if r == top}
-        ends.update(x for x, d in enumerate(self.dist) if d == top - 1)
+        if len(self.near) == top:
+            ends.update(x for x, d in enumerate(self.dist) if d == top - 1)
         return sorted(ends)
 
-    def peripheral_pairs(self) -> list[tuple[int, int]]:
-        """All pairs of H at distance diam(H), as (a, b) with a < b, ascending.
+    def draw_peripheral_pair(self, rng: random.Random) -> list[int]:
+        """Draw a pair of H at distance diam(H); return its host endpoints not yet tied.
 
-        The newcomer is node n.  Only while diam(H) > delta, or before the
+        Every such pair has one: two tied nodes are at most 2 apart, and a
+        tied node is 1 from the newcomer, while diam(H) > delta >= 2.  The
+        draw is uniform: ``rng.randrange`` over the number of pairs, taken in
+        ascending order as (a, b) with a < b, the newcomer being node n.
+        Each periphery node's pairs are counted from one mask, and only the
+        drawn pair is built.  Only while diam(H) > delta, or before the
         first tie.
         """
         top = self.diameter
-        u = len(self.dist)
-        pairs = []
+        dist = self.dist
+        rows = []  # (a, its partners b > a in ascending bit order, how many pairs a starts)
+        total = 0
         for a in self.periphery():
-            apart = self.full & ~(self.balls[top - 1][a] | self._near(top - 3 - self.dist[a]))
-            pairs.extend((a, b) for b in _bits(apart >> (a + 1) << (a + 1)))
-            if self.dist[a] == top - 1:
-                pairs.append((a, u))
-        return pairs
+            apart = self.full & ~(self.balls[top - 1][a] | self._near(top - 3 - dist[a]))
+            apart = apart >> (a + 1) << (a + 1)  # partners b > a only
+            count = apart.bit_count() + (dist[a] == top - 1)  # plus (a, u) when d(a, S) = diam(H) - 1
+            rows.append((a, apart, count))
+            total += count
+        if not total:
+            raise RuntimeError("no addable peripheral pair despite oversized diameter")
+        k = rng.randrange(total)
+        for a, apart, count in rows:
+            if k < count:
+                break
+            k -= count
+        for _ in range(k):  # drop the k partners below the drawn one
+            apart &= apart - 1
+        if not apart:  # past every host partner: the pair (a, u)
+            return [a]
+        b = (apart & -apart).bit_length() - 1
+        return [x for x in (a, b) if dist[x]]
 
 
-def _report(g: Graph, s: set[int], iterations: int) -> DeltaReport:
-    """The report of a finished run; one kernel run on the combined graph gives its exact diameter."""
-    ecc, _, _ = _balls(augment(g, s).adj)
-    return DeltaReport(NodeSet(s), len(s), max(ecc), iterations)
+def _report(g: Graph, joined: _Joined, s: set[int], iterations: int) -> DeltaReport:
+    """The report of a finished run, whose diameter is at most delta.
+
+    Diameter delta is read from the joined state; only one below delta takes
+    a kernel run on the combined graph for its exact value.
+    """
+    if joined.at_delta():
+        achieved = joined.delta
+    else:
+        ecc, _, _ = _balls(augment(g, s).adj)
+        achieved = max(ecc)
+    return DeltaReport(NodeSet(s), len(s), achieved, iterations)
 
 
 def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -235,27 +279,21 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     be peripheral again, so the loop terminates.  Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    min(delta, diam-1)..diam, then per tie one BFS that lowers the distances
-    to the tie set plus mask tests on the nodes still farther than delta from
-    some node, and one kernel run on the final combined graph for the exact
-    ``achieved_diameter``.  Memory: diam - min(delta, diam-1) + 1 kept mask
+    delta-1..diam.  Then per round one popcount per periphery node for the
+    draw, one BFS that lowers the distances to the tie set, an update of the
+    distance layers from the nodes it lowered, and mask tests on the nodes
+    still farther than delta from some node.  A second kernel run, on the
+    final combined graph, is made only when its diameter ends below delta,
+    for the exact ``achieved_diameter``.  Memory: diam - delta + 2 kept mask
     generations of up to n^2/8 bytes each, full masks sharing one int.
     """
     _check_reduction_args(g, delta)
     rng = random.Random(seed)
-    u = g.n
     s: set[int] = set()
     joined = _Joined(g, delta)
     iterations = 0
     while True:
-        candidates = []
-        for a, b in joined.peripheral_pairs():
-            addable = [x for x in (a, b) if x != u and x not in s]
-            if addable:
-                candidates.append(addable)
-        if not candidates:
-            raise RuntimeError("no addable peripheral pair despite oversized diameter")
-        chosen = candidates[rng.randrange(len(candidates))]
+        chosen = joined.draw_peripheral_pair(rng)
         s.update(chosen)
         before = joined.diameter
         joined.tie(chosen)
@@ -264,7 +302,7 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
             raise RuntimeError("diameter increased")
         iterations += 1
         if joined.diameter <= delta:
-            return _report(g, s, iterations)
+            return _report(g, joined, s, iterations)
 
 
 def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -278,11 +316,13 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    min(delta, diam-1)..diam, then per tie one BFS that lowers the distances
-    to the tie set, one BFS from the picked node for the eccentricity check,
-    and mask tests on the nodes still farther than delta from some node;
-    one kernel run on the final combined graph gives the exact
-    ``achieved_diameter``.  Memory as for :func:`periphery_algorithm`.
+    delta-1..diam.  Then per tie one BFS that lowers the distances to the
+    tie set, an update of the distance layers from the nodes it lowered, one
+    BFS from the picked node for the eccentricity check, and mask tests on
+    the nodes still farther than delta from some node.  A second kernel run,
+    on the final combined graph, is made only when its diameter ends below
+    delta, for the exact ``achieved_diameter``.  Memory as for
+    :func:`periphery_algorithm`.
     """
     _check_reduction_args(g, delta)
     rng = random.Random(seed)
@@ -309,7 +349,7 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
                 f"picked periphery node {w} kept eccentricity {ecc} "
                 f"> original radius {profile.radius} + 2"
             )
-    return _report(g, s, iterations)
+    return _report(g, joined, s, iterations)
 
 
 # reduction name -> run(g, delta, seed), for ``tieset diam --alg`` and

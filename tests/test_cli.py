@@ -11,6 +11,7 @@ from tieset import cli
 from tieset.broker import BrokerHeuristic, brute_force_min_broker
 from tieset.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tieset.datasets import write_edge_list
+from tieset.generators import DEFAULT_BA_M, DEFAULT_NWS_K, DEFAULT_NWS_P
 from tieset.graph import build_graph, is_connected, metric_profile
 
 from util import complete_graph, path_graph, random_connected
@@ -106,6 +107,32 @@ def test_gen_then_stats(tmp_path, capsys):
 def test_gen_rejects_bad_params(tmp_path):
     out = str(tmp_path / "gen.txt")
     assert main(["gen", "--model", "ba", "--n", "5", "--ba-m", "7", "--seed", "1", "--out", out]) == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("model, flags, unused", [
+    pytest.param("ba", ["--nws-k", "3", "--nws-p", "7"], "--nws-k, --nws-p", id="ba-nws-k-p"),
+    pytest.param("ba", ["--ba-m", "2", "--nws-k", "4"], "--nws-k", id="ba-nws-k"),
+    pytest.param("ba", ["--nws-p", "0.2"], "--nws-p", id="ba-nws-p"),
+    pytest.param("nws", ["--ba-m", "2"], "--ba-m", id="nws-ba-m"),
+    pytest.param("nws", ["--ba-m", "2", "--nws-k", "4", "--nws-p", "0.2"], "--ba-m", id="nws-ba-m-k-p"),
+])
+def test_gen_flags_of_the_other_model_are_input_errors(tmp_path, capsys, model, flags, unused):
+    out = tmp_path / "gen.txt"
+    assert main(["gen", "--model", model, "--n", "10", *flags, "--seed", "1", "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"tieset: gen --model {model} takes no {unused}\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, flags", [
+    ("ba", ["--ba-m", str(DEFAULT_BA_M)]),
+    ("nws", ["--nws-k", str(DEFAULT_NWS_K), "--nws-p", str(DEFAULT_NWS_P)]),
+])
+def test_gen_flags_left_out_take_the_model_defaults(tmp_path, model, flags):
+    files = [tmp_path / "left-out.txt", tmp_path / "given.txt"]
+    for out, given in zip(files, ([], flags)):
+        assert main(["gen", "--model", model, "--n", "30", *given, "--seed", "9", "--out", str(out)]) == EXIT_OK
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_gadget_subcommand(tmp_path, capsys):

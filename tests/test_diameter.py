@@ -163,8 +163,15 @@ def test_tying_to_whole_periphery_never_increases_but_may_not_shrink():
         assert combined.diameter <= prof.diameter
 
 
-@pytest.mark.parametrize("g, delta", [(path_graph(20), 2), (random_tree(60, 5), 3), (random_connected(80, 40, 2), 3)])
-def test_reductions_run_the_kernel_a_fixed_number_of_times_whatever_the_rounds(g, delta, monkeypatch):
+# (graph, delta, seed, whether both reductions end below delta)
+@pytest.mark.parametrize("g, delta, seed, overshoots", [
+    pytest.param(path_graph(20), 2, 1, False, id="g0-2"),
+    pytest.param(random_tree(60, 5), 3, 1, False, id="g1-3"),
+    pytest.param(random_connected(80, 40, 2), 3, 1, False, id="g2-3"),
+    pytest.param(cycle_graph(13), 5, 0, True, id="overshoot-c13-5"),
+    pytest.param(path_graph(13), 6, 2, True, id="overshoot-p13-6"),
+])
+def test_reductions_run_the_kernel_a_fixed_number_of_times_whatever_the_rounds(g, delta, seed, overshoots, monkeypatch):
     metric_profile(g)  # kept on g, as every caller's check leaves it
     runs = []
     kernel = graph._balls
@@ -181,11 +188,13 @@ def test_reductions_run_the_kernel_a_fixed_number_of_times_whatever_the_rounds(g
     for fn in (periphery_algorithm, cp_algorithm):
         runs.clear()
         profiled.clear()
-        report = fn(g, delta, 1)
+        report = fn(g, delta, seed)
         assert report.iterations >= 3
-        # g's balls from radius min(delta, diam-1) up, then one run on the final combined graph
-        assert runs == [g.n, g.n + 1], fn.__name__
-        # that run gives the exact diameter, and no graph but g is profiled
+        assert (report.achieved_diameter < delta) == overshoots, fn.__name__
+        # g's balls from radius delta-1 up; a diameter below delta then takes
+        # one run on the final combined graph, delta itself is read without one
+        assert runs == ([g.n, g.n + 1] if overshoots else [g.n]), fn.__name__
+        # the diameter is exact either way, and no graph but g is profiled
         assert report.achieved_diameter == metric_profile(augment(g, report.s)).diameter
         assert profiled and all(f is g for f in profiled), fn.__name__
 

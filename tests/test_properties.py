@@ -477,6 +477,10 @@ def _outcome(fn, *args):
 @given(family_graphs(min_n=2, max_n=40), st.lists(st.integers(0, 2 ** 31), min_size=3, max_size=3))
 @example(path_graph(40), [0, 1, 2])
 @example(cycle_graph(9), [0, 1, 2])
+# both reductions end below delta = 5 on C13 at seed 0, and below delta = 6
+# on P13 at seed 2, so the kernel run on the final combined graph is compared
+@example(cycle_graph(13), [0, 1, 2])
+@example(path_graph(13), [0, 1, 2])
 def test_reductions_equal_the_per_round_reference(g, seeds):
     # every target 2..diam, plus one on each side of that range
     for delta in range(1, metric_profile(g).diameter + 2):
