@@ -61,8 +61,9 @@ class AlgorithmReport:
 
     ``valid`` is the broker-set verification result, or None when the run was
     made with ``verify=False`` (useful on graphs too large to re-check).
-    ``elapsed`` is the heuristic's own wall-clock time in seconds, timed as
-    :func:`_fill_untimed` says.
+    ``elapsed`` is the heuristic's own wall-clock time in seconds; the
+    profile, the coverage balls and the betweenness that :func:`_fill_untimed`
+    keeps on the graph beforehand are not in it.
     """
 
     heuristic: BrokerHeuristic
@@ -82,11 +83,15 @@ def is_sub_radius_dominating(g: Graph, s: NodeSet | Iterable[int]) -> bool:
 def _coverage_balls(g: Graph) -> tuple[int, ...]:
     """Mask of the nodes each node covers: its (radius-1)-ball, or itself alone if radius <= 1.
 
-    The generation :func:`metric_profile` keeps on ``g`` from its own kernel
-    run, so no caller starts one.  Raises :class:`NotConnectedError` on
-    disconnected input.
+    The one owner of the coverage rule.  The first call for ``g`` runs the
+    kernel to that radius and keeps the tuple on ``g``; every later call,
+    from the heuristics, their verification or the broker oracle, returns
+    the kept tuple.  Graphs no broker code reads keep none.  Raises
+    :class:`NotConnectedError` on disconnected input.
     """
-    metric_profile(g)
+    if g._coverage is None:
+        radius = metric_profile(g).radius
+        object.__setattr__(g, "_coverage", tuple(_balls_of_radius(g.adj, max(radius - 1, 0))))
     return g._coverage
 
 
@@ -169,11 +174,13 @@ def run_heuristic(
 def _fill_untimed(g: Graph, h: BrokerHeuristic) -> None:
     """Keep on ``g`` what a run of ``h`` reads but does not time.
 
-    That is the metric profile with the coverage balls of its kernel run
-    and, for ``btw``/``s-btw`` at radius above 1, the betweenness.  A run's
-    ``elapsed`` and ``experiments.run_with_timeout``'s budget both leave
-    them out, so the s-* heuristics and ``imp-center`` time no kernel run.
+    That is the metric profile, the coverage balls (:func:`_coverage_balls`,
+    read by every run's verification) and, for ``btw``/``s-btw`` at radius
+    above 1, the betweenness.  A run's ``elapsed`` and
+    ``experiments.run_with_timeout``'s budget both leave them out, so no
+    heuristic times a kernel run on ``g``, and a budgeted worker inherits them.
     """
+    _coverage_balls(g)
     if metric_profile(g).radius > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
         betweenness(g)
 
@@ -338,11 +345,10 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
     (on two or more nodes a broker set of size n always exists, so with an
     unbounded cap the search then succeeds).  A subset is a broker set iff
     its members' (radius-1)-balls cover every node, so each test is k ORs of
-    the masks :func:`metric_profile` keeps on the graph.
+    the masks :func:`_coverage_balls` keeps on the graph.
     """
-    radius = metric_profile(g).radius  # also rejects disconnected input
     # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0
-    cover = _coverage_balls(g) if radius else [0] * g.n
+    cover = _coverage_balls(g) if metric_profile(g).radius else [0] * g.n
     return NodeSet(next(_covering_subsets(cover, 0, size_cap, "broker set"))[0])
 
 

@@ -87,7 +87,7 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
         raise GraphError(f"target diameter must be >= 2, got {delta}")
     metric_profile(g)  # rejects disconnected input
     n = g.n
-    _, balls, _ = _balls(g.adj, range(delta + 1))
+    balls = _balls(g.adj, range(delta + 1))[1]
     full = (1 << n) - 1
     # each node's balls of radius 0..delta-1 in one int, radius t at bit
     # offset t*n, so one OR over S's members yields all of S's t-balls
@@ -149,7 +149,7 @@ class _Joined:
 
     def __init__(self, g: Graph, delta: int):
         diameter = metric_profile(g).diameter
-        ecc, self.balls, _ = _balls(g.adj, range(delta - 1, diameter + 1))
+        ecc, self.balls = _balls(g.adj, range(delta - 1, diameter + 1))
         self.adj = g.adj
         self.delta = delta
         self.full = (1 << g.n) - 1
@@ -265,7 +265,7 @@ def _report(g: Graph, joined: _Joined, s: set[int], iterations: int) -> DeltaRep
     if joined.at_delta():
         achieved = joined.delta
     else:
-        ecc, _, _ = _balls(augment(g, s).adj)
+        ecc, _ = _balls(augment(g, s).adj)
         achieved = max(ecc)
     return DeltaReport(NodeSet(s), len(s), achieved, iterations)
 

@@ -119,8 +119,11 @@ def write_csv(
 
 
 def _require(name: str, values: Sequence) -> None:
+    """Refuse an empty list, or one that names a value twice, before any graph is drawn or read."""
     if not values:
         raise GraphError(f"{name} must not be empty")
+    if repeated := [value for i, value in enumerate(values) if value in values[:i]]:
+        raise GraphError(f"{name} must not repeat {repeated[0]}")
 
 
 def _graph_record(experiment, graph_id, source, g, **columns) -> ExperimentRecord:
@@ -214,8 +217,9 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     """Run a heuristic with verification under a wall-clock budget and return its report.
 
     With ``timeout_s`` None the run is made in this process.  Otherwise
-    what the heuristic reads outside its timer (the metric profile and, for
-    ``btw``/``s-btw``, the whole-graph betweenness) is first kept on ``g``,
+    what the heuristic reads outside its timer (the metric profile, the
+    coverage balls and, for ``btw``/``s-btw``, the whole-graph betweenness;
+    see ``broker._fill_untimed``) is first kept on ``g``,
     so a worker started by :func:`_fork` inherits it and the budget covers
     only the heuristic and its verification.  Raises :class:`RunTimedOut`
     when no report arrives within the budget (the worker is sent SIGTERM),
@@ -278,6 +282,7 @@ def run_experiment_1(
     size) grouped by model, node count and radius.
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
+    _require("heuristics", [h.value for h in heuristics])
 
     def rows(graph_id, params, g):
         return _heuristic_rows("1", heuristics, graph_id, params.model, params.seed, g)
@@ -311,6 +316,7 @@ def run_experiment_2(
     ``oracle_cap`` below 1 raises :class:`GraphError` before any graph is drawn.
     """
     heuristics = [BrokerHeuristic(h) for h in heuristics]
+    _require("heuristics", [h.value for h in heuristics])
     if any(n > ORACLE_MAX_N for n in sizes):
         raise GraphError(f"experiment 2 sizes must stay <= {ORACLE_MAX_N} for the oracle")
     if oracle_cap < 1:
@@ -357,7 +363,7 @@ def _run_datasets(
     to its largest component g; ``rows(name, g)`` gives its rows.
     ``metadata`` follows the experiment and master-seed '#' lines.
     """
-    _require("datasets", datasets)
+    _require("datasets", [d.name for d in datasets])
     records: list[ExperimentRecord] = []
     for d in datasets:
         if not Path(d.path).is_file():
@@ -397,6 +403,7 @@ def run_experiment_3(
     if timeout_s is not None and not 0 < timeout_s <= 2_147_483.647:
         raise GraphError(f"timeout must be none or in (0, 2147483.647] seconds, got {timeout_s}")
     heuristics = [BrokerHeuristic(h) for h in heuristics]
+    _require("heuristics", [h.value for h in heuristics])
 
     def rows(name, g):
         return _heuristic_rows("3", heuristics, name, name, master_seed, g, timeout_s)

@@ -42,9 +42,10 @@ class Graph:
     establishes the invariants (symmetric adjacency, sorted neighbor lists,
     no self-loops or duplicates).  Connectedness is *not* an invariant;
     operations that need it check it.  The graph never changes, so
-    :func:`metric_profile` keeps its profile and the coverage balls on it,
-    and :func:`betweenness` its scores; those slots take no part in
-    equality, hashing or the repr.
+    :func:`metric_profile` keeps its profile on it, :func:`betweenness` its
+    scores and ``broker._coverage_balls`` the coverage balls, on graphs the
+    broker side reads; those slots take no part in equality, hashing or the
+    repr.
     """
 
     n: int
@@ -179,9 +180,7 @@ def _bfs(
     return lowered
 
 
-def _balls(
-    adj: tuple[tuple[int, ...], ...], keep: Iterable[int] = ()
-) -> tuple[list[int], dict[int, list[int]], list[int] | None]:
+def _balls(adj: tuple[tuple[int, ...], ...], keep: Iterable[int] = ()) -> tuple[list[int], dict[int, list[int]]]:
     """Bit-parallel BFS from every node at once (Akiba, Iwata & Yoshida 2013).
 
     Node v's r-ball is a Python int with bit w set iff d(v, w) <= r.  Round
@@ -189,19 +188,16 @@ def _balls(
     The kernel runs until every mask is full or a round changes nothing, or
     only up to the largest radius in ``keep`` if that comes first.
 
-    Returns ``(ecc, kept, cover)``.  ``ecc[v]`` is the first round at which
-    v's mask is full, or -1 if it is not full by the last round run (as on
+    Returns ``(ecc, kept)``.  ``ecc[v]`` is the first round at which v's
+    mask is full, or -1 if it is not full by the last round run (as on
     disconnected input).  ``kept[r]`` is the list of r-ball masks for each r
     in ``keep``; a radius past the last round gets the final, stable
-    generation.  ``cover`` is the generation in force just before the first
-    round in which some mask is full, i.e. the (radius-1)-balls, or the
-    0-balls when the radius is at most 1: the coverage balls of sub-radius
-    domination.  It is None when no mask becomes full.
+    generation.  The kernel keeps nothing else: a caller that wants some
+    generation names its radius in ``keep``.
 
     Memory is up to n^2/8 bytes per mask generation: two while running, plus
-    one per kept radius, plus ``cover`` from the radius round on.  Full
-    masks share one int object, so a node whose ball is complete costs a
-    pointer.
+    one per kept radius.  Full masks share one int object, so a node whose
+    ball is complete costs a pointer.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -210,8 +206,6 @@ def _balls(
     kept: dict[int, list[int]] = {}
     ecc = [-1] * n
     ball = [1 << v for v in range(n)]
-    before = ball  # generation r-1 (generation 0 in round 0), held only through round r's scan
-    cover = None
     pending = list(range(n))
     r = 0
     while True:
@@ -222,9 +216,6 @@ def _balls(
                 ball[v] = full
             else:
                 still.append(v)
-        if cover is None and len(still) < len(pending):
-            cover = before
-        before = None
         pending = still
         if r in keep:
             kept[r] = ball
@@ -241,11 +232,11 @@ def _balls(
                 changed = True
         if not changed:
             break
-        before, ball = ball, grown
+        ball = grown
         r += 1
     for k in keep:
         kept.setdefault(k, ball)
-    return ecc, kept, cover
+    return ecc, kept
 
 
 def _balls_of_radius(adj: tuple[tuple[int, ...], ...], radius: int) -> list[int]:
@@ -310,25 +301,23 @@ def metric_profile(g: Graph) -> MetricProfile:
 
     Grows every node's ball at once with the bit-parallel kernel
     :func:`_balls`, one round per hop, once per graph: the immutable profile
-    is kept on ``g`` and every later call returns that same object.  The
-    same run's coverage generation, every node's (radius-1)-ball (its 0-ball
-    at radius 1 or less), is kept on ``g`` beside it as a tuple, for the
-    broker heuristics, their verification and the broker oracle.  Raises
-    :class:`NotConnectedError` on disconnected input, on every call, and
-    keeps nothing; callers wanting the giant component should apply
-    :func:`largest_connected_component` first.
+    is kept on ``g`` and every later call returns that same object.  The run
+    keeps no mask generation: the coverage balls are
+    ``broker._coverage_balls``' own, so a graph that is only profiled holds
+    none.  Raises :class:`NotConnectedError` on disconnected input, on every
+    call, and keeps nothing; callers wanting the giant component should
+    apply :func:`largest_connected_component` first.
     """
     if g._profile is None:
         if g.n == 0:
             raise NotConnectedError("graph not connected: no nodes")
-        ecc, _, cover = _balls(g.adj)
+        ecc, _ = _balls(g.adj)
         if min(ecc) < 0:
             raise NotConnectedError("graph not connected")
         radius = min(ecc)
         diameter = max(ecc)
         center = NodeSet(v for v in range(g.n) if ecc[v] == radius)
         periphery = NodeSet(v for v in range(g.n) if ecc[v] == diameter)
-        object.__setattr__(g, "_coverage", tuple(cover))
         object.__setattr__(g, "_profile", MetricProfile(tuple(ecc), radius, diameter, center, periphery))
     return g._profile
 

@@ -143,22 +143,27 @@ def test_s_btw_runs_betweenness_once_whatever_the_number_of_picks(monkeypatch):
     assert events == ["btw", "clock", "btw", "clock"]
 
 
-def test_coverage_readers_start_no_kernel_run_after_the_profile(monkeypatch):
+def test_coverage_readers_share_one_kernel_run(monkeypatch):
     g = random_connected(14, 4, 5)
-    metric_profile(g)  # the one run, which keeps the coverage balls on g
-    runs = []
+    radius = metric_profile(g).radius  # the profile's run, which keeps no coverage balls
+    assert radius > 1
+    events = []
     kernel = graph._balls
 
     def counting(adj, keep=()):
-        runs.append(adj == g.adj)
+        if adj is g.adj:
+            events.append(tuple(keep))
         return kernel(adj, keep)
 
     monkeypatch.setattr(graph, "_balls", counting)
-    assert metric_profile(g).radius > 1
+    monkeypatch.setattr(broker.time, "perf_counter", lambda: events.append("clock") or 0.0)
     for h in BrokerHeuristic:
         assert run_heuristic(g, h, verify=True).valid is True
     assert is_broker_set(g, brute_force_min_broker(g))
-    assert not any(runs)  # imp-center's component profiles run the kernel on subgraphs only
+    # the first coverage read runs the kernel to radius - 1, before any timer
+    # starts, and keeps it on g; imp-center's later component profiles run
+    # the kernel on subgraphs only
+    assert events == [(radius - 1,)] + ["clock"] * (2 * len(BrokerHeuristic))
 
 
 def test_min_broker_path5():

@@ -229,6 +229,17 @@ EMPTY_EXPERIMENTS = [
     *(pytest.param(["2", "--oracle-cap", cap], "oracle cap must be >= 1", id=f"oracle-cap-{cap}-2")
       for cap in ("0", "-1")),
     pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", "1,-1"], "--i-range", id="negative-i-5"),
+    *(pytest.param([number, "--models", "ba,nws,ba", "--sizes", "8", "--count", "1"], "models must not repeat ba",
+                   id=f"repeated-model-{number}") for number in ("1", "2", "4")),
+    *(pytest.param([number, "--sizes", "8,9,8", "--count", "1"], "sizes must not repeat 8",
+                   id=f"repeated-size-{number}") for number in ("1", "2", "4")),
+    *(pytest.param([number, *dataset, "--heuristics", "max,s-max,max"], "heuristics must not repeat max",
+                   id=f"repeated-heuristic-{number}")
+      for number, dataset in (("1", ()), ("2", ()), ("3", ("--dataset", "d=missing.txt")))),
+    pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", "1,2,1"], "i-range must not repeat 1",
+                 id="repeated-i-5"),
+    *(pytest.param([number, "--dataset", "a=a.txt", "--dataset", "b=b.txt", "--dataset", "a=a.txt"],
+                   "datasets must not repeat a", id=f"repeated-dataset-{number}") for number in ("3", "5")),
     *(pytest.param(["3", "--dataset", "d=missing.txt", "--timeout", timeout], "timeout must be",
                    id=f"timeout-{timeout}-3")
       for timeout in ("inf", "1e400", "1e9", "1e20", "2147483.648", "nan", "-5")),

@@ -2,16 +2,19 @@ from itertools import combinations
 
 import pytest
 
-from tieset import diameter, graph
+from tieset import cli, diameter, experiments, graph
 from tieset.broker import CapExceededError
+from tieset.datasets import write_edge_list
 from tieset.diameter import (
     DeltaReport,
+    REDUCTIONS,
     brute_force_min_delta_enabling,
     cp_algorithm,
     is_delta_enabling,
     periphery_algorithm,
     preserve_diameter,
 )
+from tieset.generators import BA
 from tieset.graph import GraphError, NodeSet, augment, build_graph, metric_profile
 
 from util import complete_graph, cycle_graph, path_graph, random_connected, random_tree
@@ -198,3 +201,22 @@ def test_reductions_run_the_kernel_a_fixed_number_of_times_whatever_the_rounds(g
         assert report.achieved_diameter == metric_profile(augment(g, report.s)).diameter
         assert profiled and all(f is g for f in profiled), fn.__name__
 
+
+@pytest.mark.parametrize("run", ["periphery", "cp", "stats", "experiment-4"])
+def test_the_network_expansion_side_keeps_no_coverage_balls(run, tmp_path, monkeypatch):
+    # every graph profiled on the way keeps its profile, but only a broker
+    # read keeps the coverage balls, and none happens here
+    profiled = []
+    profile = graph.metric_profile
+    for module in (diameter, cli, experiments):
+        monkeypatch.setattr(module, "metric_profile", lambda f: profiled.append(f) or profile(f))
+    g = random_connected(40, 10, 3)
+    if run in REDUCTIONS:
+        REDUCTIONS[run](g, profile(g).diameter - 1, 0)
+    elif run == "stats":
+        write_edge_list(tmp_path / "g.txt", g)
+        assert cli.main(["stats", str(tmp_path / "g.txt")]) == cli.EXIT_OK
+    else:
+        experiments.run_experiment_4(tmp_path / "e4.csv", models=(BA,), sizes=(30,), count=2)
+    assert profiled
+    assert all(f._profile is not None and f._coverage is None for f in profiled)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from tieset import graph
-from tieset.broker import run_heuristic
+from tieset.broker import _coverage_balls, run_heuristic
 from tieset.diameter import periphery_algorithm
 from tieset.generators import BA, NWS, RandomModelParams, generate
 from tieset.graph import (
@@ -354,13 +354,13 @@ def test_betweenness_returns_a_fresh_list():
 
 def test_kept_betweenness_leaves_equality_hash_repr_and_pickle_alone():
     # covers all three kept slots: the betweenness scores, the metric profile
-    # and the coverage balls of the profile's kernel run
+    # and the broker side's coverage balls
     g, twin = random_connected(20, 10, 99), random_connected(20, 10, 99)
     before = (repr(g), hash(g), pickle.dumps(g))
     scores = betweenness(g)
     profile = metric_profile(g)
-    coverage = g._coverage
-    assert isinstance(coverage, tuple) and len(coverage) == g.n and twin._coverage is None
+    coverage = _coverage_balls(g)
+    assert g._coverage is coverage and len(coverage) == g.n and twin._coverage is None
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert (repr(g), hash(g)) == before[:2]
     for blob in (before[2], pickle.dumps(g)):
@@ -368,7 +368,7 @@ def test_kept_betweenness_leaves_equality_hash_repr_and_pickle_alone():
         assert loaded == g and hash(loaded) == hash(g) and repr(loaded) == repr(g)
         assert betweenness(loaded) == scores
         assert metric_profile(loaded) == profile
-        assert loaded._coverage == coverage
+        assert _coverage_balls(loaded) == coverage
 
 
 @pytest.mark.parametrize("seed", range(5))

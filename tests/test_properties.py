@@ -232,10 +232,11 @@ def _disjoint_union(a: Graph, b: Graph) -> Graph:
 @settings(max_examples=60)
 @given(family_graphs())
 def test_kernel_matches_floyd_warshall(g):
-    ecc, kept, cover = _balls(g.adj)  # keeping nothing, it runs until every ball is full
+    ecc, kept = _balls(g.adj)  # keeping nothing, it runs until every ball is full
     assert ecc == fw_eccentricities(g) and kept == {}
     d = fw_distances(g)
     coverage_radius = max(min(ecc) - 1, 0)
+    cover = broker._coverage_balls(g)
     for v in range(g.n):
         assert cover[v] == sum(1 << w for w in range(g.n) if d[v][w] <= coverage_radius)
 
@@ -243,10 +244,10 @@ def test_kernel_matches_floyd_warshall(g):
 @settings(max_examples=60)
 @given(family_graphs(), st.integers(0, 6))
 def test_kernel_stops_at_the_largest_kept_radius(g, r):
-    ecc, kept, cover = _balls(g.adj, keep=(r,))
+    ecc, kept = _balls(g.adj, keep=(r,))
     fw_ecc = fw_eccentricities(g)
     assert ecc == [e if e <= r else -1 for e in fw_ecc]  # a ball first full past r is never seen
-    assert (cover is None) == (min(fw_ecc) > r)
+    assert list(kept) == [r]
     d = fw_distances(g)
     for v in range(g.n):
         assert kept[r][v] == sum(1 << w for w in range(g.n) if d[v][w] <= r)
@@ -260,21 +261,24 @@ def test_kernel_stops_at_the_largest_kept_radius(g, r):
 @example(cycle_graph(8))
 @example(star_graph(6))
 @example(complete_graph(5))
-def test_profile_keeps_the_coverage_generation(g):
+def test_coverage_balls_are_kept_by_their_first_read_not_by_the_profile(g):
     radius = metric_profile(g).radius
-    assert g._coverage == tuple(_balls_of_radius(g.adj, max(radius - 1, 0)))
-    assert broker._coverage_balls(g) is g._coverage
+    assert g._coverage is None
+    cover = broker._coverage_balls(g)
+    assert cover == tuple(_balls_of_radius(g.adj, max(radius - 1, 0)))
+    assert g._coverage is cover and broker._coverage_balls(g) is cover
 
 
 @settings(max_examples=30)
 @given(family_graphs(max_n=12), family_graphs(max_n=12))
 def test_kernel_marks_disconnected_nodes(a, b):
     g = _disjoint_union(a, b)
-    ecc, _, cover = _balls(g.adj)
-    assert ecc == [-1] * g.n and cover is None
-    with pytest.raises(NotConnectedError, match="graph not connected"):
-        metric_profile(g)
-    assert g._profile is None and g._coverage is None  # the failed profile keeps nothing
+    ecc, kept = _balls(g.adj)
+    assert ecc == [-1] * g.n and kept == {}
+    for read in (metric_profile, broker._coverage_balls):
+        with pytest.raises(NotConnectedError, match="graph not connected"):
+            read(g)
+    assert g._profile is None and g._coverage is None  # the failed reads keep nothing
 
 
 @settings(max_examples=60)
