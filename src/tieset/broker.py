@@ -249,26 +249,37 @@ def _greedy_shrinking(g: Graph, rule) -> NodeSet:
     return NodeSet(chosen)
 
 
-def _greedy_uncovered(g: Graph, rule) -> NodeSet:
-    """Cover loop for the simplified strategies (``s-max``/``s-btw``/``s-ml``).
+def _cover(g: Graph, pick) -> NodeSet:
+    """The mask cover loop of the ``s-`` strategies and ``imp-center``.
 
-    The rule's metric is computed once on ``g`` and chooses among the
-    uncovered ids; the coverage ball uses original-graph distances strictly
-    below r.  The uncovered set is a bitmask.
+    The uncovered nodes are a bitmask.  ``pick(uncovered)`` returns the node
+    to adopt and whether it may cover nothing new; the adopted node covers
+    the uncovered part of its (radius-1)-ball in ``g``
+    (:func:`_coverage_balls`), and any other pick that covers nothing new
+    raises RuntimeError.
     """
-    r = metric_profile(g).radius
-    choose = rule(g, r)
     cover = _coverage_balls(g)
     uncovered = (1 << g.n) - 1
     chosen: list[int] = []
     while uncovered:
-        w = choose(_bits(uncovered))
+        w, exempt = pick(uncovered)
         chosen.append(w)
         newly = cover[w] & uncovered
-        if not newly:
+        if not newly and not exempt:
             raise RuntimeError("cover iteration made no progress")
         uncovered ^= newly
     return NodeSet(chosen)
+
+
+def _greedy_uncovered(g: Graph, rule) -> NodeSet:
+    """The simplified strategies (``s-max``/``s-btw``/``s-ml``) on :func:`_cover`.
+
+    The rule's metric is computed once on ``g`` and chooses among the
+    uncovered ids; the coverage ball uses original-graph distances strictly
+    below r.
+    """
+    choose = rule(g, metric_profile(g).radius)
+    return _cover(g, lambda uncovered: (choose(_bits(uncovered)), False))
 
 
 # ---------------------------------------------------------------------------
@@ -289,33 +300,22 @@ def _imp_center(g: Graph) -> NodeSet:
     whenever the largest uncovered component already has radius below
     rad(G)-1, adopts that component's center instead.  If the neighbor list
     runs out first, keeps adopting component centers, which always cover at
-    least themselves.
+    least themselves.  Only the neighbor picks may cover nothing new.
     """
     r = metric_profile(g).radius
     v = _min_degree_center(g)
-    neighbor_queue = sorted(g.adj[v], key=lambda x: (-len(g.adj[x]), x))
-    cover = _coverage_balls(g)
-    uncovered = (1 << g.n) - 1
-    chosen: list[int] = []
-    i = 0
-    while uncovered:
+    neighbors = iter(sorted(g.adj[v], key=lambda x: (-len(g.adj[x]), x)))
+
+    def pick(uncovered: int) -> tuple[int, bool]:
         members = _bits(uncovered)
         comp, ids = largest_connected_component(induced_subgraph(g, members))
         comp_profile = metric_profile(comp)
-        from_neighbors = False
-        if comp_profile.radius < r - 1 or i >= len(neighbor_queue):
-            # ids lists the component's positions in ``members``, ascending
-            w = members[list(ids)[comp_profile.center.members[0]]]
-        else:
-            w = neighbor_queue[i]
-            i += 1
-            from_neighbors = True
-        chosen.append(w)
-        newly = cover[w] & uncovered
-        if not newly and not from_neighbors:
-            raise RuntimeError("cover iteration made no progress")
-        uncovered ^= newly
-    return NodeSet(chosen)
+        if comp_profile.radius >= r - 1 and (w := next(neighbors, None)) is not None:
+            return w, True
+        # ids lists the component's positions in ``members``, ascending
+        return members[list(ids)[comp_profile.center.members[0]]], False
+
+    return _cover(g, pick)
 
 
 # BrokerHeuristic -> strategy(g): a metric's rule under one of the two cover

@@ -37,6 +37,24 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _option(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Declare an optional flag of ``p`` that is absent from the namespace unless given.
+
+    A flag left out thus takes the default of the function that reads it.
+    ``p``'s ``flags`` default maps each such flag's namespace name to the
+    flag, in declaration order, for :func:`_takes_no`.
+    """
+    p.get_default("flags")[p.add_argument(flag, default=argparse.SUPPRESS, **kwargs).dest] = flag
+
+
+def _takes_no(args, command: str, reads) -> bool:
+    """True, after saying so on stderr, if ``args`` gives an optional flag whose name is not in ``reads``."""
+    unread = [flag for name, flag in args.flags.items() if name in args and name not in reads]
+    if unread:
+        print(f"tieset: {command} takes no {', '.join(unread)}", file=sys.stderr)
+    return bool(unread)
+
+
 def _cmd_stats(args) -> int:
     g, _ = load_edge_list(args.path, giant=args.giant)
     profile = metric_profile(g)
@@ -79,12 +97,11 @@ _GEN_PARAMS = {BA: ("ba_m",), NWS: ("nws_k", "nws_p")}
 
 
 def _cmd_gen(args) -> int:
-    given = [name for names in _GEN_PARAMS.values() for name in names if getattr(args, name) is not None]
-    unused = ", ".join("--" + name.replace("_", "-") for name in given if name not in _GEN_PARAMS[args.model])
-    if unused:
-        print(f"tieset: gen --model {args.model} takes no {unused}", file=sys.stderr)
+    reads = _GEN_PARAMS[args.model]
+    if _takes_no(args, f"gen --model {args.model}", reads):
         return EXIT_INPUT
-    params = RandomModelParams(args.model, args.n, args.seed, **{name: getattr(args, name) for name in given})
+    given = {name: getattr(args, name) for name in reads if name in args}
+    params = RandomModelParams(args.model, args.n, args.seed, **given)
     g = generate(params)
     write_edge_list(
         args.out,
@@ -111,25 +128,23 @@ def _cmd_gadget(args) -> int:
     return EXIT_OK
 
 
-# the flags each oracle target reads, of --delta and --cap
-_ORACLE_FLAGS = {"broker": ("--cap",), "dom": (), "delta": ("--delta", "--cap")}
+# oracle target -> its search; the search's parameters are the flags the target reads
+_ORACLES = {
+    "broker": brute_force_min_broker,
+    "dom": brute_force_min_dominating,
+    "delta": brute_force_min_delta_enabling,
+}
 
 
 def _cmd_oracle(args) -> int:
-    given = [flag for flag in ("--delta", "--cap") if getattr(args, flag[2:]) is not None]
-    unused = [flag for flag in given if flag not in _ORACLE_FLAGS[args.target]]
-    if unused:
-        print(f"tieset: oracle --target {args.target} takes no {', '.join(unused)}", file=sys.stderr)
+    search = _ORACLES[args.target]
+    reads = inspect.signature(search).parameters
+    if _takes_no(args, f"oracle --target {args.target}", reads):
         return EXIT_INPUT
     g, _ = load_edge_list(args.path, giant=args.giant)
-    if args.target == "broker":
-        s = brute_force_min_broker(g, size_cap=args.cap)
-    elif args.target == "dom":
-        s = brute_force_min_dominating(g)
-    else:
-        if args.delta is None:
-            raise GraphError("--delta is required for --target delta")
-        s = brute_force_min_delta_enabling(g, args.delta, size_cap=args.cap)
+    if "delta" in reads and "delta" not in args:
+        raise GraphError(f"--delta is required for --target {args.target}")
+    s = search(g, **{name: getattr(args, name) for name in args.flags if name in args})
     print(f"target: {args.target}")
     print(f"size: {len(s)}")
     print(f"set: {' '.join(str(v) for v in s)}")
@@ -150,13 +165,10 @@ def _timeout(text: str) -> float | None:
 
 def _cmd_experiment(args) -> int:
     runner = getattr(experiments, f"run_experiment_{args.number}")
-    accepted = inspect.signature(runner).parameters
-    given = {name for name, value in vars(args).items() if (name, value) != ("datasets", [])}
-    unused = [flag for name, flag in args.flags.items() if name in given and name not in accepted]
-    if unused:
-        print(f"tieset: experiment {args.number} takes no {', '.join(unused)}", file=sys.stderr)
+    reads = inspect.signature(runner).parameters
+    if _takes_no(args, f"experiment {args.number}", reads):
         return EXIT_INPUT
-    runner(**{name: value for name, value in vars(args).items() if name in accepted})
+    runner(**{name: value for name, value in vars(args).items() if name in reads})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -188,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_diam)
 
     p = sub.add_parser("gen", help="generate a seeded random graph")
+    p.set_defaults(fn=_cmd_gen, flags={})
     p.add_argument("--model", required=True, choices=[BA, NWS])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ba-m", type=int, help=f"ba only (default {DEFAULT_BA_M})")
-    p.add_argument("--nws-k", type=int, help=f"nws only (default {DEFAULT_NWS_K})")
-    p.add_argument("--nws-p", type=float, help=f"nws only (default {DEFAULT_NWS_P})")
+    _option(p, "--ba-m", type=int, help=f"ba only (default {DEFAULT_BA_M})")
+    _option(p, "--nws-k", type=int, help=f"nws only (default {DEFAULT_NWS_K})")
+    _option(p, "--nws-p", type=float, help=f"nws only (default {DEFAULT_NWS_P})")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("gadget", help="build the domination-reduction gadget")
     p.add_argument("path", help="edge-list file")
@@ -203,36 +215,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gadget)
 
     p = sub.add_parser("oracle", help="exact minimum by exhaustive search")
+    p.set_defaults(fn=_cmd_oracle, flags={})
     add_graph_arg(p)
-    p.add_argument("--target", required=True, choices=list(_ORACLE_FLAGS))
-    p.add_argument("--delta", type=int)
-    p.add_argument("--cap", type=int, help="subset-size cap for the search")
-    p.set_defaults(fn=_cmd_oracle)
+    p.add_argument("--target", required=True, choices=list(_ORACLES))
+    _option(p, "--delta", type=int)
+    _option(p, "--cap", dest="size_cap", metavar="CAP", type=int, help="subset-size cap for the search")
 
-    # flags left out are absent from the namespace, so the runner's defaults apply
-    p = sub.add_parser(
-        "experiment", help="run one of the five experiments", argument_default=argparse.SUPPRESS
-    )
+    p = sub.add_parser("experiment", help="run one of the five experiments")
+    p.set_defaults(fn=_cmd_experiment, flags={})
     p.add_argument("number", choices=["1", "2", "3", "4", "5"])
-    flags: dict[str, str] = {}  # each option's namespace name -> its flag, for the unused-flag check
-
-    def option(flag, **kwargs):
-        flags[p.add_argument(flag, **kwargs).dest] = flag
-
-    option("--out", required=True, help="CSV output path")
-    option("--seed", dest="master_seed", metavar="SEED", type=int, default=1, help="master seed (default 1)")
-    option("--models", type=lambda t: t.split(","))
-    option("--sizes", type=_int_list)
-    option("--count", type=int)
-    option("--heuristics", type=lambda t: t.split(","))
-    option("--oracle-cap", type=int)
-    option("--dataset", dest="datasets", metavar="NAME=PATH", type=_dataset, action="append",
-           default=[], help="repeatable")
-    option("--timeout", dest="timeout_s", metavar="SECONDS", type=_timeout, help="per-run budget; 0 disables")
-    option("--verify-stats", action="store_true", help="check datasets against published stats")
-    option("--i-range", type=_int_list)
-    option("--timings", action="store_true", help="include wall-clock timings in the CSV")
-    p.set_defaults(fn=_cmd_experiment, flags=flags)
+    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=1, help="master seed (default 1)")
+    _option(p, "--models", type=lambda t: t.split(","))
+    _option(p, "--sizes", type=_int_list)
+    _option(p, "--count", type=int)
+    _option(p, "--heuristics", type=lambda t: t.split(","))
+    _option(p, "--oracle-cap", type=int)
+    _option(p, "--dataset", dest="datasets", metavar="NAME=PATH", type=_dataset, action="append", help="repeatable")
+    _option(p, "--timeout", dest="timeout_s", metavar="SECONDS", type=_timeout, help="per-run budget; 0 disables")
+    _option(p, "--verify-stats", action="store_true", help="check datasets against published stats")
+    _option(p, "--i-range", type=_int_list)
+    _option(p, "--timings", action="store_true", help="include wall-clock timings in the CSV")
 
     return parser
 

@@ -1,8 +1,9 @@
 """Edge-list ingestion for external network datasets.
 
 The accepted format is one edge per line, two whitespace-separated
-non-negative integer labels; lines starting with '#' and blank lines are
-ignored.  Labels are remapped to dense ids 0..n-1 in ascending label order,
+non-negative integer labels written in ASCII decimal digits only (no sign,
+no underscores); lines starting with '#' and blank lines are ignored.
+Labels are remapped to dense ids 0..n-1 in ascending label order,
 self-loops and duplicate edges are dropped.
 """
 
@@ -72,16 +73,12 @@ def load_edge_list(path: str | Path, *, giant: bool = False) -> tuple[Graph, dic
                 raise EdgeListFormatError(
                     f"{path}:{lineno}: expected two node labels, got {stripped!r}"
                 )
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListFormatError(
-                    f"{path}:{lineno}: non-integer node label in {stripped!r}"
-                ) from None
-            if a < 0 or b < 0:
-                raise EdgeListFormatError(
-                    f"{path}:{lineno}: negative node label in {stripped!r}"
-                )
+            if not (stripped.isascii() and parts[0].isdigit() and parts[1].isdigit()):
+                # int() would also read '+1', '1_0' and non-ASCII digits, joining distinct labels
+                signed = stripped.isascii() and all(label.removeprefix("-").isdigit() for label in parts)
+                what = "negative" if signed else "non-integer"
+                raise EdgeListFormatError(f"{path}:{lineno}: {what} node label in {stripped!r}")
+            a, b = int(parts[0]), int(parts[1])
             if a != b:
                 raw_edges.append((a, b))
     if not raw_edges:

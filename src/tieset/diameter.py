@@ -144,7 +144,7 @@ class _Joined:
     first tie); once r(x) <= delta the node is dropped for good, since
     distances only shrink as S grows.  ``diameter`` is diam(H), exact
     whenever it exceeds delta; :meth:`at_delta` tells delta from less.
-    Before the first tie H is g itself.
+    Before the first tie H is g itself and ``near`` is empty.
     """
 
     def __init__(self, g: Graph, delta: int):
@@ -256,18 +256,33 @@ class _Joined:
         return [x for x in (a, b) if dist[x]]
 
 
-def _report(g: Graph, joined: _Joined, s: set[int], iterations: int) -> DeltaReport:
-    """The report of a finished run, whose diameter is at most delta.
+def _reduce(g: Graph, delta: int, seed: int, pick, check=None) -> DeltaReport:
+    """The loop of both reductions: tie the newcomer to ``pick``'s nodes until diam(H) <= delta.
 
-    Diameter delta is read from the joined state; only one below delta takes
-    a kernel run on the combined graph for its exact value.
+    ``pick(joined, rng)`` returns the host nodes of the next tie, given the
+    :class:`_Joined` state and the run's ``random.Random(seed)``.  There is
+    at least one tie.  Every tie but the first must not lengthen diam(H)
+    (the first may, through the newcomer itself), and is then passed to
+    ``check(joined, chosen)``, which raises on a broken invariant.  A final
+    diameter of delta is read from the joined state; only one below delta
+    takes a kernel run on the combined graph for its exact value.
     """
-    if joined.at_delta():
-        achieved = joined.delta
-    else:
-        ecc, _ = _balls(augment(g, s).adj)
-        achieved = max(ecc)
-    return DeltaReport(NodeSet(s), len(s), achieved, iterations)
+    _check_reduction_args(g, delta)
+    rng = random.Random(seed)
+    joined = _Joined(g, delta)
+    iterations = 0
+    while not iterations or joined.diameter > delta:
+        chosen = pick(joined, rng)
+        before = joined.diameter
+        joined.tie(chosen)
+        if iterations and joined.diameter > before:
+            raise RuntimeError("diameter increased")
+        if iterations and check is not None:
+            check(joined, chosen)
+        iterations += 1
+    s = NodeSet(x for x, d in enumerate(joined.dist) if not d)  # the tied nodes, 0 from S
+    achieved = delta if joined.at_delta() else max(_balls(augment(g, s).adj)[0])
+    return DeltaReport(s, len(s), achieved, iterations)
 
 
 def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -287,22 +302,7 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     for the exact ``achieved_diameter``.  Memory: diam - delta + 2 kept mask
     generations of up to n^2/8 bytes each, full masks sharing one int.
     """
-    _check_reduction_args(g, delta)
-    rng = random.Random(seed)
-    s: set[int] = set()
-    joined = _Joined(g, delta)
-    iterations = 0
-    while True:
-        chosen = joined.draw_peripheral_pair(rng)
-        s.update(chosen)
-        before = joined.diameter
-        joined.tie(chosen)
-        # the first tie may lengthen the diameter through the newcomer itself
-        if iterations and joined.diameter > before:
-            raise RuntimeError("diameter increased")
-        iterations += 1
-        if joined.diameter <= delta:
-            return _report(g, joined, s, iterations)
+    return _reduce(g, delta, seed, _Joined.draw_peripheral_pair)
 
 
 def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -324,32 +324,25 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     delta, for the exact ``achieved_diameter``.  Memory as for
     :func:`periphery_algorithm`.
     """
-    _check_reduction_args(g, delta)
-    rng = random.Random(seed)
     profile = metric_profile(g)
-    centers = profile.center.members
-    s: set[int] = {centers[rng.randrange(len(centers))]}
-    joined = _Joined(g, delta)
-    joined.tie(s)
-    iterations = 1
-    while joined.diameter > delta:
-        candidates = [w for w in joined.periphery() if w not in s]  # host nodes: never the newcomer
-        if not candidates:
+
+    def pick(joined: _Joined, rng: random.Random) -> list[int]:
+        # a center of g first, then periphery nodes of H not yet tied (host nodes: never the newcomer)
+        nodes = [w for w in joined.periphery() if joined.dist[w]] if joined.near else profile.center.members
+        if not nodes:
             raise RuntimeError("periphery exhausted despite oversized diameter")
-        w = candidates[rng.randrange(len(candidates))]
-        s.add(w)
-        iterations += 1
-        before = joined.diameter
-        joined.tie((w,))
-        if joined.diameter > before:
-            raise RuntimeError("diameter increased")
+        return [nodes[rng.randrange(len(nodes))]]
+
+    def check(joined: _Joined, chosen: list[int]) -> None:
+        (w,) = chosen
         ecc = joined.eccentricity(w)
         if ecc > profile.radius + 2:
             raise RuntimeError(
                 f"picked periphery node {w} kept eccentricity {ecc} "
                 f"> original radius {profile.radius} + 2"
             )
-    return _report(g, joined, s, iterations)
+
+    return _reduce(g, delta, seed, pick, check)
 
 
 # reduction name -> run(g, delta, seed), for ``tieset diam --alg`` and

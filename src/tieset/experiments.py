@@ -359,14 +359,15 @@ def _run_datasets(
 ) -> list[ExperimentRecord]:
     """Shared loop of experiments 3 and 5 over edge-list datasets.
 
-    A missing file gives a skip row.  A present one is parsed once and cut
-    to its largest component g; ``rows(name, g)`` gives its rows.
+    A path that does not exist gives a skip row.  Any other is parsed once
+    (a directory or an unreadable file raises ``OSError``) and cut to its
+    largest component g; ``rows(name, g)`` gives its rows.
     ``metadata`` follows the experiment and master-seed '#' lines.
     """
     _require("datasets", [d.name for d in datasets])
     records: list[ExperimentRecord] = []
     for d in datasets:
-        if not Path(d.path).is_file():
+        if not Path(d.path).exists():
             log.warning("experiment %s: dataset %s missing at %s", experiment, d.name, d.path)
             records.append(_skip(experiment, d.name, d.name, f"dataset missing: {d.path}"))
             continue
@@ -382,7 +383,7 @@ def _run_datasets(
 
 def run_experiment_3(
     out: str | Path,
-    datasets: Sequence[DatasetDescriptor],
+    datasets: Sequence[DatasetDescriptor] = (),
     *,
     heuristics: Sequence[BrokerHeuristic | str] = tuple(BrokerHeuristic),
     timeout_s: float | None = DEFAULT_TIMEOUT_S,
@@ -392,9 +393,11 @@ def run_experiment_3(
 ) -> list[ExperimentRecord]:
     """Broker-set sizes on real edge-list datasets (giant component).
 
-    Missing datasets are skipped with a reason row.  Each (dataset,
-    heuristic) run goes through :func:`run_with_timeout`, as in experiments
-    1 and 2 but under ``timeout_s``, so the profile and the betweenness are
+    ``datasets`` must name at least one dataset: the default, none, raises
+    :class:`GraphError`.  A dataset path that does not exist is skipped with
+    a reason row.  Each (dataset, heuristic) run goes through
+    :func:`run_with_timeout`, as in experiments 1 and 2 but under
+    ``timeout_s``, so the profile and the betweenness are
     computed once per dataset, outside every budget, and a blown budget is a
     ``timeout`` row.  The budget is written in full ('0.0001'), or ``none``.
     A ``timeout_s`` other than None or in (0, 2147483.647] (2^31 - 1 ms, well
@@ -467,7 +470,7 @@ def run_experiment_4(
 
 def run_experiment_5(
     out: str | Path,
-    datasets: Sequence[DatasetDescriptor],
+    datasets: Sequence[DatasetDescriptor] = (),
     *,
     i_range: Sequence[int] = (1, 2, 3, 4),
     master_seed: int = 5,
@@ -476,7 +479,9 @@ def run_experiment_5(
 ) -> list[ExperimentRecord]:
     """Edges needed to shrink real datasets' diameter by i, for each i in range.
 
-    A negative i raises :class:`GraphError` before any dataset is read.
+    ``datasets`` must name at least one dataset: the default, none, raises
+    :class:`GraphError`, as does a negative i, before any dataset is read.
+    A dataset path that does not exist is skipped with a reason row.
     """
     _require("i-range", i_range)
     if min(i_range) < 0:

@@ -210,6 +210,16 @@ def test_experiment_3_cli_with_dataset_spec(tmp_path):
     assert "tiny" in out.read_text()
 
 
+@pytest.mark.parametrize("number", ["3", "5"])
+def test_experiment_dataset_path_that_is_a_directory_is_an_input_error(tmp_path, capsys, number):
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    out = tmp_path / "e.csv"
+    assert main(["experiment", number, "--dataset", f"a={folder}", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"tieset: input error: [Errno {errno.EISDIR}] Is a directory: '{folder}'\n"
+    assert not out.exists()
+
+
 def test_experiment_3_rejects_bad_dataset_spec(tmp_path):
     out = tmp_path / "e3.csv"
     assert main(["experiment", "3", "--dataset", "no-equals-sign", "--out", str(out)]) == EXIT_INPUT

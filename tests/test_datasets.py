@@ -36,6 +36,22 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_edge_list(_write(tmp_path, "0 -2\n"))
 
 
+@pytest.mark.parametrize("text, what", [
+    pytest.param("1_0 2\n10 3\n", "non-integer", id="underscore"),
+    pytest.param("\u0661 2\n1 3\n", "non-integer", id="arabic-indic-digit"),
+    pytest.param("\uff11 2\n", "non-integer", id="fullwidth-digit"),
+    pytest.param("+1 2\n", "non-integer", id="plus-sign"),
+    pytest.param("1 +2\n", "non-integer", id="plus-sign-second"),
+    pytest.param("- 2\n", "non-integer", id="bare-minus"),
+    pytest.param("-0 2\n", "negative", id="minus-zero"),
+    pytest.param("3 -2\n", "negative", id="minus-second"),
+])
+def test_labels_must_be_ascii_decimal_digits(tmp_path, text, what):
+    # int() reads each of these, so distinct labels could become one node
+    with pytest.raises(EdgeListFormatError, match=rf":1: {what} node label in"):
+        load_edge_list(_write(tmp_path, text))
+
+
 def test_labels_remap_in_ascending_order(tmp_path):
     g, mapping = load_edge_list(_write(tmp_path, "10 30\n30 20\n"))
     assert mapping == {10: 0, 20: 1, 30: 2}

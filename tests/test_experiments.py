@@ -295,6 +295,16 @@ def test_experiment_4_rows_reach_target(tmp_path):
     assert out.read_bytes() == rerun.read_bytes()
 
 
+def test_experiment_4_skips_graphs_whose_diameter_is_too_small_to_reduce(tmp_path):
+    out = tmp_path / "e4.csv"
+    records = run_experiment_4(out, models=("ba",), sizes=(3,), count=2)
+    assert [(r.kind, r.diameter, r.algorithm, r.note) for r in records] == [
+        ("skip", 2, "", "diameter too small to reduce")
+    ] * 2
+    _, _, rows = _read_csv(out)
+    assert [row[-1] for row in rows] == ["diameter too small to reduce"] * 2
+
+
 def test_experiment_5_iterates_reduction_depths(tmp_path):
     out = tmp_path / "e5.csv"
     d = DatasetDescriptor("tiny", str(_dataset_file(tmp_path, n=40, extra=10)))

@@ -27,8 +27,10 @@ def test_params_validation():
         RandomModelParams(NWS, 10, 1, nws_k=3, nws_p=0.1)
     with pytest.raises(GraphError):
         RandomModelParams(NWS, 10, 1, nws_k=4, nws_p=1.5)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="expected ba params, got 'nws'"):
         gen_ba(RandomModelParams(NWS, 10, 1, nws_k=4, nws_p=0.1))
+    with pytest.raises(GraphError, match="expected nws params, got 'ba'"):
+        gen_nws(RandomModelParams(BA, 10, 1))
 
 
 def test_ba_single_attachment_grows_a_tree():

@@ -62,6 +62,12 @@ def test_build_graph_path():
 def test_build_graph_rejects_out_of_range_ids():
     with pytest.raises(GraphError, match=r"node id 3 out of range"):
         build_graph(3, [(0, 3)])
+    with pytest.raises(GraphError, match=r"node id 3 out of range in edge \(3, 0\)"):
+        build_graph(3, [(3, 0)])
+    with pytest.raises(GraphError, match=r"node id -1 out of range in edge \(-1, 0\)"):
+        build_graph(3, [(-1, 0)])
+    with pytest.raises(GraphError, match="node count must be non-negative, got -1"):
+        build_graph(-1, [])
 
 
 def test_graph_edges_listing_is_sorted():
@@ -76,6 +82,8 @@ def test_nodeset_normalizes_and_is_immutable():
     with pytest.raises(AttributeError):
         s.members = ()
     assert s == NodeSet((2, 1, 3))
+    with pytest.raises(GraphError, match="negative node id -1"):
+        NodeSet([2, -1])
 
 
 def test_bfs_distances_path_and_cycle():
@@ -112,6 +120,8 @@ def test_metric_profile_cycle6_vertex_transitive():
 def test_metric_profile_rejects_disconnected():
     with pytest.raises(NotConnectedError, match="not connected"):
         metric_profile(build_graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(NotConnectedError, match="graph not connected: no nodes"):
+        metric_profile(build_graph(0, []))
 
 
 def test_metric_profile_is_computed_once_and_kept():
@@ -157,6 +167,12 @@ def test_largest_connected_component_identity_on_connected():
     lcc, mapping = largest_connected_component(g)
     assert lcc == g
     assert mapping == {i: i for i in range(5)}
+
+
+def test_largest_connected_component_of_the_empty_graph_is_itself():
+    g = build_graph(0, [])
+    lcc, mapping = largest_connected_component(g)
+    assert lcc is g and mapping == {}
 
 
 def test_connected_components_order():
