@@ -9,7 +9,8 @@ constructive diameter-preserving set, two randomized reduction heuristics
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_
 from typing import Iterable
@@ -30,12 +31,18 @@ from .graph import (
 
 @dataclass(frozen=True, slots=True)
 class DeltaReport:
-    """One diameter-reduction run: the tie set, its size, and what it achieved."""
+    """One diameter-reduction run: the tie set, its size, and what it achieved.
+
+    ``elapsed`` is the run's wall time in seconds, from the argument check to
+    the report, as measured by the reduction itself.  It is left out of
+    equality, so two runs that tie the same nodes compare equal.
+    """
 
     s: NodeSet
     edges_added: int
     achieved_diameter: int
     iterations: int
+    elapsed: float = field(default=0.0, compare=False)
 
 
 def is_delta_enabling(g: Graph, s: NodeSet | Iterable[int], delta: int) -> bool:
@@ -144,12 +151,13 @@ class _Joined:
     first tie); once r(x) <= delta the node is dropped for good, since
     distances only shrink as S grows.  ``diameter`` is diam(H), exact
     whenever it exceeds delta; :meth:`at_delta` tells delta from less.
-    Before the first tie H is g itself and ``near`` is empty.
+    Before the first tie H is g itself and ``near`` is empty.  ``profile``
+    is g's metric profile, whose center and radius ``cp`` reads.
     """
 
     def __init__(self, g: Graph, delta: int):
-        diameter = metric_profile(g).diameter
-        ecc, self.balls = _balls(g.adj, range(delta - 1, diameter + 1))
+        self.profile = metric_profile(g)
+        ecc, self.balls = _balls(g.adj, range(delta - 1, self.profile.diameter + 1))
         self.adj = g.adj
         self.delta = delta
         self.full = (1 << g.n) - 1
@@ -157,7 +165,7 @@ class _Joined:
         self.near: list[int] = []
         self.far = {x: e for x, e in enumerate(ecc) if e >= delta}
         self.wide = list(self.far)
-        self.diameter = diameter
+        self.diameter = self.profile.diameter
 
     def _near(self, r: int) -> int:
         if r < 0:
@@ -265,8 +273,10 @@ def _reduce(g: Graph, delta: int, seed: int, pick, check=None) -> DeltaReport:
     (the first may, through the newcomer itself), and is then passed to
     ``check(joined, chosen)``, which raises on a broken invariant.  A final
     diameter of delta is read from the joined state; only one below delta
-    takes a kernel run on the combined graph for its exact value.
+    takes a kernel run on the combined graph for its exact value.  The
+    report's ``elapsed`` covers the whole call.
     """
+    start = time.perf_counter()
     _check_reduction_args(g, delta)
     rng = random.Random(seed)
     joined = _Joined(g, delta)
@@ -282,7 +292,7 @@ def _reduce(g: Graph, delta: int, seed: int, pick, check=None) -> DeltaReport:
         iterations += 1
     s = NodeSet(x for x, d in enumerate(joined.dist) if not d)  # the tied nodes, 0 from S
     achieved = delta if joined.at_delta() else max(_balls(augment(g, s).adj)[0])
-    return DeltaReport(s, len(s), achieved, iterations)
+    return DeltaReport(s, len(s), achieved, iterations, time.perf_counter() - start)
 
 
 def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
@@ -324,11 +334,10 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     delta, for the exact ``achieved_diameter``.  Memory as for
     :func:`periphery_algorithm`.
     """
-    profile = metric_profile(g)
 
     def pick(joined: _Joined, rng: random.Random) -> list[int]:
         # a center of g first, then periphery nodes of H not yet tied (host nodes: never the newcomer)
-        nodes = [w for w in joined.periphery() if joined.dist[w]] if joined.near else profile.center.members
+        nodes = [w for w in joined.periphery() if joined.dist[w]] if joined.near else joined.profile.center.members
         if not nodes:
             raise RuntimeError("periphery exhausted despite oversized diameter")
         return [nodes[rng.randrange(len(nodes))]]
@@ -336,10 +345,10 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     def check(joined: _Joined, chosen: list[int]) -> None:
         (w,) = chosen
         ecc = joined.eccentricity(w)
-        if ecc > profile.radius + 2:
+        if ecc > joined.profile.radius + 2:
             raise RuntimeError(
                 f"picked periphery node {w} kept eccentricity {ecc} "
-                f"> original radius {profile.radius} + 2"
+                f"> original radius {joined.profile.radius} + 2"
             )
 
     return _reduce(g, delta, seed, pick, check)

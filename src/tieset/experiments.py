@@ -11,6 +11,7 @@ unless explicitly requested.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import logging
@@ -18,15 +19,14 @@ import os
 import pickle
 import select
 import signal
-import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from statistics import fmean
 from typing import Sequence
 
 from . import __version__
 from .broker import AlgorithmReport, BrokerHeuristic, _fill_untimed, brute_force_min_broker, run_heuristic
-from .datasets import DatasetDescriptor, load_edge_list
+from .datasets import DatasetDescriptor, NetworkStats, load_edge_list
 from .diameter import REDUCTIONS
 from .generators import BA, NWS, RandomModelParams, generate
 from .graph import CapExceededError, Graph, GraphError, _fork, largest_connected_component, metric_profile
@@ -99,14 +99,15 @@ def write_csv(
     *,
     timings: bool = False,
 ) -> None:
-    """Write records under a '#' metadata block; detail rows first, then summaries."""
+    """Write records under a '#' metadata block.
+
+    Detail and skip rows come first, sorted by (graph_id, algorithm); the
+    summary rows follow in the order given, which :func:`_summaries` sets.
+    """
     ordered = sorted(
         (r for r in records if r.kind != "summary"),
         key=lambda r: (r.graph_id, r.algorithm),
-    ) + sorted(
-        (r for r in records if r.kind == "summary"),
-        key=lambda r: (r.source, r.n if r.n is not None else -1, r.radius if r.radius is not None else -1, r.algorithm),
-    )
+    ) + [r for r in records if r.kind == "summary"]
     buf = io.StringIO()
     buf.write(f"# tool: tieset {__version__}\n")
     for key, value in metadata.items():
@@ -116,6 +117,12 @@ def write_csv(
     for record in ordered:
         writer.writerow(record.row(timings=timings))
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+
+
+def _check_out(out) -> None:
+    """Refuse an output path whose folder does not exist, with the FileNotFoundError that writing it raises."""
+    if not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
 
 
 def _require(name: str, values: Sequence) -> None:
@@ -165,8 +172,12 @@ def _run_generated(
     """Shared loop of experiments 1, 2 and 4 over seeded generated graphs.
 
     Graphs come in a fixed order (model, size, index in the cell), the k-th
-    with seed ``split_seed(master_seed, k)``.  ``rows(graph_id, params, g)``
-    gives each graph's rows; ``summary`` is a (group keys,
+    with seed ``split_seed(master_seed, k)``.  The parameters of every graph
+    are built first, so an invalid (model, size) cell raises
+    :class:`GraphError`, and an output folder that does not exist
+    ``FileNotFoundError``, before the first graph is drawn.  The ``models``
+    '#' line holds the labels of those parameters.  ``rows(graph_id,
+    params, g)`` gives each graph's rows; ``summary`` is a (group keys,
     aggregate) pair for :func:`_summaries`.  ``metadata`` follows the shared
     '#' lines.
     """
@@ -174,18 +185,19 @@ def _run_generated(
     _require("sizes", sizes)
     if count < 1:
         raise GraphError(f"graph count per cell must be >= 1, got {count}")
-    records: list[ExperimentRecord] = []
-    for index, (model, n, j) in enumerate(itertools.product(models, sizes, range(count))):
-        params = RandomModelParams(model, n, split_seed(master_seed, index))
-        g = generate(params)
-        records.extend(rows(f"{model}-n{n}-{j:03d}", params, g))
+    draws = {
+        f"{model}-n{n}-{j:03d}": RandomModelParams(model, n, split_seed(master_seed, index))
+        for index, (model, n, j) in enumerate(itertools.product(models, sizes, range(count)))
+    }
+    _check_out(out)
+    records = [record for graph_id, params in draws.items() for record in rows(graph_id, params, generate(params))]
     if summary is not None:
         records.extend(_summaries(records, *summary))
     shared = {
         "experiment": experiment,
         "master-seed": str(master_seed),
         "seed-split": "splitmix64(master-seed, graph-index)",
-        "models": ", ".join(RandomModelParams(model, 10, 0).label() for model in models),
+        "models": ", ".join(dict.fromkeys(params.label() for params in draws.values())),
         "sizes": ",".join(str(s) for s in sizes),
         "per-cell": str(count),
     }
@@ -342,29 +354,25 @@ def run_experiment_2(
 # ---------------------------------------------------------------------------
 # experiment 3: heuristics on real datasets
 
-def verify_dataset_stats(name: str, g_full: Graph, g_lcc: Graph, expected) -> None:
-    """Compare a loaded dataset and its giant component ``g_lcc`` with its published stats."""
-    profile = metric_profile(g_lcc)
-    observed = (g_full.n, g_full.m, g_lcc.n, profile.diameter, profile.radius)
-    published = (expected.n, expected.m, expected.lcc_n, expected.diameter, expected.radius)
-    if observed != published:
-        raise GraphError(
-            f"dataset {name}: stats {observed} do not match published {published} "
-            "(n, m, lcc_n, diameter, radius)"
-        )
-
-
 def _run_datasets(
     out, experiment, datasets, rows, metadata, master_seed, verify_stats, timings
 ) -> list[ExperimentRecord]:
     """Shared loop of experiments 3 and 5 over edge-list datasets.
 
-    A path that does not exist gives a skip row.  Any other is parsed once
-    (a directory or an unreadable file raises ``OSError``) and cut to its
-    largest component g; ``rows(name, g)`` gives its rows.
-    ``metadata`` follows the experiment and master-seed '#' lines.
+    A name that holds a ',' or a character that is not printable, which
+    would break the '#' block, raises :class:`GraphError`, and an output
+    folder that does not exist ``FileNotFoundError``, before any dataset is
+    read.  A path that does not exist gives a skip row.  Any other is parsed
+    once (a directory or an unreadable file raises ``OSError``) and cut to
+    its largest component g.  With ``verify_stats``, a dataset with
+    published stats that its data and g do not match raises
+    :class:`GraphError`.  ``rows(name, g)`` gives g's rows.  ``metadata``
+    follows the experiment and master-seed '#' lines.
     """
     _require("datasets", [d.name for d in datasets])
+    if bad := [d.name for d in datasets if "," in d.name or not d.name.isprintable()]:
+        raise GraphError(f"dataset name {bad[0]!r} must not hold a ',' or a character that is not printable")
+    _check_out(out)
     records: list[ExperimentRecord] = []
     for d in datasets:
         if not Path(d.path).exists():
@@ -374,7 +382,13 @@ def _run_datasets(
         g_full, _ = load_edge_list(d.path)
         g, _ = largest_connected_component(g_full)
         if verify_stats and d.expected is not None:
-            verify_dataset_stats(d.name, g_full, g, d.expected)
+            profile = metric_profile(g)
+            observed = NetworkStats(g_full.n, g_full.m, g.n, profile.diameter, profile.radius)
+            if observed != d.expected:
+                raise GraphError(
+                    f"dataset {d.name}: stats {astuple(observed)} do not match published {astuple(d.expected)} "
+                    "(n, m, lcc_n, diameter, radius)"
+                )
         records.extend(rows(d.name, g))
     shared = {"experiment": experiment, "master-seed": str(master_seed)}
     write_csv(out, records, shared | metadata, timings=timings)
@@ -426,9 +440,7 @@ def _reduction_rows(experiment, graph_id, source, g, delta, seed) -> list[Experi
     """One row each for ``periphery`` then ``cp`` reducing ``g`` to diameter ``delta``."""
     rows = []
     for alg, fn in REDUCTIONS.items():
-        t0 = time.perf_counter()
         report = fn(g, delta, seed)
-        elapsed = time.perf_counter() - t0
         rows.append(
             _graph_record(
                 experiment,
@@ -440,7 +452,7 @@ def _reduction_rows(experiment, graph_id, source, g, delta, seed) -> list[Experi
                 delta=delta,
                 achieved_diameter=report.achieved_diameter,
                 seed=seed,
-                elapsed_ms=elapsed * 1000.0,
+                elapsed_ms=report.elapsed * 1000.0,
             )
         )
     return rows

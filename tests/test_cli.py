@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tieset import cli
+from tieset import cli, diameter, experiments
 from tieset.broker import BrokerHeuristic, brute_force_min_broker
 from tieset.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tieset.datasets import write_edge_list
@@ -89,6 +89,17 @@ def test_diam_subcommand(tmp_path, capsys):
     assert main(["diam", path, "--delta", "3", "--alg", "periphery", "--seed", "4"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "edges added: 2" in out and "achieved diameter: 3" in out
+
+
+@pytest.mark.parametrize("alg", ["periphery", "cp"])
+def test_diam_prints_the_time_its_report_carries(tmp_path, capsys, monkeypatch, alg):
+    path = _edge_file(tmp_path, path_graph(5))
+    clock = iter([10.0, 11.25])
+    monkeypatch.setattr(diameter.time, "perf_counter", lambda: next(clock))
+    assert main(["diam", path, "--delta", "3", "--alg", alg, "--seed", "4"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "elapsed-s: 1.250\n"
+    assert captured.out.startswith(f"algorithm: {alg}\n") and "elapsed" not in captured.out
 
 
 def test_diam_rejects_bad_delta(tmp_path, capsys):
@@ -250,6 +261,15 @@ EMPTY_EXPERIMENTS = [
                  id="repeated-i-5"),
     *(pytest.param([number, "--dataset", "a=a.txt", "--dataset", "b=b.txt", "--dataset", "a=a.txt"],
                    "datasets must not repeat a", id=f"repeated-dataset-{number}") for number in ("3", "5")),
+    *(pytest.param([number, "--models", ","], "models must not be empty", id=f"no-models-{number}")
+      for number in ("1", "2", "4")),
+    *(pytest.param([number, *dataset, "--heuristics", ","], "heuristics must not be empty",
+                   id=f"no-heuristics-{number}")
+      for number, dataset in (("1", ()), ("2", ()), ("3", ("--dataset", "d=missing.txt")))),
+    # every (model, size) cell is checked before the first graph is drawn
+    *(pytest.param([number, "--models", "ba,nws", "--sizes", "12,4", "--count", "3"],
+                   "nws needs even 2 <= nws_k < n, got nws_k=4, n=4", id=f"bad-last-cell-{number}")
+      for number in ("1", "2", "4")),
     *(pytest.param(["3", "--dataset", "d=missing.txt", "--timeout", timeout], "timeout must be",
                    id=f"timeout-{timeout}-3")
       for timeout in ("inf", "1e400", "1e9", "1e20", "2147483.648", "nan", "-5")),
@@ -275,6 +295,66 @@ def test_experiment_flags_the_runner_does_not_take_are_input_errors(tmp_path, ca
     out = tmp_path / "e.csv"
     assert main(["experiment", *argv, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"tieset: experiment {argv[0]} takes no {unused}\n"
+    assert not out.exists()
+
+
+# a comma-separated list flag drops its empty parts
+@pytest.mark.parametrize("argv, same", [
+    pytest.param(["1", "--heuristics", "max,"], ["1", "--heuristics", "max"], id="heuristics-trailing"),
+    pytest.param(["1", "--models", "ba,,nws"], ["1", "--models", "ba,nws"], id="models-double"),
+    pytest.param(["4", "--sizes", ",20,,24,"], ["4", "--sizes", "20,24"], id="sizes-empty-parts"),
+    pytest.param(["2", "--heuristics", ",center,,max"], ["2", "--heuristics", "center,max"], id="heuristics-leading"),
+])
+def test_experiment_list_flags_drop_empty_parts(tmp_path, argv, same):
+    small = ["--sizes", "8", "--count", "2"] if "--sizes" not in argv else ["--count", "2"]
+    files = [tmp_path / "spelled.csv", tmp_path / "clean.csv"]
+    for out, spelling in zip(files, (argv, same)):
+        assert main(["experiment", *spelling, *small, "--out", str(out)]) == EXIT_OK
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+def test_experiment_list_flag_with_a_bad_part_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["experiment", "4", "--sizes", "20,x", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.endswith("error: argument --sizes: invalid comma_list value: '20,x'\n")
+    assert not out.exists()
+
+
+def _refuse(*args, **kwargs):
+    pytest.fail("a graph was drawn or a dataset read")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["1", "--models", "ba", "--sizes", "200", "--count", "5"], id="1"),
+    pytest.param(["2", "--sizes", "8"], id="2"),
+    pytest.param(["4"], id="4"),
+    *(pytest.param([number, "--dataset", "d=DATA"], id=number) for number in ("3", "5")),
+])
+def test_experiment_output_folder_that_does_not_exist_is_refused_first(tmp_path, capsys, monkeypatch, argv):
+    data = _edge_file(tmp_path, path_graph(6))
+    monkeypatch.setattr(experiments, "generate", _refuse)
+    monkeypatch.setattr(experiments, "load_edge_list", _refuse)
+    out = tmp_path / "missing" / "e.csv"
+    argv = [arg.replace("DATA", data) for arg in argv]
+    assert main(["experiment", *argv, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"tieset: input error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+    )
+    assert not out.parent.exists()
+
+
+# a ',' would read as two names in the '# datasets:' line, and a line break or
+# another unprintable character would break the '#' block
+@pytest.mark.parametrize("number", ["3", "5"])
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", "tab\there", "bell\x07"])
+def test_experiment_dataset_names_that_break_the_metadata_are_refused(tmp_path, capsys, monkeypatch, number, name):
+    data = _edge_file(tmp_path, path_graph(6))
+    monkeypatch.setattr(experiments, "load_edge_list", _refuse)
+    out = tmp_path / "e.csv"
+    assert main(["experiment", number, "--dataset", f"{name}={data}", "--out", str(out)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        f"tieset: dataset name {name!r} must not hold a ',' or a character that is not printable\n"
+    )
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -123,6 +124,22 @@ def test_reduction_reports_are_deterministic_per_seed():
     if delta >= 2:
         for fn in (periphery_algorithm, cp_algorithm):
             assert fn(g, delta, 42) == fn(g, delta, 42)
+
+
+@pytest.mark.parametrize("name", list(REDUCTIONS))
+def test_a_reduction_report_carries_the_time_of_the_whole_call(name, monkeypatch):
+    first, second = (REDUCTIONS[name](path_graph(9), 3, 5) for _ in range(2))
+    assert first.elapsed > 0 and second.elapsed > 0
+    # the time is left out of equality: the same ties compare equal
+    assert first == second == dataclasses.replace(first, elapsed=first.elapsed + 1.0)
+    # the clock is read on entry, before g is profiled, and once more for the report
+    events = []
+    clock = iter([10.0, 11.25])
+    profile = diameter.metric_profile
+    monkeypatch.setattr(diameter, "metric_profile", lambda f: events.append("profile") or profile(f))
+    monkeypatch.setattr(diameter.time, "perf_counter", lambda: events.append("clock") or next(clock))
+    assert REDUCTIONS[name](path_graph(9), 3, 5).elapsed == 1.25
+    assert events[0] == events[-1] == "clock" and events.count("clock") == 2 and "profile" in events
 
 
 @pytest.mark.parametrize("trial", range(8))

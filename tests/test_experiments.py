@@ -324,6 +324,32 @@ def test_experiment_5_skips_deltas_below_two(tmp_path):
     assert any(r.kind == "skip" and "below 2" in r.note for r in records)
 
 
+@pytest.mark.parametrize("runner", [run_experiment_1, run_experiment_2, run_experiment_4])
+def test_an_invalid_last_cell_is_refused_before_the_first_graph(tmp_path, monkeypatch, runner):
+    def refuse(params):
+        pytest.fail(f"drew {params}")
+
+    monkeypatch.setattr(experiments, "generate", refuse)
+    out = tmp_path / "e.csv"
+    with pytest.raises(GraphError, match="nws needs even 2 <= nws_k < n, got nws_k=4, n=4"):
+        runner(out, models=("ba", "nws"), sizes=(12, 4), count=3)
+    assert not out.exists()
+
+
+def test_write_csv_keeps_summary_rows_in_the_order_given(tmp_path):
+    out = tmp_path / "s.csv"
+    summaries = [
+        ExperimentRecord(experiment="9", kind="summary", source="nws", n=30, algorithm="max", group_size=1),
+        ExperimentRecord(experiment="9", kind="summary", source="ba", algorithm="cp", group_size=1),
+        ExperimentRecord(experiment="9", kind="summary", source="ba", n=20, radius=3, algorithm="btw", group_size=1),
+    ]
+    details = [ExperimentRecord(experiment="9", graph_id=graph_id, algorithm="max") for graph_id in ("b", "a")]
+    write_csv(out, [summaries[0], *details, *summaries[1:]], {})
+    _, header, rows = _read_csv(out)
+    assert [row[header.index("graph_id")] for row in rows[:2]] == ["a", "b"]
+    assert [row[header.index("algorithm")] for row in rows[2:]] == ["max", "cp", "btw"]
+
+
 def test_write_csv_quotes_and_sorts(tmp_path):
     out = tmp_path / "q.csv"
     records = [
