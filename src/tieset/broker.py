@@ -286,7 +286,7 @@ def _greedy_uncovered(g: Graph, rule) -> NodeSet:
 # center-based strategies
 
 def _min_degree_center(g: Graph) -> int:
-    return min(metric_profile(g).center.members, key=lambda v: (len(g.adj[v]), v))
+    return min(metric_profile(g).center, key=lambda v: (len(g.adj[v]), v))
 
 
 def _center_neighbors(g: Graph) -> NodeSet:
@@ -313,7 +313,7 @@ def _imp_center(g: Graph) -> NodeSet:
         if comp_profile.radius >= r - 1 and (w := next(neighbors, None)) is not None:
             return w, True
         # ids lists the component's positions in ``members``, ascending
-        return members[list(ids)[comp_profile.center.members[0]]], False
+        return members[list(ids)[comp_profile.center[0]]], False
 
     return _cover(g, pick)
 

@@ -26,12 +26,6 @@ EXIT_PRECONDITION = 2
 EXIT_CAP = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # bad flags are input errors, not usage code 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
 def _list(item):
     """The argparse type of a comma-separated list flag: ``item`` of each part, empty parts dropped."""
 
@@ -104,6 +98,7 @@ def _cmd_gen(args) -> int:
         return EXIT_INPUT
     given = {name: getattr(args, name) for name in reads if name in args}
     params = RandomModelParams(args.model, args.n, args.seed, **given)
+    experiments._check_out(args.out)
     g = generate(params)
     write_edge_list(
         args.out,
@@ -115,6 +110,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    experiments._check_out(args.out)
     g, _ = load_edge_list(args.path)
     h, gm = reduction_gadget(g)
     write_edge_list(
@@ -176,7 +172,7 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tieset", description=__doc__)
+    parser = argparse.ArgumentParser(prog="tieset", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tieset {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -245,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits on usage errors and --help
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (OSError, UnicodeDecodeError, EdgeListFormatError) as exc:

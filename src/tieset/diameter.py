@@ -67,7 +67,7 @@ def preserve_diameter(g: Graph) -> NodeSet:
         raise GraphError("need a graph with at least 2 nodes")
     profile = metric_profile(g)
     if profile.radius != profile.diameter:
-        return NodeSet(profile.center.members[:1])
+        return NodeSet(profile.center[:1])
     if is_complete(g):
         return NodeSet(range(g.n))
     v = min(range(g.n), key=lambda x: (len(g.adj[x]), x))
@@ -337,7 +337,7 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
 
     def pick(joined: _Joined, rng: random.Random) -> list[int]:
         # a center of g first, then periphery nodes of H not yet tied (host nodes: never the newcomer)
-        nodes = [w for w in joined.periphery() if joined.dist[w]] if joined.near else joined.profile.center.members
+        nodes = [w for w in joined.periphery() if joined.dist[w]] if joined.near else joined.profile.center
         if not nodes:
             raise RuntimeError("periphery exhausted despite oversized diameter")
         return [nodes[rng.randrange(len(nodes))]]

@@ -354,6 +354,21 @@ def run_experiment_2(
 # ---------------------------------------------------------------------------
 # experiment 3: heuristics on real datasets
 
+def _giant(d: DatasetDescriptor, verify_stats: bool) -> Graph:
+    """The largest component of dataset ``d``, checked against its published stats if ``verify_stats``."""
+    g_full, _ = load_edge_list(d.path)
+    g, _ = largest_connected_component(g_full)
+    if verify_stats and d.expected is not None:
+        profile = metric_profile(g)
+        observed = NetworkStats(g_full.n, g_full.m, g.n, profile.diameter, profile.radius)
+        if observed != d.expected:
+            raise GraphError(
+                f"dataset {d.name}: stats {astuple(observed)} do not match published {astuple(d.expected)} "
+                "(n, m, lcc_n, diameter, radius)"
+            )
+    return g
+
+
 def _run_datasets(
     out, experiment, datasets, rows, metadata, master_seed, verify_stats, timings
 ) -> list[ExperimentRecord]:
@@ -362,34 +377,27 @@ def _run_datasets(
     A name that holds a ',' or a character that is not printable, which
     would break the '#' block, raises :class:`GraphError`, and an output
     folder that does not exist ``FileNotFoundError``, before any dataset is
-    read.  A path that does not exist gives a skip row.  Any other is parsed
-    once (a directory or an unreadable file raises ``OSError``) and cut to
-    its largest component g.  With ``verify_stats``, a dataset with
-    published stats that its data and g do not match raises
-    :class:`GraphError`.  ``rows(name, g)`` gives g's rows.  ``metadata``
-    follows the experiment and master-seed '#' lines.
+    read.  Then every dataset is read before the first ``rows`` call: a
+    path that does not exist gives a skip row, and any other is parsed once
+    (a directory or an unreadable file raises ``OSError``) and cut to its
+    largest component g, the only graph kept.  With ``verify_stats``, a
+    dataset with published stats that its data and g do not match raises
+    :class:`GraphError`.  ``rows(name, g)`` gives g's rows, and g is dropped
+    once they are built.  ``metadata`` follows the experiment and
+    master-seed '#' lines.
     """
     _require("datasets", [d.name for d in datasets])
     if bad := [d.name for d in datasets if "," in d.name or not d.name.isprintable()]:
         raise GraphError(f"dataset name {bad[0]!r} must not hold a ',' or a character that is not printable")
     _check_out(out)
+    graphs = {d.name: _giant(d, verify_stats) for d in datasets if Path(d.path).exists()}
     records: list[ExperimentRecord] = []
     for d in datasets:
-        if not Path(d.path).exists():
+        if d.name in graphs:
+            records.extend(rows(d.name, graphs.pop(d.name)))
+        else:
             log.warning("experiment %s: dataset %s missing at %s", experiment, d.name, d.path)
             records.append(_skip(experiment, d.name, d.name, f"dataset missing: {d.path}"))
-            continue
-        g_full, _ = load_edge_list(d.path)
-        g, _ = largest_connected_component(g_full)
-        if verify_stats and d.expected is not None:
-            profile = metric_profile(g)
-            observed = NetworkStats(g_full.n, g_full.m, g.n, profile.diameter, profile.radius)
-            if observed != d.expected:
-                raise GraphError(
-                    f"dataset {d.name}: stats {astuple(observed)} do not match published {astuple(d.expected)} "
-                    "(n, m, lcc_n, diameter, radius)"
-                )
-        records.extend(rows(d.name, g))
     shared = {"experiment": experiment, "master-seed": str(master_seed)}
     write_csv(out, records, shared | metadata, timings=timings)
     return records

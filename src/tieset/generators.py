@@ -135,14 +135,8 @@ class GadgetMap:
         n = self.n_original
         return (v, n + v, 2 * n + v)
 
-    def clique_layer(self) -> range:
-        return range(self.n_original)
-
     def copy_layer(self) -> range:
         return range(self.n_original, 2 * self.n_original)
-
-    def pendant_layer(self) -> range:
-        return range(2 * self.n_original, 3 * self.n_original)
 
     def copy_node(self, v: int) -> int:
         return self.n_original + v

@@ -58,9 +58,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.adj[a]
 
@@ -75,45 +72,31 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class NodeSet:
-    """Sorted, duplicate-free collection of node ids.
+class NodeSet(tuple):
+    """Sorted, duplicate-free tuple of node ids.
 
     Used for tie sets, dominating sets, centers and peripheries.  Accepts
-    any iterable of ints; order and duplicates are normalized away.
+    any iterable of ints; order and duplicates are normalized away.  Being a
+    tuple, a NodeSet equals, and hashes as, the plain tuple of its members.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ()
 
-    members: tuple[int, ...]
+    def __new__(cls, members: Iterable[int]):
+        self = super().__new__(cls, sorted(set(members)))
+        if self and self[0] < 0:
+            raise GraphError(f"negative node id {self[0]}")
+        return self
 
-    def __init__(self, members: Iterable[int]):
-        object.__setattr__(self, "members", tuple(sorted(set(members))))
-        if self.members and self.members[0] < 0:
-            raise GraphError(f"negative node id {self.members[0]}")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self.members
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NodeSet) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NodeSet is immutable")
 
-    def __reduce__(self):  # through __init__: the default slot restore would hit __setattr__
-        return (NodeSet, (self.members,))
-
     def __repr__(self) -> str:
-        return f"NodeSet({list(self.members)})"
+        return f"NodeSet({list(self)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,9 +256,9 @@ def _covering_subsets(
     raise CapExceededError(f"no {what} of size <= {cap} found")
 
 
-def validated_members(g: Graph, s: NodeSet | Iterable[int]) -> tuple[int, ...]:
+def validated_members(g: Graph, s: NodeSet | Iterable[int]) -> NodeSet:
     """Normalize a node-set argument against a host graph."""
-    members = s.members if isinstance(s, NodeSet) else NodeSet(s).members
+    members = s if isinstance(s, NodeSet) else NodeSet(s)
     if not members:
         raise GraphError("node set must be non-empty")
     if members[-1] >= g.n:

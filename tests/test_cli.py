@@ -3,14 +3,15 @@ import errno
 import io
 import os
 import tempfile
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tieset import cli, diameter, experiments
+from tieset import __version__, cli, diameter, experiments
 from tieset.broker import BrokerHeuristic, brute_force_min_broker
 from tieset.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
-from tieset.datasets import write_edge_list
+from tieset.datasets import KNOWN_STATS, write_edge_list
 from tieset.generators import DEFAULT_BA_M, DEFAULT_NWS_K, DEFAULT_NWS_P
 from tieset.graph import build_graph, is_connected, metric_profile
 
@@ -75,6 +76,13 @@ def test_os_errors_on_input_are_input_errors(tmp_path, monkeypatch, capsys, exc)
 
 def test_bad_flag_is_an_input_error(tmp_path, capsys):
     assert main(["broker", "x", "--alg", "definitely-not"]) == EXIT_INPUT
+
+
+def test_help_and_version_succeed(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: tieset")
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out == f"tieset {__version__}\n"
 
 
 def test_broker_subcommand_with_verification(tmp_path, capsys):
@@ -324,23 +332,44 @@ def _refuse(*args, **kwargs):
     pytest.fail("a graph was drawn or a dataset read")
 
 
+# gen and gadget check their --out as experiment does, before a graph is drawn or read
 @pytest.mark.parametrize("argv", [
-    pytest.param(["1", "--models", "ba", "--sizes", "200", "--count", "5"], id="1"),
-    pytest.param(["2", "--sizes", "8"], id="2"),
-    pytest.param(["4"], id="4"),
-    *(pytest.param([number, "--dataset", "d=DATA"], id=number) for number in ("3", "5")),
+    pytest.param(["experiment", "1", "--models", "ba", "--sizes", "200", "--count", "5"], id="1"),
+    pytest.param(["experiment", "2", "--sizes", "8"], id="2"),
+    pytest.param(["experiment", "4"], id="4"),
+    *(pytest.param(["experiment", number, "--dataset", "d=DATA"], id=number) for number in ("3", "5")),
+    pytest.param(["gen", "--model", "ba", "--n", "10", "--seed", "1"], id="gen"),
+    pytest.param(["gadget", "DATA"], id="gadget"),
 ])
 def test_experiment_output_folder_that_does_not_exist_is_refused_first(tmp_path, capsys, monkeypatch, argv):
     data = _edge_file(tmp_path, path_graph(6))
-    monkeypatch.setattr(experiments, "generate", _refuse)
-    monkeypatch.setattr(experiments, "load_edge_list", _refuse)
+    for module, name in [(experiments, "generate"), (experiments, "load_edge_list"), (cli, "generate"),
+                         (cli, "load_edge_list"), (cli, "reduction_gadget")]:
+        monkeypatch.setattr(module, name, _refuse)
     out = tmp_path / "missing" / "e.csv"
     argv = [arg.replace("DATA", data) for arg in argv]
-    assert main(["experiment", *argv, "--out", str(out)]) == EXIT_INPUT
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         f"tieset: input error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
     )
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("number", ["3", "5"])
+def test_experiment_dataset_stats_are_checked_before_the_first_run(tmp_path, capsys, monkeypatch, number):
+    first = _edge_file(tmp_path, random_connected(20, 12, 3), name="a.txt")
+    second = _edge_file(tmp_path, path_graph(6), name="facebook.txt")
+    ran = lambda *args, **kwargs: pytest.fail("a heuristic or reduction ran")
+    monkeypatch.setattr(experiments, "_heuristic_rows", ran)
+    monkeypatch.setattr(experiments, "_reduction_rows", ran)
+    out = tmp_path / "e.csv"
+    argv = ["experiment", number, "--dataset", f"a={first}", "--dataset", f"facebook={second}", "--verify-stats"]
+    assert main([*argv, "--out", str(out)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        f"tieset: dataset facebook: stats (6, 5, 6, 5, 3) do not match published "
+        f"{astuple(KNOWN_STATS['facebook'])} (n, m, lcc_n, diameter, radius)\n"
+    )
+    assert not out.exists()
 
 
 # a ',' would read as two names in the '# datasets:' line, and a line break or

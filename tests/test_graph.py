@@ -79,6 +79,7 @@ def test_nodeset_normalizes_and_is_immutable():
     s = NodeSet([3, 1, 3, 2])
     assert s.members == (1, 2, 3)
     assert len(s) == 3 and 2 in s
+    assert isinstance(s, tuple) and s == (1, 2, 3) and hash(s) == hash((1, 2, 3))
     with pytest.raises(AttributeError):
         s.members = ()
     assert s == NodeSet((2, 1, 3))
@@ -141,7 +142,8 @@ def test_node_sets_and_reports_survive_pickle_and_deepcopy():
     g = path_graph(5)
     values = [NodeSet([2, 1]), metric_profile(g), run_heuristic(g, "s-max"), periphery_algorithm(g, 3, seed=7)]
     for value in values:
-        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        twins = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*twins, copy.deepcopy(value)):
             assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
     twin = copy.deepcopy(values[0])
     assert twin.members == (1, 2)
