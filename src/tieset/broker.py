@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import or_
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import (
     CapExceededError,
@@ -62,8 +62,8 @@ class AlgorithmReport:
     ``valid`` is the broker-set verification result, or None when the run was
     made with ``verify=False`` (useful on graphs too large to re-check).
     ``elapsed`` is the heuristic's own wall-clock time in seconds; the
-    profile, the coverage balls and the betweenness that :func:`_fill_untimed`
-    keeps on the graph beforehand are not in it.
+    profile, and the coverage balls and betweenness the run reads, which
+    :func:`_fill_untimed` keeps on the graph beforehand, are not in it.
     """
 
     heuristic: BrokerHeuristic
@@ -156,14 +156,14 @@ def run_heuristic(
     r = metric_profile(g).radius
     if profile is not None and profile != metric_profile(g):
         raise GraphError("profile is not the metric profile of this graph")
-    _fill_untimed(g, h)
+    _fill_untimed(g, h, verify)
     t0 = time.perf_counter()
     if r == 1:
         # coverage radius r-1 = 0: each pick covers only itself, so the full
         # node set is the only possible (and correct) answer
         s = NodeSet(range(g.n))
     else:
-        s = _STRATEGIES[h](g)
+        s = _STRATEGIES[h].run(g)
     elapsed = time.perf_counter() - t0
     valid = None
     if verify:
@@ -171,18 +171,20 @@ def run_heuristic(
     return AlgorithmReport(h, s, len(s), valid, elapsed)
 
 
-def _fill_untimed(g: Graph, h: BrokerHeuristic) -> None:
+def _fill_untimed(g: Graph, h: BrokerHeuristic, verify: bool) -> None:
     """Keep on ``g`` what a run of ``h`` reads but does not time.
 
-    That is the metric profile, the coverage balls (:func:`_coverage_balls`,
-    read by every run's verification) and, for ``btw``/``s-btw`` at radius
-    above 1, the betweenness.  A run's ``elapsed`` and
+    That is the metric profile, the coverage balls (:func:`_coverage_balls`)
+    when the run verifies, and at radius above 1, where the strategy runs,
+    what its ``_STRATEGIES`` entry reads.  A run's ``elapsed`` and
     ``experiments.run_with_timeout``'s budget both leave them out, so no
     heuristic times a kernel run on ``g``, and a budgeted worker inherits them.
     """
-    _coverage_balls(g)
-    if metric_profile(g).radius > 1 and h in (BrokerHeuristic.BTW, BrokerHeuristic.S_BTW):
-        betweenness(g)
+    if verify:
+        _coverage_balls(g)
+    if metric_profile(g).radius > 1:
+        for read in _STRATEGIES[h].reads:
+            read(g)
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +320,27 @@ def _imp_center(g: Graph) -> NodeSet:
     return _cover(g, pick)
 
 
-# BrokerHeuristic -> strategy(g): a metric's rule under one of the two cover
-# loops, or a center strategy.  The entries are private and look public
-# functions such as ``betweenness`` up by name when they run, so a rebound
-# module attribute is seen.
+class _Strategy(NamedTuple):
+    run: Callable[[Graph], NodeSet]
+    reads: tuple[Callable[[Graph], object], ...] = ()  # what run(g) reads of g, kept before the timer
+
+
+# BrokerHeuristic -> strategy: a metric's rule under one of the two cover
+# loops, or a center strategy, and what it reads: the coverage balls on
+# :func:`_cover`, the whole-graph betweenness under ``_by_betweenness``.  The
+# entries are private and look public functions such as ``betweenness`` up
+# by name when they run, so a rebound module attribute is seen.
 _STRATEGIES = {
-    BrokerHeuristic.MAX: lambda g: _greedy_shrinking(g, _by_degree),
-    BrokerHeuristic.BTW: lambda g: _greedy_shrinking(g, _by_betweenness),
-    BrokerHeuristic.ML: lambda g: _greedy_shrinking(g, _by_leaf_walk),
-    BrokerHeuristic.S_MAX: lambda g: _greedy_uncovered(g, _by_degree),
-    BrokerHeuristic.S_BTW: lambda g: _greedy_uncovered(g, _by_betweenness),
-    BrokerHeuristic.S_ML: lambda g: _greedy_uncovered(g, _by_leaf_walk),
-    BrokerHeuristic.CENTER: _center_neighbors,
-    BrokerHeuristic.IMP_CENTER: _imp_center,
+    BrokerHeuristic.MAX: _Strategy(lambda g: _greedy_shrinking(g, _by_degree)),
+    BrokerHeuristic.BTW: _Strategy(lambda g: _greedy_shrinking(g, _by_betweenness), (lambda g: betweenness(g),)),
+    BrokerHeuristic.ML: _Strategy(lambda g: _greedy_shrinking(g, _by_leaf_walk)),
+    BrokerHeuristic.S_MAX: _Strategy(lambda g: _greedy_uncovered(g, _by_degree), (_coverage_balls,)),
+    BrokerHeuristic.S_BTW: _Strategy(
+        lambda g: _greedy_uncovered(g, _by_betweenness), (_coverage_balls, lambda g: betweenness(g))
+    ),
+    BrokerHeuristic.S_ML: _Strategy(lambda g: _greedy_uncovered(g, _by_leaf_walk), (_coverage_balls,)),
+    BrokerHeuristic.CENTER: _Strategy(_center_neighbors),
+    BrokerHeuristic.IMP_CENTER: _Strategy(_imp_center, (_coverage_balls,)),
 }
 
 

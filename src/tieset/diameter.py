@@ -139,10 +139,11 @@ class _Joined:
     x and y, and d_H(x, u) = 1 + d(x, S).  So x reaches every host node within
     t hops in H iff ``ball_t[x] | near[t - 2 - d(x, S)]`` is full, where
     ``near[r]`` holds the nodes within r of S.  The host's balls of radius
-    delta-1..diam(g) come from one kernel run.  Each tie then costs one BFS
-    that lowers d(., S), an update of ``near`` from the nodes it lowered,
-    and a few mask tests.  ``near`` ends at its first full entry, so its
-    length is ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
+    delta-1..diam(g), and of radius rad(g) + 2 for ``cp``'s check, come from
+    one kernel run; ``periphery`` keeps the same radii.  Each tie then costs
+    one BFS that lowers d(., S), an update of ``near`` from the nodes it
+    lowered, and a few mask tests.  ``near`` ends at its first full entry,
+    so its length is ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
 
     Only a node of host eccentricity at least delta can end a host pair
     delta or more apart in H; ``wide`` lists them.  ``far`` maps each such
@@ -157,7 +158,7 @@ class _Joined:
 
     def __init__(self, g: Graph, delta: int):
         self.profile = metric_profile(g)
-        ecc, self.balls = _balls(g.adj, range(delta - 1, self.profile.diameter + 1))
+        ecc, self.balls = _balls(g.adj, {*range(delta - 1, self.profile.diameter + 1), self.profile.radius + 2})
         self.adj = g.adj
         self.delta = delta
         self.full = (1 << g.n) - 1
@@ -173,7 +174,7 @@ class _Joined:
         return self.near[r] if r < len(self.near) else self.full
 
     def _reaches(self, x: int, t: int) -> bool:
-        """True iff host node x is within t of every host node in H (t >= delta - 1)."""
+        """True iff host node x is within t of every host node in H (t any kept radius)."""
         return self.balls[t][x] | self._near(t - 2 - self.dist[x]) == self.full
 
     def tie(self, members: Iterable[int]) -> None:
@@ -206,13 +207,6 @@ class _Joined:
         """
         t = self.delta - 1
         return len(self.near) > t or not all(self._reaches(x, t) for x in self.wide)
-
-    def eccentricity(self, w: int) -> int:
-        """ecc_H(w) of host node w, from one BFS from w and the law."""
-        a = self.dist[w]
-        host = [len(self.adj)] * len(self.adj)
-        _bfs(self.adj, host, (w,))
-        return max(1 + a, max(map(min, host, (a + 2 + d for d in self.dist))))
 
     def periphery(self) -> list[int]:
         """The host nodes in the periphery of H, ascending.
@@ -304,13 +298,14 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     be peripheral again, so the loop terminates.  Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    delta-1..diam.  Then per round one popcount per periphery node for the
-    draw, one BFS that lowers the distances to the tie set, an update of the
-    distance layers from the nodes it lowered, and mask tests on the nodes
-    still farther than delta from some node.  A second kernel run, on the
+    delta-1..diam and rad + 2.  Then per round one popcount per periphery
+    node for the draw, one BFS that lowers the distances to the tie set, an
+    update of the distance layers from the nodes it lowered, and mask tests
+    on the nodes still farther than delta from some node.  A second kernel run, on the
     final combined graph, is made only when its diameter ends below delta,
     for the exact ``achieved_diameter``.  Memory: diam - delta + 2 kept mask
-    generations of up to n^2/8 bytes each, full masks sharing one int.
+    generations of up to n^2/8 bytes each, full masks sharing one int, and
+    one more when rad + 2 < delta - 1 (the radius ``cp``'s check reads).
     """
     return _reduce(g, delta, seed, _Joined.draw_peripheral_pair)
 
@@ -326,10 +321,12 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    delta-1..diam.  Then per tie one BFS that lowers the distances to the
-    tie set, an update of the distance layers from the nodes it lowered, one
-    BFS from the picked node for the eccentricity check, and mask tests on
-    the nodes still farther than delta from some node.  A second kernel run,
+    delta-1..diam and rad + 2.  Then per tie one BFS that lowers the
+    distances to the tie set, an update of the distance layers from the
+    nodes it lowered, and mask tests on the nodes still farther than delta
+    from some node.  The check is one mask test: the picked node is in S,
+    so by the augmentation law its eccentricity is at most rad + 2 iff its
+    host (rad + 2)-ball OR the rad-ball of S is full.  A second kernel run,
     on the final combined graph, is made only when its diameter ends below
     delta, for the exact ``achieved_diameter``.  Memory as for
     :func:`periphery_algorithm`.
@@ -344,12 +341,9 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
 
     def check(joined: _Joined, chosen: list[int]) -> None:
         (w,) = chosen
-        ecc = joined.eccentricity(w)
-        if ecc > joined.profile.radius + 2:
-            raise RuntimeError(
-                f"picked periphery node {w} kept eccentricity {ecc} "
-                f"> original radius {joined.profile.radius} + 2"
-            )
+        radius = joined.profile.radius
+        if not joined._reaches(w, radius + 2):  # w is in S, so d(w, S) = 0
+            raise RuntimeError(f"picked periphery node {w} kept eccentricity > original radius {radius} + 2")
 
     return _reduce(g, delta, seed, pick, check)
 

@@ -229,11 +229,11 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     """Run a heuristic with verification under a wall-clock budget and return its report.
 
     With ``timeout_s`` None the run is made in this process.  Otherwise
-    what the heuristic reads outside its timer (the metric profile, the
-    coverage balls and, for ``btw``/``s-btw``, the whole-graph betweenness;
-    see ``broker._fill_untimed``) is first kept on ``g``,
-    so a worker started by :func:`_fork` inherits it and the budget covers
-    only the heuristic and its verification.  Raises :class:`RunTimedOut`
+    what the heuristic and its verification read outside the timer (the
+    metric profile, the coverage balls and, for ``btw``/``s-btw``, the
+    whole-graph betweenness; see ``broker._fill_untimed``) is first kept on
+    ``g``, so a worker started by :func:`_fork` inherits it and the budget
+    covers only the heuristic and its verification.  Raises :class:`RunTimedOut`
     when no report arrives within the budget (the worker is sent SIGTERM),
     and RuntimeError when the worker raises or exits without a whole report.
     The worker is reaped on every path, after its report is read, so a
@@ -241,7 +241,7 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     """
     if timeout_s is None:
         return run_heuristic(g, heuristic)
-    _fill_untimed(g, heuristic)
+    _fill_untimed(g, heuristic, verify=True)
     pid, reader = _fork(_send_report, (g, heuristic))
     try:
         if not select.select([reader], [], [], timeout_s)[0]:

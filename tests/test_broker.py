@@ -124,6 +124,19 @@ def test_whole_graph_betweenness_is_computed_before_the_timer(monkeypatch, heuri
     assert events[:2] == [True, "clock"]
 
 
+@pytest.mark.parametrize("heuristic, verify, kept", [
+    *[(h, False, False) for h in ("max", "btw", "ml", "center")],
+    *[(h, False, True) for h in ("s-max", "s-btw", "s-ml", "imp-center")],
+    *[(h.value, True, True) for h in BrokerHeuristic],
+])
+def test_coverage_balls_are_kept_only_by_runs_that_read_them(heuristic, verify, kept):
+    # the s- covers and imp-center read them, and so does every verification
+    g = random_connected(20, 6, 1)
+    assert metric_profile(g).radius > 1
+    run_heuristic(g, heuristic, verify=verify)
+    assert (g._coverage is not None) == kept
+
+
 def test_a_profile_of_another_graph_is_refused():
     with pytest.raises(GraphError, match="profile"):
         run_heuristic(P5, "s-max", profile=metric_profile(path_graph(9)))

@@ -18,7 +18,7 @@ from tieset.diameter import (
 from tieset.generators import BA
 from tieset.graph import GraphError, NodeSet, augment, build_graph, metric_profile
 
-from util import complete_graph, cycle_graph, path_graph, random_connected, random_tree
+from util import complete_graph, cycle_graph, path_graph, random_connected, random_tree, ref_cp_algorithm
 
 
 P5 = path_graph(5)
@@ -181,6 +181,44 @@ def test_tying_to_whole_periphery_never_increases_but_may_not_shrink():
             continue
         combined = metric_profile(augment(g, prof.periphery))
         assert combined.diameter <= prof.diameter
+
+
+@pytest.mark.parametrize("g, delta", [
+    pytest.param(path_graph(20), 2, id="p20-2"),
+    pytest.param(random_connected(80, 40, 2), 3, id="r80-3"),
+    pytest.param(cycle_graph(13), 5, id="c13-5"),
+])
+def test_cp_makes_one_bfs_per_tie(g, delta, monkeypatch):
+    # the ecc <= rad + 2 check reads the kept masks, so only the tie's own
+    # search lowers distances
+    calls = []
+    bfs = diameter._bfs
+    monkeypatch.setattr(diameter, "_bfs", lambda *args: calls.append(1) or bfs(*args))
+    report = cp_algorithm(g, delta, 1)
+    assert report.iterations >= 3
+    assert len(calls) == report.iterations
+
+
+# P11: radius 5, diameter 10, so at delta 9 the check's radius rad + 2 = 7
+# lies below the reduction's own kept radii 8..10
+P11 = path_graph(11)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cp_checks_the_radius_below_the_reduction_radii(seed):
+    report = cp_algorithm(P11, 9, seed)
+    assert report == ref_cp_algorithm(P11, 9, seed)
+    assert report.iterations == 2 and 5 in report.s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cp_check_refuses_a_picked_node_beyond_radius_plus_two(seed, monkeypatch):
+    (w,) = [x for x in cp_algorithm(P11, 9, seed).s if x != 5]  # the tie after the center
+    profile = diameter.metric_profile
+    monkeypatch.setattr(diameter, "metric_profile", lambda f: dataclasses.replace(profile(f), radius=1))
+    # w is 7 from the far end of the path, past the claimed radius 1 + 2
+    with pytest.raises(RuntimeError, match=rf"picked periphery node {w} .*original radius 1 \+ 2"):
+        cp_algorithm(P11, 9, seed)
 
 
 # (graph, delta, seed, whether both reductions end below delta)

@@ -210,6 +210,25 @@ def test_run_with_timeout_passthrough_and_expiry(monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_budgeted_worker_inherits_the_coverage_balls(tmp_path, monkeypatch):
+    log = tmp_path / "runs.log"
+    kernel = graph._balls
+
+    def logging_run(adj, keep=()):
+        with open(log, "a") as f:  # the forked worker appends here too
+            f.write(f"{os.getpid()} {len(adj)}\n")
+        return kernel(adj, keep)
+
+    g = random_connected(30, 20, 2)
+    graph.metric_profile(g)
+    monkeypatch.setattr(graph, "_balls", logging_run)
+    # max reads no coverage balls itself, but its verification does
+    assert run_with_timeout(g, BrokerHeuristic.MAX, 60).valid
+    assert g._coverage is not None
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert runs == [[str(os.getpid()), str(g.n)]]
+
+
 def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
     # radius 1, so the set is every node: its pickle (~90 kB) overfills a 64 KiB pipe
     g = star_graph(30_000)

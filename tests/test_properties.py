@@ -20,6 +20,7 @@ from tieset.broker import (
     run_heuristic,
 )
 from tieset.diameter import (
+    _Joined,
     brute_force_min_delta_enabling,
     cp_algorithm,
     is_delta_enabling,
@@ -467,6 +468,34 @@ def test_betweenness_equals_reference_on_the_graphs_btw_ranks(g):
     assert all(f is g for f in seen if f.n == g.n)
     for f in seen:
         assert kernel(f) == ref_brandes(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family_graphs(min_n=3),
+    st.integers(0, 2 ** 16),
+    st.lists(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3), min_size=1, max_size=4),
+)
+# P11 at delta 9: radius 5, so the kept radius rad + 2 = 7 lies below delta - 1 = 8
+@example(path_graph(11), 7, [[5], [0], [10]])
+@example(cycle_graph(12), 0, [[0, 6], [3]])
+def test_joined_reaches_equals_floyd_warshall_on_the_combined_graph(g, delta_draw, ties):
+    profile = metric_profile(g)
+    if profile.diameter < 2:
+        return
+    delta = 2 + delta_draw % (profile.diameter - 1)
+    joined = _Joined(g, delta)
+    assert set(joined.balls) == {*range(delta - 1, profile.diameter + 1), profile.radius + 2}
+    s = set()
+    for members in [[]] + [[x % g.n for x in tie] for tie in ties]:  # before the first tie, H is g
+        if members:
+            joined.tie(members)
+            s.update(members)
+        d = fw_distances(augment(g, s) if s else g)
+        for x in range(g.n):
+            farthest = max(d[x][:g.n])  # host nodes only
+            for t in joined.balls:
+                assert joined._reaches(x, t) == (farthest <= t), (sorted(s), x, t)
 
 
 def _outcome(fn, *args):
