@@ -25,6 +25,7 @@ from .graph import (
     _covering_subsets,
     augment,
     is_complete,
+    is_diametrically_uniform,
     metric_profile,
 )
 
@@ -65,9 +66,8 @@ def preserve_diameter(g: Graph) -> NodeSet:
     """
     if g.n < 2:
         raise GraphError("need a graph with at least 2 nodes")
-    profile = metric_profile(g)
-    if profile.radius != profile.diameter:
-        return NodeSet(profile.center[:1])
+    if not is_diametrically_uniform(g):
+        return NodeSet(metric_profile(g).center[:1])
     if is_complete(g):
         return NodeSet(range(g.n))
     v = min(range(g.n), key=lambda x: (len(g.adj[x]), x))
@@ -126,38 +126,39 @@ def _far_pairs_bridged(s_balls: int, far: list[list[tuple[int, int]]]) -> bool:
     return True
 
 
-def _check_reduction_args(g: Graph, delta: int) -> None:
-    diameter = metric_profile(g).diameter  # also rejects disconnected input
-    if not 2 <= delta <= diameter:
-        raise GraphError(f"target diameter {delta} outside valid range 2..{diameter}")
-
-
 class _Joined:
     """``g`` joined with a newcomer u tied to a growing set S, read through the augmentation law.
 
-    By the law, d_H(x, y) = min(d(x, y), d(x, S) + 2 + d(S, y)) for host nodes
-    x and y, and d_H(x, u) = 1 + d(x, S).  So x reaches every host node within
-    t hops in H iff ``ball_t[x] | near[t - 2 - d(x, S)]`` is full, where
-    ``near[r]`` holds the nodes within r of S.  The host's balls of radius
-    delta-1..diam(g), and of radius rad(g) + 2 for ``cp``'s check, come from
-    one kernel run; ``periphery`` keeps the same radii.  Each tie then costs
-    one BFS that lowers d(., S), an update of ``near`` from the nodes it
-    lowered, and a few mask tests.  ``near`` ends at its first full entry,
-    so its length is ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
+    The one place a reduction reads g from: it profiles g, which refuses a
+    disconnected g, and refuses a delta outside 2..diam(g) before its
+    kernel run.  By the law, d_H(x, y) = min(d(x, y), d(x, S) + 2 + d(S, y))
+    for host nodes x and y, and d_H(x, u) = 1 + d(x, S).  So x reaches every
+    host node within t hops in H iff ``ball_t[x] | near[t - 2 - d(x, S)]``
+    is full, where ``near[r]`` holds the nodes within r of S.  The host's
+    balls of radius delta-1..diam(g), and of radius rad(g) + 2 for ``cp``'s
+    check, come from one kernel run; ``periphery`` keeps the same radii.
+    Each tie then costs one BFS that lowers d(., S), an update of ``near``
+    from the nodes it lowered, and mask tests on the nodes of ``far``.
+    ``near`` ends at its first full entry, so its length is
+    ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
 
     Only a node of host eccentricity at least delta can end a host pair
     delta or more apart in H; ``wide`` lists them.  ``far`` maps each such
     node not yet known to be within delta of every host node to r(x), the
     farthest any host node is from x in H (its host eccentricity before the
-    first tie); once r(x) <= delta the node is dropped for good, since
-    distances only shrink as S grows.  ``diameter`` is diam(H), exact
+    first tie).  Distances only shrink as S grows, so each tie lowers r(x)
+    from its last value, testing radii r(x) - 1 down to delta (all kept),
+    and drops x for good once r(x) <= delta; a node at exactly delta before
+    the first tie is dropped untested.  ``diameter`` is diam(H), exact
     whenever it exceeds delta; :meth:`at_delta` tells delta from less.
     Before the first tie H is g itself and ``near`` is empty.  ``profile``
     is g's metric profile, whose center and radius ``cp`` reads.
     """
 
     def __init__(self, g: Graph, delta: int):
-        self.profile = metric_profile(g)
+        self.profile = metric_profile(g)  # also rejects disconnected input
+        if not 2 <= delta <= self.profile.diameter:
+            raise GraphError(f"target diameter {delta} outside valid range 2..{self.profile.diameter}")
         ecc, self.balls = _balls(g.adj, {*range(delta - 1, self.profile.diameter + 1), self.profile.radius + 2})
         self.adj = g.adj
         self.delta = delta
@@ -189,10 +190,9 @@ class _Joined:
         while len(near) > 1 and near[-2] == self.full:
             near.pop()
         self.near = near
-        for x in list(self.far):
-            t = self.delta
-            while not self._reaches(x, t):  # ends by ecc(x): its ball is full there
-                t += 1
+        for x, t in list(self.far.items()):  # t = r(x) before this tie, an upper bound now
+            while t > self.delta and self._reaches(x, t - 1):
+                t -= 1
             if t > self.delta:
                 self.far[x] = t
             else:
@@ -261,19 +261,20 @@ class _Joined:
 def _reduce(g: Graph, delta: int, seed: int, pick, check=None) -> DeltaReport:
     """The loop of both reductions: tie the newcomer to ``pick``'s nodes until diam(H) <= delta.
 
-    ``pick(joined, rng)`` returns the host nodes of the next tie, given the
-    :class:`_Joined` state and the run's ``random.Random(seed)``.  There is
-    at least one tie.  Every tie but the first must not lengthen diam(H)
-    (the first may, through the newcomer itself), and is then passed to
-    ``check(joined, chosen)``, which raises on a broken invariant.  A final
-    diameter of delta is read from the joined state; only one below delta
-    takes a kernel run on the combined graph for its exact value.  The
-    report's ``elapsed`` covers the whole call.
+    The :class:`_Joined` state is built first, just after the clock starts;
+    it refuses a bad g or delta before any other work.  ``pick(joined, rng)``
+    returns the host nodes of the next tie, given that state and the run's
+    ``random.Random(seed)``.  There is at least one tie.  Every tie but the
+    first must not lengthen diam(H) (the first may, through the newcomer
+    itself), and is then passed to ``check(joined, chosen)``, which raises
+    on a broken invariant.  A final diameter of delta is read from the
+    joined state; only one below delta takes a kernel run on the combined
+    graph for its exact value.  The report's ``elapsed`` covers the whole
+    call.
     """
     start = time.perf_counter()
-    _check_reduction_args(g, delta)
-    rng = random.Random(seed)
     joined = _Joined(g, delta)
+    rng = random.Random(seed)
     iterations = 0
     while not iterations or joined.diameter > delta:
         chosen = pick(joined, rng)
@@ -293,19 +294,23 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     """Reduce the combined diameter to <= delta by absorbing peripheral pairs.
 
     Each round picks a uniformly random pair at maximal distance in the
-    current combined graph, ties the newcomer to both endpoints, and
+    current combined graph, ties the newcomer to the endpoints not yet tied
+    (just one when the other is the newcomer or already tied), and
     recomputes the diameter.  A chosen pair drops to distance 2 and can never
     be peripheral again, so the loop terminates.  Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    delta-1..diam and rad + 2.  Then per round one popcount per periphery
-    node for the draw, one BFS that lowers the distances to the tie set, an
-    update of the distance layers from the nodes it lowered, and mask tests
-    on the nodes still farther than delta from some node.  A second kernel run, on the
-    final combined graph, is made only when its diameter ends below delta,
-    for the exact ``achieved_diameter``.  Memory: diam - delta + 2 kept mask
-    generations of up to n^2/8 bytes each, full masks sharing one int, and
-    one more when rad + 2 < delta - 1 (the radius ``cp``'s check reads).
+    delta-1..diam and rad + 2, made after :class:`_Joined` has checked
+    delta.  Then per round one popcount per periphery node for the draw, one
+    BFS that lowers the distances to the tie set, an update of the distance
+    layers from the nodes it lowered, and, for each node still farther than
+    delta from some node, mask tests that lower its farthest distance r(x)
+    from its last value (at most one test at delta = diam - 1).  A second
+    kernel run, on the final combined graph, is made only when its diameter
+    ends below delta, for the exact ``achieved_diameter``.  Memory:
+    diam - delta + 2 kept mask generations of up to n^2/8 bytes each, full
+    masks sharing one int, and one more when rad + 2 < delta - 1 (the
+    radius ``cp``'s check reads).
     """
     return _reduce(g, delta, seed, _Joined.draw_peripheral_pair)
 
@@ -321,12 +326,14 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    delta-1..diam and rad + 2.  Then per tie one BFS that lowers the
-    distances to the tie set, an update of the distance layers from the
-    nodes it lowered, and mask tests on the nodes still farther than delta
-    from some node.  The check is one mask test: the picked node is in S,
-    so by the augmentation law its eccentricity is at most rad + 2 iff its
-    host (rad + 2)-ball OR the rad-ball of S is full.  A second kernel run,
+    delta-1..diam and rad + 2, made after :class:`_Joined` has checked
+    delta.  Then per tie one BFS that lowers the distances to the tie set,
+    an update of the distance layers from the nodes it lowered, and, for
+    each node still farther than delta from some node, mask tests that
+    lower its r(x) from its last value, as for :func:`periphery_algorithm`.
+    The check is one mask test: the picked node is in S, so by the
+    augmentation law its eccentricity is at most rad + 2 iff its host
+    (rad + 2)-ball OR the rad-ball of S is full.  A second kernel run,
     on the final combined graph, is made only when its diameter ends below
     delta, for the exact ``achieved_diameter``.  Memory as for
     :func:`periphery_algorithm`.

@@ -15,7 +15,7 @@ from tieset.diameter import (
     periphery_algorithm,
     preserve_diameter,
 )
-from tieset.generators import BA
+from tieset.generators import BA, RandomModelParams, generate
 from tieset.graph import GraphError, NodeSet, augment, build_graph, metric_profile
 
 from util import complete_graph, cycle_graph, path_graph, random_connected, random_tree, ref_cp_algorithm
@@ -108,11 +108,13 @@ def test_cp_on_cycle6_needs_at_least_two_ties():
         assert report.achieved_diameter <= 3
 
 
-def test_reduction_preconditions():
+def test_reduction_preconditions(monkeypatch):
+    # a bad target is refused before the kernel run on g
+    monkeypatch.setattr(diameter, "_balls", lambda *args: pytest.fail("kernel run before the check"))
     for fn in (periphery_algorithm, cp_algorithm):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="target diameter 1 outside valid range 2..4"):
             fn(P5, 1, 0)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="target diameter 5 outside valid range 2..4"):
             fn(P5, 5, 0)  # above diam(P5)=4
         with pytest.raises(GraphError):
             fn(build_graph(4, [(0, 1), (2, 3)]), 2, 0)
@@ -219,6 +221,35 @@ def test_cp_check_refuses_a_picked_node_beyond_radius_plus_two(seed, monkeypatch
     # w is 7 from the far end of the path, past the claimed radius 1 + 2
     with pytest.raises(RuntimeError, match=rf"picked periphery node {w} .*original radius 1 \+ 2"):
         cp_algorithm(P11, 9, seed)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(path_graph(11), id="p11"),
+    pytest.param(generate(RandomModelParams(BA, 300, 7, ba_m=2)), id="ba300"),
+])
+@pytest.mark.parametrize("name", list(REDUCTIONS))
+def test_at_delta_diam_minus_one_a_tie_tests_each_far_node_once(g, name, monkeypatch):
+    # a tie lowers each far node's r(x) from its kept value, and at delta =
+    # diam - 1 that value is at most delta + 1, so one test settles it
+    calls = []  # per running tie, the _reaches calls made inside it
+    counts = []  # per tie: (_reaches calls inside it, far's size before it)
+    tie, reaches = diameter._Joined.tie, diameter._Joined._reaches
+
+    def counting_tie(joined, members):
+        calls.append(0)
+        before = len(joined.far)
+        tie(joined, members)
+        counts.append((calls.pop(), before))
+
+    def counting_reaches(joined, x, t):
+        if calls:  # cp's check and at_delta test outside a tie, uncounted
+            calls[-1] += 1
+        return reaches(joined, x, t)
+
+    monkeypatch.setattr(diameter._Joined, "tie", counting_tie)
+    monkeypatch.setattr(diameter._Joined, "_reaches", counting_reaches)
+    REDUCTIONS[name](g, metric_profile(g).diameter - 1, 0)
+    assert counts and all(made <= before for made, before in counts), counts
 
 
 # (graph, delta, seed, whether both reductions end below delta)

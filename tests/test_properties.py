@@ -492,10 +492,12 @@ def test_joined_reaches_equals_floyd_warshall_on_the_combined_graph(g, delta_dra
             joined.tie(members)
             s.update(members)
         d = fw_distances(augment(g, s) if s else g)
+        farthest = [max(row[:g.n]) for row in d[:g.n]]  # r(x): host nodes only
+        # far keeps r(x): from ecc >= delta before the first tie, r(x) > delta after each
+        assert joined.far == {x: r for x, r in enumerate(farthest) if r > delta or r == delta and not s}, sorted(s)
         for x in range(g.n):
-            farthest = max(d[x][:g.n])  # host nodes only
             for t in joined.balls:
-                assert joined._reaches(x, t) == (farthest <= t), (sorted(s), x, t)
+                assert joined._reaches(x, t) == (farthest[x] <= t), (sorted(s), x, t)
 
 
 def _outcome(fn, *args):

@@ -8,7 +8,9 @@ as the exact (bit-for-bit) reference for the library's betweenness kernel.
 ``ref_periphery_algorithm`` and ``ref_cp_algorithm`` are the diameter
 reductions that build the combined graph and profile it every round, kept as
 the exact reference (same ties, same reports, same errors) for the library's
-versions, which read the combined graph through the augmentation law.
+versions, which read the combined graph through the augmentation law.  They
+share no check with ``diameter.py``: ``_ref_check_delta`` states the target
+range on its own, so a bad delta compares two independent refusals.
 ``_count_forks``, ``_assert_no_child_left`` and ``open_descriptors`` watch
 the processes and descriptors a forking call leaves behind.
 """
@@ -23,8 +25,8 @@ from itertools import combinations
 import pytest
 
 from tieset.broker import is_dominating_set
-from tieset.diameter import DeltaReport, _check_reduction_args
-from tieset.graph import Graph, NodeSet, _balls_of_radius, augment, build_graph, metric_profile
+from tieset.diameter import DeltaReport
+from tieset.graph import Graph, GraphError, NodeSet, _balls_of_radius, augment, build_graph, metric_profile
 
 INF = 10 ** 9
 
@@ -248,6 +250,13 @@ def _ref_peripheral_pairs(g: Graph) -> list[tuple[int, int]]:
     ]
 
 
+def _ref_check_delta(g: Graph, delta: int) -> None:
+    """Refuse a target outside 2..diam(g), as both reductions do."""
+    diameter = metric_profile(g).diameter  # also rejects disconnected input
+    if not 2 <= delta <= diameter:
+        raise GraphError(f"target diameter {delta} outside valid range 2..{diameter}")
+
+
 def _ref_tie(g: Graph, s: set[int], prev: Graph | None = None) -> Graph:
     """``g`` joined with a newcomer tied to ``s``; refuses a diameter above ``prev``'s."""
     cur = augment(g, NodeSet(s))
@@ -258,7 +267,7 @@ def _ref_tie(g: Graph, s: set[int], prev: Graph | None = None) -> Graph:
 
 def ref_periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     """``periphery_algorithm`` with the combined graph built and profiled every round."""
-    _check_reduction_args(g, delta)
+    _ref_check_delta(g, delta)
     rng = random.Random(seed)
     u = g.n
     s: set[int] = set()
@@ -282,7 +291,7 @@ def ref_periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
 
 def ref_cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     """``cp_algorithm`` with the combined graph built and profiled every round."""
-    _check_reduction_args(g, delta)
+    _ref_check_delta(g, delta)
     rng = random.Random(seed)
     u = g.n
     radius = metric_profile(g).radius
