@@ -120,9 +120,11 @@ def write_csv(
 
 
 def _check_out(out) -> None:
-    """Refuse an output path whose folder does not exist, with the FileNotFoundError that writing it raises."""
+    """Refuse an output path whose folder does not exist, or that is a directory, with the error writing it raises."""
     if not Path(out).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+    if Path(out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
 
 
 def _require(name: str, values: Sequence) -> None:

@@ -14,7 +14,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, count
 from operator import add, or_
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -167,9 +167,11 @@ def _balls(adj: tuple[tuple[int, ...], ...], keep: Iterable[int] = ()) -> tuple[
     """Bit-parallel BFS from every node at once (Akiba, Iwata & Yoshida 2013).
 
     Node v's r-ball is a Python int with bit w set iff d(v, w) <= r.  Round
-    r+1 computes ball_{r+1}[v] = ball_r[v] | OR of ball_r[w] over w in N(v).
-    The kernel runs until every mask is full or a round changes nothing, or
-    only up to the largest radius in ``keep`` if that comes first.
+    r+1 computes ball_{r+1}[v] = ball_r[v] | OR of ball_r[w] over w in N(v),
+    in one walk over the nodes that skips the retired ones, grows every other
+    mask and retires each that comes out full.  The kernel stops on two
+    rules: at the largest radius in ``keep``, or after a round that changes
+    nothing, which is also how it ends once every mask is full.
 
     Returns ``(ecc, kept)``.  ``ecc[v]`` is the first round at which v's
     mask is full, or -1 if it is not full by the last round run (as on
@@ -187,36 +189,28 @@ def _balls(adj: tuple[tuple[int, ...], ...], keep: Iterable[int] = ()) -> tuple[
     keep = set(keep)
     last = max(keep, default=n)  # n-1 rounds reach every node
     kept: dict[int, list[int]] = {}
-    ecc = [-1] * n
+    ecc = [0 if n == 1 else -1] * n  # before the first round, only a one-node graph's mask is full
     ball = [1 << v for v in range(n)]
-    pending = list(range(n))
-    r = 0
-    while True:
-        still = []
-        for v in pending:
-            if ball[v] == full:
-                ecc[v] = r
-                ball[v] = full
-            else:
-                still.append(v)
-        pending = still
+    for r in count():
         if r in keep:
             kept[r] = ball
-        if not pending or r >= last:
+        if r >= last:
             break
         grown = ball[:]
-        changed = False
-        for v in pending:
+        for v in range(n):
+            if ecc[v] >= 0:  # retired: its mask is full
+                continue
             b = ball[v]
             for w in adj[v]:
                 b |= ball[w]
-            if b != ball[v]:
+            if b == full:
+                ecc[v] = r + 1
+                grown[v] = full
+            else:
                 grown[v] = b
-                changed = True
-        if not changed:
+        if grown == ball:
             break
         ball = grown
-        r += 1
     for k in keep:
         kept.setdefault(k, ball)
     return ecc, kept
@@ -295,9 +289,9 @@ def metric_profile(g: Graph) -> MetricProfile:
         if g.n == 0:
             raise NotConnectedError("graph not connected: no nodes")
         ecc, _ = _balls(g.adj)
-        if min(ecc) < 0:
-            raise NotConnectedError("graph not connected")
         radius = min(ecc)
+        if radius < 0:
+            raise NotConnectedError("graph not connected")
         diameter = max(ecc)
         center = NodeSet(v for v in range(g.n) if ecc[v] == radius)
         periphery = NodeSet(v for v in range(g.n) if ecc[v] == diameter)

@@ -332,27 +332,40 @@ def _refuse(*args, **kwargs):
     pytest.fail("a graph was drawn or a dataset read")
 
 
-# gen and gadget check their --out as experiment does, before a graph is drawn or read
-@pytest.mark.parametrize("argv", [
-    pytest.param(["experiment", "1", "--models", "ba", "--sizes", "200", "--count", "5"], id="1"),
-    pytest.param(["experiment", "2", "--sizes", "8"], id="2"),
-    pytest.param(["experiment", "4"], id="4"),
-    *(pytest.param(["experiment", number, "--dataset", "d=DATA"], id=number) for number in ("3", "5")),
-    pytest.param(["gen", "--model", "ba", "--n", "10", "--seed", "1"], id="gen"),
-    pytest.param(["gadget", "DATA"], id="gadget"),
+# gen and gadget check their --out as experiment does, before a graph is drawn or read: an --out whose
+# folder is missing, or that is itself a directory, is refused with the error that writing it raises
+_BAD_OUT_ARGV = {
+    "1": ["experiment", "1", "--models", "ba", "--sizes", "200", "--count", "5"],
+    "2": ["experiment", "2", "--sizes", "8"],
+    "4": ["experiment", "4"],
+    **{number: ["experiment", number, "--dataset", "d=DATA"] for number in ("3", "5")},
+    "gen": ["gen", "--model", "ba", "--n", "10", "--seed", "1"],
+    "gadget": ["gadget", "DATA"],
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(argv, code, id=name + suffix)
+    for name, argv in _BAD_OUT_ARGV.items()
+    for code, suffix in ((errno.ENOENT, ""), (errno.EISDIR, "-directory"))
 ])
-def test_experiment_output_folder_that_does_not_exist_is_refused_first(tmp_path, capsys, monkeypatch, argv):
+def test_experiment_output_folder_that_does_not_exist_is_refused_first(tmp_path, capsys, monkeypatch, argv, code):
     data = _edge_file(tmp_path, path_graph(6))
     for module, name in [(experiments, "generate"), (experiments, "load_edge_list"), (cli, "generate"),
                          (cli, "load_edge_list"), (cli, "reduction_gadget")]:
         monkeypatch.setattr(module, name, _refuse)
-    out = tmp_path / "missing" / "e.csv"
+    if code == errno.ENOENT:
+        out = tmp_path / "missing" / "e.csv"
+    else:
+        out = tmp_path / "existing"
+        out.mkdir()
     argv = [arg.replace("DATA", data) for arg in argv]
     assert main([*argv, "--out", str(out)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"tieset: input error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
-    )
-    assert not out.parent.exists()
+    assert capsys.readouterr().err == f"tieset: input error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    if code == errno.ENOENT:
+        assert not out.parent.exists()
+    else:
+        assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("number", ["3", "5"])

@@ -282,6 +282,24 @@ def test_kernel_marks_disconnected_nodes(a, b):
     assert g._profile is None and g._coverage is None  # the failed reads keep nothing
 
 
+# several kept radii at once (as _Joined and the delta oracle keep them), radii
+# past the last round, and the kept generations of a disconnected graph
+@settings(max_examples=100)
+@given(st.one_of(family_graphs(), st.builds(_disjoint_union, family_graphs(max_n=8), family_graphs(max_n=8))),
+       st.data())
+def test_kernel_keeps_every_named_radius_with_full_masks_shared(g, data):
+    keep = data.draw(st.lists(st.integers(0, g.n + 1), max_size=4, unique=True))
+    ecc, kept = _balls(g.adj, keep)
+    d = fw_distances(g)
+    last = max(keep, default=g.n)
+    assert ecc == [e if e <= last else -1 for e in fw_eccentricities(g)]  # INF on a disconnected graph
+    assert sorted(kept) == sorted(keep)
+    full = (1 << g.n) - 1
+    for t, balls in kept.items():
+        assert balls == [sum(1 << w for w in range(g.n) if d[v][w] <= t) for v in range(g.n)]
+        assert len({id(mask) for mask in balls if mask == full}) <= 1  # full masks are one int object
+
+
 @settings(max_examples=60)
 @given(family_graphs(), st.data())
 def test_diameter_at_most_matches_floyd_warshall(g, data):
