@@ -270,6 +270,7 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
 
 
 def is_connected(g: Graph) -> bool:
+    """True iff ``g`` has a node and one :func:`_bfs` from node 0 reaches every node: O(n + m)."""
     return g.n > 0 and len(_bfs(g.adj, [g.n] * g.n, (0,))) == g.n
 
 
@@ -281,17 +282,17 @@ def metric_profile(g: Graph) -> MetricProfile:
     is kept on ``g`` and every later call returns that same object.  The run
     keeps no mask generation: the coverage balls are
     ``broker._coverage_balls``' own, so a graph that is only profiled holds
-    none.  Raises :class:`NotConnectedError` on disconnected input, on every
-    call, and keeps nothing; callers wanting the giant component should
-    apply :func:`largest_connected_component` first.
+    none.  A graph with no nodes, or more than one component, has no radius
+    or diameter: one linear :func:`is_connected` search refuses it with
+    :class:`NotConnectedError` before the kernel runs, on every call, and
+    keeps nothing.  Callers wanting the giant component should apply
+    :func:`largest_connected_component` first.
     """
     if g._profile is None:
-        if g.n == 0:
-            raise NotConnectedError("graph not connected: no nodes")
+        if not is_connected(g):
+            raise NotConnectedError("graph not connected" if g.n else "graph not connected: no nodes")
         ecc, _ = _balls(g.adj)
         radius = min(ecc)
-        if radius < 0:
-            raise NotConnectedError("graph not connected")
         diameter = max(ecc)
         center = NodeSet(v for v in range(g.n) if ecc[v] == radius)
         periphery = NodeSet(v for v in range(g.n) if ecc[v] == diameter)
@@ -345,12 +346,11 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Largest component as a relabeled graph plus the old-id -> new-id mapping.
 
     Ties between equal-size components go to the one containing the smallest
-    original id.  New ids follow ascending original-id order.
+    original id.  New ids follow ascending original-id order.  A graph with
+    no nodes has no component and comes back as itself, with an empty mapping.
     """
-    if g.n == 0:
-        return g, {}
     comps = connected_components(g)
-    best = max(comps, key=len)  # first maximal component has the smallest ids
+    best = max(comps, key=len, default=[])  # first maximal component has the smallest ids
     mapping = {old: new for new, old in enumerate(best)}
     return induced_subgraph(g, best), mapping
 

@@ -8,7 +8,7 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tieset import __version__, cli, diameter, experiments
+from tieset import __version__, cli, diameter, experiments, graph
 from tieset.broker import BrokerHeuristic, brute_force_min_broker
 from tieset.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tieset.datasets import KNOWN_STATS, write_edge_list
@@ -31,11 +31,29 @@ def test_stats_roundtrip(tmp_path, capsys):
     assert "n: 5" in out and "radius: 2" in out and "diameter: 4" in out
 
 
-def test_stats_disconnected_is_a_precondition_error(tmp_path, capsys):
-    path = tmp_path / "two.txt"
-    path.write_text("0 1\n2 3\n")
-    assert main(["stats", str(path)]) == EXIT_PRECONDITION
-    assert main(["stats", str(path), "--giant"]) == EXIT_OK
+@pytest.mark.parametrize("argv", [
+    pytest.param(["stats"], id="stats"),
+    pytest.param(["broker", "--alg", "center"], id="broker"),
+    pytest.param(["diam", "--delta", "2", "--alg", "cp"], id="diam"),
+    pytest.param(["oracle", "--target", "broker"], id="oracle-broker"),
+    pytest.param(["oracle", "--target", "delta", "--delta", "2"], id="oracle-delta"),
+    pytest.param(["gadget", "--out", "h.txt"], id="gadget"),
+])
+def test_stats_disconnected_is_a_precondition_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.txt").write_text("0 1\n2 3\n")
+    command, *flags = argv
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the ball kernel ran on a graph that is not connected")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "_balls", no_kernel)  # refused by one BFS, before any kernel run
+        assert main([command, "two.txt", *flags]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err == "tieset: graph not connected\n" and captured.out == ""
+    assert not (tmp_path / "h.txt").exists()
+    assert main(["stats", "two.txt", "--giant"]) == EXIT_OK
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):
@@ -207,9 +225,14 @@ def test_oracle_flags_the_target_does_not_read_are_input_errors(tmp_path, capsys
     assert captured.err == f"tieset: oracle --target {target} takes no {unused}\n" and captured.out == ""
 
 
-def test_oracle_delta_requires_delta(tmp_path):
+def test_oracle_delta_requires_delta(tmp_path, capsys):
     path = _edge_file(tmp_path, path_graph(5))
     assert main(["oracle", path, "--target", "delta"]) == EXIT_PRECONDITION
+    capsys.readouterr()
+    missing = str(tmp_path / "never-read.txt")  # refused before the file is read
+    assert main(["oracle", missing, "--target", "delta"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err == "tieset: --delta is required for --target delta\n" and captured.out == ""
 
 
 def test_experiment_subcommand_writes_csv(tmp_path):

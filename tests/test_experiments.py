@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tieset import experiments, graph
+from tieset import cli, experiments, graph
 from tieset.datasets import DatasetDescriptor, NetworkStats, write_edge_list
 from tieset.experiments import (
     CSV_COLUMNS,
@@ -184,6 +184,12 @@ def test_experiment_3_records_timeouts(tmp_path, monkeypatch):
     assert [r.note for r in records if r.kind == "detail"] == ["timeout"]
     # a sub-second budget is written as itself, not rounded to 0 ("no budget")
     assert "# timeout-s: 0.0001" in _read_csv(out)[0]
+    # through the CLI a blown budget is the same row and exit 0: exit 3 is a search cap only
+    cli_out = tmp_path / "e3-cli.csv"
+    argv = ["experiment", "3", "--dataset", f"slow={slow.path}", "--heuristics", "btw", "--timeout", "0.0001"]
+    assert cli.main([*argv, "--out", str(cli_out)]) == cli.EXIT_OK
+    _, header, rows = _read_csv(cli_out)
+    assert [(row[header.index("kind")], row[header.index("note")]) for row in rows] == [("detail", "timeout")]
 
 
 def test_experiment_3_records_the_same_rows_in_process_and_in_workers(tmp_path):

@@ -118,11 +118,21 @@ def test_metric_profile_cycle6_vertex_transitive():
     assert p.center == p.periphery == NodeSet(range(6))
 
 
-def test_metric_profile_rejects_disconnected():
-    with pytest.raises(NotConnectedError, match="not connected"):
-        metric_profile(build_graph(4, [(0, 1), (2, 3)]))
-    with pytest.raises(NotConnectedError, match="graph not connected: no nodes"):
-        metric_profile(build_graph(0, []))
+def test_metric_profile_rejects_disconnected(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the ball kernel ran on a graph that is not connected")
+
+    monkeypatch.setattr(graph, "_balls", no_kernel)  # the refusal is one BFS, before any kernel run
+    cases = [
+        (build_graph(4, [(0, 1), (2, 3)]), "graph not connected"),
+        (build_graph(4, [(0, 1), (1, 2)]), "graph not connected"),  # a path plus an isolated node
+        (build_graph(0, []), "graph not connected: no nodes"),
+    ]
+    for g, message in cases:
+        with pytest.raises(NotConnectedError) as raised:
+            metric_profile(g)
+        assert str(raised.value) == message
+        assert g._profile is None
 
 
 def test_metric_profile_is_computed_once_and_kept():
