@@ -23,6 +23,7 @@ from .graph import (
     _balls_of_radius,
     _bfs,
     _covering_subsets,
+    _size_cap,
     augment,
     is_complete,
     is_diametrically_uniform,
@@ -79,8 +80,8 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
 
     ``delta`` must be at least 2 (tying to all nodes always reaches diameter
     2, so an answer exists; below 2 none may).  Lexicographically first
-    minimum; ``size_cap`` bounds the subset size as
-    :func:`_covering_subsets` says.
+    minimum; ``size_cap`` bounds the subset size as :func:`_size_cap` says,
+    and a bad one is refused before the graph is profiled.
 
     The host's balls of radius 0..delta are computed once.  A subset S is
     then tested with the augmentation law d_H(x, y) = min(d(x, y),
@@ -92,6 +93,7 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     """
     if delta < 2:
         raise GraphError(f"target diameter must be >= 2, got {delta}")
+    cap = _size_cap(size_cap, g.n)
     metric_profile(g)  # rejects disconnected input
     n = g.n
     balls = _balls(g.adj, range(delta + 1))[1]
@@ -108,7 +110,7 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
         if b != full
     ]
     # the search raises CapExceededError once no subset is left
-    for subset, s_balls in _covering_subsets(packed, (delta - 1) * n, size_cap, "delta-enabling set"):
+    for subset, s_balls in _covering_subsets(packed, (delta - 1) * n, cap, "delta-enabling set"):
         if _far_pairs_bridged(s_balls, far):
             return NodeSet(subset)
 
@@ -132,9 +134,11 @@ class _Joined:
     The one place a reduction reads g from: it profiles g, which refuses a
     disconnected g, and refuses a delta outside 2..diam(g) before its
     kernel run.  By the law, d_H(x, y) = min(d(x, y), d(x, S) + 2 + d(S, y))
-    for host nodes x and y, and d_H(x, u) = 1 + d(x, S).  So x reaches every
-    host node within t hops in H iff ``ball_t[x] | near[t - 2 - d(x, S)]``
-    is full, where ``near[r]`` holds the nodes within r of S.  The host's
+    for host nodes x and y, and d_H(x, u) = 1 + d(x, S).  So the host nodes
+    within t hops of x in H are ``ball_t[x] | near[t - 2 - d(x, S)]``, where
+    ``near[r]`` holds the nodes within r of S.  :meth:`_reach` is the one
+    reader of this law: the tie loop, :meth:`at_delta` and ``cp``'s check
+    test its mask for ``full``, and the pair draw takes the rest.  The host's
     balls of radius delta-1..diam(g), and of radius rad(g) + 2 for ``cp``'s
     check, come from one kernel run; ``periphery`` keeps the same radii.
     Each tie then costs one BFS that lowers d(., S), an update of ``near``
@@ -169,14 +173,10 @@ class _Joined:
         self.wide = list(self.far)
         self.diameter = self.profile.diameter
 
-    def _near(self, r: int) -> int:
-        if r < 0:
-            return 0
-        return self.near[r] if r < len(self.near) else self.full
-
-    def _reaches(self, x: int, t: int) -> bool:
-        """True iff host node x is within t of every host node in H (t any kept radius)."""
-        return self.balls[t][x] | self._near(t - 2 - self.dist[x]) == self.full
+    def _reach(self, x: int, t: int) -> int:
+        """The mask of host nodes within t of host node x in H (t any kept radius)."""
+        r = t - 2 - self.dist[x]  # ball_t[x] | near[r], where near[r] is empty below 0 and full past its end
+        return self.full if r >= len(self.near) else self.balls[t][x] | (self.near[r] if r >= 0 else 0)
 
     def tie(self, members: Iterable[int]) -> None:
         """Tie the newcomer to ``members`` as well, and update ``near``, ``far`` and ``diameter``."""
@@ -191,7 +191,7 @@ class _Joined:
             near.pop()
         self.near = near
         for x, t in list(self.far.items()):  # t = r(x) before this tie, an upper bound now
-            while t > self.delta and self._reaches(x, t - 1):
+            while t > self.delta and self._reach(x, t - 1) == self.full:
                 t -= 1
             if t > self.delta:
                 self.far[x] = t
@@ -206,7 +206,7 @@ class _Joined:
         of ``wide`` is not within delta - 1 of every host node.
         """
         t = self.delta - 1
-        return len(self.near) > t or not all(self._reaches(x, t) for x in self.wide)
+        return len(self.near) > t or any(self._reach(x, t) != self.full for x in self.wide)
 
     def periphery(self) -> list[int]:
         """The host nodes in the periphery of H, ascending.
@@ -238,7 +238,7 @@ class _Joined:
         rows = []  # (a, its partners b > a in ascending bit order, how many pairs a starts)
         total = 0
         for a in self.periphery():
-            apart = self.full & ~(self.balls[top - 1][a] | self._near(top - 3 - dist[a]))
+            apart = self.full & ~self._reach(a, top - 1)
             apart = apart >> (a + 1) << (a + 1)  # partners b > a only
             count = apart.bit_count() + (dist[a] == top - 1)  # plus (a, u) when d(a, S) = diam(H) - 1
             rows.append((a, apart, count))
@@ -349,7 +349,7 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     def check(joined: _Joined, chosen: list[int]) -> None:
         (w,) = chosen
         radius = joined.profile.radius
-        if not joined._reaches(w, radius + 2):  # w is in S, so d(w, S) = 0
+        if joined._reach(w, radius + 2) != joined.full:  # w is in S, so d(w, S) = 0
             raise RuntimeError(f"picked periphery node {w} kept eccentricity > original radius {radius} + 2")
 
     return _reduce(g, delta, seed, pick, check)

@@ -29,7 +29,7 @@ from .broker import AlgorithmReport, BrokerHeuristic, _fill_untimed, brute_force
 from .datasets import DatasetDescriptor, NetworkStats, load_edge_list
 from .diameter import REDUCTIONS
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import CapExceededError, Graph, GraphError, _fork, largest_connected_component, metric_profile
+from .graph import CapExceededError, Graph, GraphError, _fork, _size_cap, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
 
@@ -214,30 +214,26 @@ def _skip(experiment, graph_id, source, note, **columns) -> ExperimentRecord:
     )
 
 
-class RunTimedOut(Exception):
-    """A heuristic run exceeded its wall-clock budget."""
-
-
 def _send_report(out, g, heuristic) -> None:
-    """Body of a budgeted worker (see :func:`_fork`): pickle the report, or the error, to ``out``."""
+    """Body of a budgeted worker (see :func:`_fork`): pickle the report, or the error's ``repr``, to ``out``."""
     try:
-        result = ("ok", run_heuristic(g, heuristic))
+        result = run_heuristic(g, heuristic)
     except Exception as exc:  # surfaced to the parent
-        result = ("error", repr(exc))
+        result = repr(exc)
     pickle.dump(result, out)
 
 
-def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | None) -> AlgorithmReport:
-    """Run a heuristic with verification under a wall-clock budget and return its report.
+def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | None) -> AlgorithmReport | None:
+    """Run a heuristic with verification under a wall-clock budget and return its report, or None.
 
     With ``timeout_s`` None the run is made in this process.  Otherwise
     what the heuristic and its verification read outside the timer (the
     metric profile, the coverage balls and, for ``btw``/``s-btw``, the
     whole-graph betweenness; see ``broker._fill_untimed``) is first kept on
     ``g``, so a worker started by :func:`_fork` inherits it and the budget
-    covers only the heuristic and its verification.  Raises :class:`RunTimedOut`
-    when no report arrives within the budget (the worker is sent SIGTERM),
-    and RuntimeError when the worker raises or exits without a whole report.
+    covers only the heuristic and its verification.  Returns None when no
+    report arrives within the budget (the worker is sent SIGTERM), and
+    raises RuntimeError when the worker raises or exits without a whole report.
     The worker is reaped on every path, after its report is read, so a
     report larger than the pipe buffer cannot stall it until the deadline.
     """
@@ -248,30 +244,29 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     try:
         if not select.select([reader], [], [], timeout_s)[0]:
             os.kill(pid, signal.SIGTERM)
-            raise RunTimedOut(f"{heuristic.value} exceeded {timeout_s:.12g}s")
+            return None
         try:
-            outcome, payload = pickle.load(reader)
+            payload = pickle.load(reader)
         except (EOFError, pickle.UnpicklingError):
-            outcome = None
+            payload = None
     finally:
         reader.close()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if outcome is None:
+    if payload is None:
         raise RuntimeError(f"{heuristic.value} worker exited with code {status} before sending a result")
-    if outcome == "error":
+    if isinstance(payload, str):
         raise RuntimeError(f"{heuristic.value} failed in worker: {payload}")
     return payload
 
 
 def _heuristic_rows(experiment, heuristics, graph_id, source, seed, g, timeout_s=None, **columns):
-    """One row per heuristic run on ``g`` by :func:`run_with_timeout`; a blown budget gives a timeout row."""
+    """One row per heuristic run on ``g`` by :func:`run_with_timeout`; a blown budget (None) gives a timeout row."""
     rows = []
     for h in heuristics:
-        try:
-            report = run_with_timeout(g, h, timeout_s)
+        report = run_with_timeout(g, h, timeout_s)
+        outcome = dict(note="timeout")
+        if report is not None:
             outcome = dict(output_size=report.size, valid=report.valid, elapsed_ms=report.elapsed * 1000.0)
-        except RunTimedOut:
-            outcome = dict(note="timeout")
         record = _graph_record(experiment, graph_id, source, g, algorithm=h.value, seed=seed, **outcome, **columns)
         rows.append(record)
     return rows
@@ -333,8 +328,7 @@ def run_experiment_2(
     _require("heuristics", [h.value for h in heuristics])
     if any(n > ORACLE_MAX_N for n in sizes):
         raise GraphError(f"experiment 2 sizes must stay <= {ORACLE_MAX_N} for the oracle")
-    if oracle_cap < 1:
-        raise GraphError(f"oracle cap must be >= 1, got {oracle_cap}")
+    _size_cap(oracle_cap, ORACLE_MAX_N)  # refuses a cap below 1 first, as the oracle would
 
     def rows(graph_id, params, g):
         try:

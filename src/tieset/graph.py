@@ -226,21 +226,27 @@ def _bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
-def _covering_subsets(
-    masks: Sequence[int], shift: int, size_cap: int | None, what: str
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(subset, union)`` for each subset of at most ``size_cap`` of the n = len(masks) nodes
+def _size_cap(size_cap: int | None, n: int) -> int:
+    """The exhaustive oracles' one cap rule, for a search over n nodes.
+
+    A cap of None means n, a larger one is cut to n, and one below 1 raises
+    :class:`GraphError`.  Each oracle calls it before any kernel run, so a
+    bad cap is refused before the graph is read.
+    """
+    if size_cap is not None and size_cap < 1:
+        raise GraphError(f"size cap must be >= 1, got {size_cap}")
+    return n if size_cap is None else min(size_cap, n)
+
+
+def _covering_subsets(masks: Sequence[int], shift: int, cap: int, what: str) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(subset, union)`` for each subset of at most ``cap`` of the n = len(masks) nodes
     whose masks' OR, ``union``, has all n bits set from bit ``shift`` up; smallest subsets
     first, lexicographic within a size, so the first is the lexicographically first minimum.
 
-    The exhaustive oracles' one cap rule: a cap of None means n, a larger one
-    is cut to n, and one below 1 raises :class:`GraphError`.  When no subset
-    is left it raises :class:`CapExceededError`, naming the ``what`` it sought.
+    ``cap`` is one that :func:`_size_cap` resolved.  When no subset is left
+    it raises :class:`CapExceededError`, naming the ``what`` it sought.
     """
     n = len(masks)
-    if size_cap is not None and size_cap < 1:
-        raise GraphError(f"size cap must be >= 1, got {size_cap}")
-    cap = n if size_cap is None else min(size_cap, n)
     full = (1 << n) - 1
     for k in range(1, cap + 1):
         for subset, chosen in zip(combinations(range(n), k), combinations(masks, k)):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from tieset import broker, graph
+from tieset import broker, diameter, graph
 from tieset.broker import (
     AlgorithmReport,
     BrokerHeuristic,
@@ -192,7 +192,7 @@ def test_min_broker_star_and_complete_need_everything():
     assert brute_force_min_broker(K4) == NodeSet(range(4))
 
 
-def test_min_broker_cap_exceeded_is_distinct():
+def test_min_broker_cap_exceeded_is_distinct(monkeypatch):
     with pytest.raises(CapExceededError):
         brute_force_min_broker(P5, size_cap=1)
     with pytest.raises(GraphError):
@@ -200,6 +200,15 @@ def test_min_broker_cap_exceeded_is_distinct():
     for cap in (0, -1):  # no search is made at all
         with pytest.raises(GraphError, match="size cap must be >= 1"):
             brute_force_min_broker(P5, size_cap=cap)
+
+    def no_kernel(*args):
+        raise AssertionError("ball kernel run before the size cap was checked")
+
+    # nor any kernel run: a fresh graph, since P5 may already keep its profile
+    monkeypatch.setattr(graph, "_balls", no_kernel)
+    monkeypatch.setattr(diameter, "_balls", no_kernel)
+    with pytest.raises(GraphError, match="^size cap must be >= 1, got 0$"):
+        brute_force_min_broker(path_graph(5), size_cap=0)
 
 
 def test_min_dominating_examples():

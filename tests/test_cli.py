@@ -278,7 +278,7 @@ EMPTY_EXPERIMENTS = [
     *(pytest.param([number], "datasets", id=f"no-dataset-{number}") for number in ("3", "5")),
     pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", ","], "i-range", id="no-i-range-5"),
     pytest.param(["2", "--sizes", "8,15"], "sizes must stay <= 14", id="oracle-size-2"),
-    *(pytest.param(["2", "--oracle-cap", cap], "oracle cap must be >= 1", id=f"oracle-cap-{cap}-2")
+    *(pytest.param(["2", "--oracle-cap", cap], f"size cap must be >= 1, got {cap}", id=f"oracle-cap-{cap}-2")
       for cap in ("0", "-1")),
     pytest.param(["5", "--dataset", "d=missing.txt", "--i-range", "1,-1"], "--i-range", id="negative-i-5"),
     *(pytest.param([number, "--models", "ba,nws,ba", "--sizes", "8", "--count", "1"], "models must not repeat ba",

@@ -73,12 +73,23 @@ def test_min_delta_enabling_rejects_delta_below_two():
         brute_force_min_delta_enabling(K4, 1)
 
 
-def test_min_delta_enabling_cap_exceeded():
+def test_min_delta_enabling_cap_exceeded(monkeypatch):
     with pytest.raises(CapExceededError):
         brute_force_min_delta_enabling(C6, 3, size_cap=1)
     for cap in (0, -1):  # no search is made at all
         with pytest.raises(GraphError, match="size cap must be >= 1"):
             brute_force_min_delta_enabling(C6, 3, size_cap=cap)
+
+    def no_kernel(*args):
+        raise AssertionError("ball kernel run before the size cap was checked")
+
+    # nor any kernel run: a fresh graph, since C6 may already keep its profile
+    monkeypatch.setattr(graph, "_balls", no_kernel)
+    monkeypatch.setattr(diameter, "_balls", no_kernel)
+    with pytest.raises(GraphError, match="^size cap must be >= 1, got 0$"):
+        brute_force_min_delta_enabling(cycle_graph(6), 3, size_cap=0)
+    with pytest.raises(GraphError, match="^target diameter must be >= 2, got 1$"):  # delta is checked first
+        brute_force_min_delta_enabling(cycle_graph(6), 1, size_cap=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
@@ -231,9 +242,9 @@ def test_cp_check_refuses_a_picked_node_beyond_radius_plus_two(seed, monkeypatch
 def test_at_delta_diam_minus_one_a_tie_tests_each_far_node_once(g, name, monkeypatch):
     # a tie lowers each far node's r(x) from its kept value, and at delta =
     # diam - 1 that value is at most delta + 1, so one test settles it
-    calls = []  # per running tie, the _reaches calls made inside it
-    counts = []  # per tie: (_reaches calls inside it, far's size before it)
-    tie, reaches = diameter._Joined.tie, diameter._Joined._reaches
+    calls = []  # per running tie, the _reach calls made inside it
+    counts = []  # per tie: (_reach calls inside it, far's size before it)
+    tie, reach = diameter._Joined.tie, diameter._Joined._reach
 
     def counting_tie(joined, members):
         calls.append(0)
@@ -241,13 +252,13 @@ def test_at_delta_diam_minus_one_a_tie_tests_each_far_node_once(g, name, monkeyp
         tie(joined, members)
         counts.append((calls.pop(), before))
 
-    def counting_reaches(joined, x, t):
-        if calls:  # cp's check and at_delta test outside a tie, uncounted
+    def counting_reach(joined, x, t):
+        if calls:  # cp's check, at_delta and the pair draw read outside a tie, uncounted
             calls[-1] += 1
-        return reaches(joined, x, t)
+        return reach(joined, x, t)
 
     monkeypatch.setattr(diameter._Joined, "tie", counting_tie)
-    monkeypatch.setattr(diameter._Joined, "_reaches", counting_reaches)
+    monkeypatch.setattr(diameter._Joined, "_reach", counting_reach)
     REDUCTIONS[name](g, metric_profile(g).diameter - 1, 0)
     assert counts and all(made <= before for made, before in counts), counts
 

@@ -11,7 +11,6 @@ from tieset.datasets import DatasetDescriptor, NetworkStats, write_edge_list
 from tieset.experiments import (
     CSV_COLUMNS,
     ExperimentRecord,
-    RunTimedOut,
     run_experiment_1,
     run_experiment_2,
     run_experiment_3,
@@ -210,8 +209,7 @@ def test_run_with_timeout_passthrough_and_expiry(monkeypatch):
     # the forked worker inherits the patch, so it outlives any budget below a minute
     monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: time.sleep(60))
     t0 = time.monotonic()
-    with pytest.raises(RunTimedOut, match=r"btw exceeded 0\.05s"):
-        run_with_timeout(g, BrokerHeuristic.BTW, 0.05)
+    assert run_with_timeout(g, BrokerHeuristic.BTW, 0.05) is None
     assert time.monotonic() - t0 < 30
     _assert_no_child_left()
 

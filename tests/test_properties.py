@@ -38,6 +38,7 @@ from tieset.graph import (
     _bfs,
     _brandes,
     _covering_subsets,
+    _size_cap,
     augment,
     betweenness,
     bfs_distances,
@@ -315,12 +316,13 @@ def test_covering_subsets_follow_the_one_cap_rule(data):
     shift = data.draw(st.integers(0, 3))
     masks = data.draw(st.lists(st.integers(0, (1 << (n + shift)) - 1), min_size=n, max_size=n))
     cap = data.draw(st.none() | st.integers(-1, n + 2))
-    search = _covering_subsets(masks, shift, cap, "widget")
     if cap is not None and cap < 1:
         with pytest.raises(GraphError, match=f"^size cap must be >= 1, got {cap}$"):
-            next(search)
+            _size_cap(cap, n)
         return
-    limit = n if cap is None else min(cap, n)
+    limit = _size_cap(cap, n)
+    assert limit == (n if cap is None else min(cap, n))
+    search = _covering_subsets(masks, shift, limit, "widget")
     covers = [
         subset
         for k in range(1, limit + 1)
@@ -514,8 +516,9 @@ def test_joined_reaches_equals_floyd_warshall_on_the_combined_graph(g, delta_dra
         # far keeps r(x): from ecc >= delta before the first tie, r(x) > delta after each
         assert joined.far == {x: r for x, r in enumerate(farthest) if r > delta or r == delta and not s}, sorted(s)
         for x in range(g.n):
-            for t in joined.balls:
-                assert joined._reaches(x, t) == (farthest[x] <= t), (sorted(s), x, t)
+            for t in joined.balls:  # the host nodes within t of x in H, the mask the partner draw counts
+                within = sum(1 << y for y in range(g.n) if d[x][y] <= t)
+                assert joined._reach(x, t) == within, (sorted(s), x, t)
 
 
 def _outcome(fn, *args):
