@@ -179,7 +179,7 @@ def _fill_untimed(g: Graph, h: BrokerHeuristic, verify: bool) -> None:
     when the run verifies, and at radius above 1, where the strategy runs,
     what its ``_STRATEGIES`` entry reads.  A run's ``elapsed`` and
     ``experiments.run_with_timeout``'s budget both leave them out, so no
-    heuristic times a kernel run on ``g``, and a budgeted worker inherits them.
+    heuristic times a kernel run on ``g``.
     """
     if verify:
         _coverage_balls(g)

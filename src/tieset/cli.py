@@ -18,7 +18,7 @@ from .diameter import REDUCTIONS, brute_force_min_delta_enabling
 from .generators import (
     BA, DEFAULT_BA_M, DEFAULT_NWS_K, DEFAULT_NWS_P, NWS, RandomModelParams, generate, reduction_gadget
 )
-from .graph import CapExceededError, GraphError, metric_profile
+from .graph import CapExceededError, GraphError, _size_cap, metric_profile
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -141,6 +141,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_INPUT
     if "delta" in reads and "delta" not in args:
         raise GraphError(f"--delta is required for --target {args.target}")
+    _size_cap(getattr(args, "size_cap", None), 0)  # a cap below 1 is refused before the file is read
     g, _ = load_edge_list(args.path, giant=args.giant)
     s = search(g, **{name: getattr(args, name) for name in args.flags if name in args})
     print(f"target: {args.target}")

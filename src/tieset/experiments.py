@@ -16,8 +16,6 @@ import io
 import itertools
 import logging
 import os
-import pickle
-import select
 import signal
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -29,7 +27,7 @@ from .broker import AlgorithmReport, BrokerHeuristic, _fill_untimed, brute_force
 from .datasets import DatasetDescriptor, NetworkStats, load_edge_list
 from .diameter import REDUCTIONS
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import CapExceededError, Graph, GraphError, _fork, _size_cap, largest_connected_component, metric_profile
+from .graph import CapExceededError, Graph, GraphError, _size_cap, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
 
@@ -214,49 +212,43 @@ def _skip(experiment, graph_id, source, note, **columns) -> ExperimentRecord:
     )
 
 
-def _send_report(out, g, heuristic) -> None:
-    """Body of a budgeted worker (see :func:`_fork`): pickle the report, or the error's ``repr``, to ``out``."""
-    try:
-        result = run_heuristic(g, heuristic)
-    except Exception as exc:  # surfaced to the parent
-        result = repr(exc)
-    pickle.dump(result, out)
+class _Expired(BaseException):
+    """Raised by the SIGALRM handler of :func:`run_with_timeout`; not an ``Exception``, so no run swallows it."""
+
+
+def _expire(signum, frame):
+    raise _Expired
 
 
 def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | None) -> AlgorithmReport | None:
     """Run a heuristic with verification under a wall-clock budget and return its report, or None.
 
-    With ``timeout_s`` None the run is made in this process.  Otherwise
-    what the heuristic and its verification read outside the timer (the
-    metric profile, the coverage balls and, for ``btw``/``s-btw``, the
-    whole-graph betweenness; see ``broker._fill_untimed``) is first kept on
-    ``g``, so a worker started by :func:`_fork` inherits it and the budget
-    covers only the heuristic and its verification.  Returns None when no
-    report arrives within the budget (the worker is sent SIGTERM), and
-    raises RuntimeError when the worker raises or exits without a whole report.
-    The worker is reaped on every path, after its report is read, so a
-    report larger than the pipe buffer cannot stall it until the deadline.
+    Every run is made in this process.  With ``timeout_s`` None it is
+    :func:`run_heuristic` itself.  Otherwise what the heuristic and its
+    verification read outside the timer (the metric profile, the coverage
+    balls and, for ``btw``/``s-btw``, the whole-graph betweenness; see
+    ``broker._fill_untimed``) is first kept on ``g``, so the budget covers
+    only the heuristic and its verification.  The budget is an
+    ``ITIMER_REAL`` timer whose SIGALRM handler raises a private
+    ``BaseException``: a run it cuts returns None, and an error inside the
+    run propagates as it is.  The timer is disarmed and the previous
+    SIGALRM handler restored on every path.  ``signal.signal`` works only
+    in the main thread, so a budget must be set from there.
     """
     if timeout_s is None:
         return run_heuristic(g, heuristic)
     _fill_untimed(g, heuristic, verify=True)
-    pid, reader = _fork(_send_report, (g, heuristic))
+    previous = signal.signal(signal.SIGALRM, _expire)
     try:
-        if not select.select([reader], [], [], timeout_s)[0]:
-            os.kill(pid, signal.SIGTERM)
-            return None
         try:
-            payload = pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError):
-            payload = None
+            signal.setitimer(signal.ITIMER_REAL, timeout_s)
+            return run_heuristic(g, heuristic)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _Expired:
+        return None
     finally:
-        reader.close()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if payload is None:
-        raise RuntimeError(f"{heuristic.value} worker exited with code {status} before sending a result")
-    if isinstance(payload, str):
-        raise RuntimeError(f"{heuristic.value} failed in worker: {payload}")
-    return payload
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _heuristic_rows(experiment, heuristics, graph_id, source, seed, g, timeout_s=None, **columns):
@@ -414,12 +406,13 @@ def run_experiment_3(
     ``datasets`` must name at least one dataset: the default, none, raises
     :class:`GraphError`.  A dataset path that does not exist is skipped with
     a reason row.  Each (dataset, heuristic) run goes through
-    :func:`run_with_timeout`, as in experiments 1 and 2 but under
-    ``timeout_s``, so the profile and the betweenness are
-    computed once per dataset, outside every budget, and a blown budget is a
-    ``timeout`` row.  The budget is written in full ('0.0001'), or ``none``.
-    A ``timeout_s`` other than None or in (0, 2147483.647] (2^31 - 1 ms, well
-    within what ``select`` accepts) raises :class:`GraphError` first.
+    :func:`run_with_timeout`, in this process as in experiments 1 and 2 but
+    under ``timeout_s``, so the profile and the betweenness are computed
+    once per dataset, outside every budget, and a blown budget is a
+    ``timeout`` row.  An error inside a run propagates as it is, and a
+    budget must be set from the main thread.  The budget is written in full
+    ('0.0001'), or ``none``.  A ``timeout_s`` other than None or in
+    (0, 2147483.647] (2^31 - 1 ms) raises :class:`GraphError` first.
     """
     if timeout_s is not None and not 0 < timeout_s <= 2_147_483.647:
         raise GraphError(f"timeout must be none or in (0, 2147483.647] seconds, got {timeout_s}")

@@ -372,8 +372,7 @@ def betweenness(g: Graph) -> list[float]:
     (Bader & Madduri, 2006; see :func:`_brandes`), and the scores are the same
     to the last bit whatever the number of processes.  It stays in-process
     when ``os.fork`` is missing, when another thread is running, or when
-    n·(n + 2m) is below :data:`FORK_MIN_WORK`.  Called in a forked process,
-    such as experiment 3's timed worker, it may fork one level further.
+    n·(n + 2m) is below :data:`FORK_MIN_WORK`.
     """
     if g._betweenness is None:
         object.__setattr__(g, "_betweenness", _brandes(g.n, g.adj))

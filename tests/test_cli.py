@@ -203,12 +203,15 @@ def test_oracle_cap_exit_code(tmp_path):
     assert main(["oracle", path, "--target", "broker", "--cap", "1"]) == EXIT_CAP
 
 
-@pytest.mark.parametrize("target", [["broker"], ["delta", "--delta", "3"]], ids=["broker", "delta"])
+@pytest.mark.parametrize(
+    "target", [["broker"], ["delta", "--delta", "3"], ["delta", "--delta", "1"]], ids=["broker", "delta", "delta-1"]
+)
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_oracle_cap_below_one_is_a_precondition_error(tmp_path, capsys, target, cap):
-    path = _edge_file(tmp_path, path_graph(5))
-    assert main(["oracle", path, "--target", *target, "--cap", cap]) == EXIT_PRECONDITION
-    assert f"size cap must be >= 1, got {cap}" in capsys.readouterr().err
+    # the cap is refused before the file is read, and before the oracle sees a delta below 2
+    for path in (_edge_file(tmp_path, path_graph(5)), str(tmp_path / "never-read.txt")):
+        assert main(["oracle", path, "--target", *target, "--cap", cap]) == EXIT_PRECONDITION
+        assert capsys.readouterr() == ("", f"tieset: size cap must be >= 1, got {cap}\n")
 
 
 @pytest.mark.parametrize("flags, target, unused", [

@@ -1,7 +1,6 @@
 import csv
-import errno
 import os
-import pickle
+import signal
 import time
 
 import pytest
@@ -22,9 +21,9 @@ from tieset.experiments import (
 )
 from tieset.broker import BrokerHeuristic
 from tieset.generators import BA, RandomModelParams, generate
-from tieset.graph import GraphError
+from tieset.graph import GraphError, build_graph
 
-from util import _assert_no_child_left, open_descriptors, random_connected, star_graph
+from util import _assert_no_child_left, _count_forks, open_descriptors, random_connected, star_graph
 
 
 def _read_csv(path):
@@ -149,7 +148,7 @@ def test_experiment_3_computes_the_whole_graph_betweenness_once_before_the_worke
     kernel = graph._brandes
 
     def logging_pass(n, adj, k=None):
-        with open(log, "a") as f:  # the forked workers append here too
+        with open(log, "a") as f:  # a forked process would append here too
             f.write(f"{os.getpid()} {n}\n")
         return kernel(n, adj, k)
 
@@ -177,7 +176,7 @@ def test_experiment_3_skips_the_betweenness_pass_when_no_heuristic_reads_it(tmp_
 def test_experiment_3_records_timeouts(tmp_path, monkeypatch):
     out = tmp_path / "e3.csv"
     slow = DatasetDescriptor("slow", str(_dataset_file(tmp_path)))
-    # the forked worker inherits the patch, so it outlives the budget however fast the machine
+    # the patched run sleeps, so it outlives the budget however fast the machine
     monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: time.sleep(60))
     records = run_experiment_3(out, [slow], heuristics=("btw",), timeout_s=1e-4)
     assert [r.note for r in records if r.kind == "detail"] == ["timeout"]
@@ -192,13 +191,14 @@ def test_experiment_3_records_timeouts(tmp_path, monkeypatch):
 
 
 def test_experiment_3_records_the_same_rows_in_process_and_in_workers(tmp_path):
+    # every run is made in this process: a budget changes only the '#' line that records it
     d = DatasetDescriptor("tiny", str(_dataset_file(tmp_path, n=60, extra=20)))
-    run_experiment_3(tmp_path / "inline.csv", [d], timeout_s=None)
-    run_experiment_3(tmp_path / "forked.csv", [d])
-    inline = (tmp_path / "inline.csv").read_text().splitlines()
-    forked = (tmp_path / "forked.csv").read_text().splitlines()
-    differing = [(a, b) for a, b in zip(inline, forked) if a != b]
-    assert len(inline) == len(forked) == 8 + 7
+    run_experiment_3(tmp_path / "unbudgeted.csv", [d], timeout_s=None)
+    run_experiment_3(tmp_path / "budgeted.csv", [d])
+    unbudgeted = (tmp_path / "unbudgeted.csv").read_text().splitlines()
+    budgeted = (tmp_path / "budgeted.csv").read_text().splitlines()
+    differing = [(a, b) for a, b in zip(unbudgeted, budgeted) if a != b]
+    assert len(unbudgeted) == len(budgeted) == 8 + 7
     assert differing == [("# timeout-s: none", "# timeout-s: 600")]
 
 
@@ -206,7 +206,7 @@ def test_run_with_timeout_passthrough_and_expiry(monkeypatch):
     g = random_connected(30, 20, 2)
     report = run_with_timeout(g, BrokerHeuristic.MAX, None)
     assert report.valid and report.size == len(report.s) >= 1
-    # the forked worker inherits the patch, so it outlives any budget below a minute
+    # the patched run sleeps, so it outlives any budget below a minute
     monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: time.sleep(60))
     t0 = time.monotonic()
     assert run_with_timeout(g, BrokerHeuristic.BTW, 0.05) is None
@@ -219,14 +219,14 @@ def test_a_budgeted_worker_inherits_the_coverage_balls(tmp_path, monkeypatch):
     kernel = graph._balls
 
     def logging_run(adj, keep=()):
-        with open(log, "a") as f:  # the forked worker appends here too
+        with open(log, "a") as f:  # a forked process would append here too
             f.write(f"{os.getpid()} {len(adj)}\n")
         return kernel(adj, keep)
 
     g = random_connected(30, 20, 2)
     graph.metric_profile(g)
     monkeypatch.setattr(graph, "_balls", logging_run)
-    # max reads no coverage balls itself, but its verification does
+    # max reads no coverage balls itself, but its verification does: one kernel run, in this process
     assert run_with_timeout(g, BrokerHeuristic.MAX, 60).valid
     assert g._coverage is not None
     runs = [line.split() for line in log.read_text().splitlines()]
@@ -234,7 +234,7 @@ def test_a_budgeted_worker_inherits_the_coverage_balls(tmp_path, monkeypatch):
 
 
 def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
-    # radius 1, so the set is every node: its pickle (~90 kB) overfills a 64 KiB pipe
+    # radius 1, so the set is every node: a budgeted run returns the whole report, however large
     g = star_graph(30_000)
     report = run_with_timeout(g, BrokerHeuristic.MAX, 60.0)
     assert report.valid is True
@@ -242,56 +242,60 @@ def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
     _assert_no_child_left()
 
 
-def test_run_with_timeout_raises_when_the_worker_dies(monkeypatch):
-    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: os._exit(7))
-    with pytest.raises(RuntimeError, match="exited with code 7"):
-        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
-    _assert_no_child_left()
+def _sleeps(*args, **kwargs):
+    try:
+        time.sleep(60)
+    except Exception:  # a run's own handler must not swallow the timeout
+        return "swallowed"
 
 
-class Die:
-    """Ends the process that pickles it, with status 5."""
-
-    def __reduce__(self):
-        os._exit(5)
+def _fails(*args, **kwargs):
+    raise GraphError("boom")
 
 
-def test_run_with_timeout_raises_when_the_worker_dies_mid_report(monkeypatch):
-    # the worker writes more than a pipe buffer of its report, then exits: the pickle stops between opcodes
-    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: [bytes(300_000), Die()])
-    with pytest.raises(RuntimeError, match="exited with code 5"):
-        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
-    _assert_no_child_left()
+@pytest.mark.parametrize(
+    "outcome, run, budget", [("report", None, 30.0), ("timeout", _sleeps, 0.05), ("error", _fails, 30.0)],
+    ids=["report", "timeout", "error"],
+)
+def test_run_with_timeout_disarms_the_timer_and_restores_the_handler(monkeypatch, outcome, run, budget):
+    def previous_handler(signum, frame):
+        pass
 
-
-def test_run_with_timeout_raises_when_the_report_ends_inside_a_value(monkeypatch):
-    # the stream stops inside the bytes' payload, not between opcodes: UnpicklingError, not EOFError
-    monkeypatch.setattr(experiments, "run_heuristic", lambda *args, **kwargs: bytes(300_000))
-    monkeypatch.setattr(pickle, "dump", lambda obj, out: out.write(pickle.dumps(obj)[:150_000]))
-    with pytest.raises(RuntimeError, match="exited with code 0 before sending a result"):
-        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
-    _assert_no_child_left()
-
-
-def test_run_with_timeout_raises_the_worker_error(monkeypatch):
-    def failing(*args, **kwargs):
-        raise GraphError("boom")
-
-    monkeypatch.setattr(experiments, "run_heuristic", failing)
-    with pytest.raises(RuntimeError, match=r"max failed in worker: GraphError\('boom'\)"):
-        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
-    _assert_no_child_left()
+    g = random_connected(10, 5, 1)
+    if run is not None:
+        monkeypatch.setattr(experiments, "run_heuristic", run)
+    previous = signal.signal(signal.SIGALRM, previous_handler)
+    try:
+        if outcome == "error":
+            with pytest.raises(GraphError, match="^boom$"):  # raised as it is, not wrapped
+                run_with_timeout(g, BrokerHeuristic.MAX, budget)
+        elif outcome == "timeout":
+            assert run_with_timeout(g, BrokerHeuristic.MAX, budget) is None
+        else:
+            assert run_with_timeout(g, BrokerHeuristic.MAX, budget).valid
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous_handler
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
-def test_run_with_timeout_failing_fork_raises_and_closes_every_pipe(monkeypatch):
-    def refused():
-        raise OSError(errno.EAGAIN, "fork refused")
+def test_a_budget_that_expires_inside_a_split_brandes_pass_leaves_no_child_or_pipe(monkeypatch):
+    # a ring of 600 plus a hub on every third node: radius 2, so btw ranks each shrinking subgraph by betweenness
+    g = build_graph(601, [(i, (i + 1) % 600) for i in range(600)] + [(600, i) for i in range(0, 600, 3)])
+    monkeypatch.setattr(graph, "_workers", lambda n, adj: 2)
+    parent, kernel = os.getpid(), graph._dependencies
 
-    monkeypatch.setattr(os, "fork", refused)
+    def stalled(s, n, adj):
+        if os.getpid() == parent and n < g.n:  # this process's share of a subgraph pass, inside the budget
+            time.sleep(60)
+        return kernel(s, n, adj)
+
+    monkeypatch.setattr(graph, "_dependencies", stalled)
+    pids = _count_forks(monkeypatch)
     before = open_descriptors()
-    with pytest.raises(OSError, match="fork refused"):
-        run_with_timeout(random_connected(10, 5, 1), BrokerHeuristic.MAX, 30.0)
+    assert run_with_timeout(g, BrokerHeuristic.BTW, 1.0) is None
+    assert len(pids) == 2  # the whole-graph pass, outside the budget, and the subgraph pass it cut
     assert open_descriptors() == before
     _assert_no_child_left()
 

@@ -4,7 +4,7 @@ The hashes pin the exact heuristic picks, sizes and tie-breaks (and the
 metadata block, including the tool version).  A change that alters any of
 them on purpose must re-record the hash here and say why in CHANGES.md.
 Experiments 3 and 5 read a BA and an NWS edge list written by ``gen``;
-experiment 3 keeps its default timeout, so each run goes through a worker.
+experiment 3 keeps its default timeout, so each run is made under a budget.
 Experiments 2 and 4 are also pinned at their CLI defaults.
 """
 
