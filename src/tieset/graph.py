@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, count
 from operator import add, or_
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 UNREACHABLE = math.inf
 """Distance reported for node pairs with no connecting path."""
@@ -400,47 +400,20 @@ def _workers(n: int, adj: tuple[tuple[int, ...], ...]) -> int:
     return os.cpu_count() or 1
 
 
-def _fork(body, args, inherited=()) -> tuple[int, BinaryIO]:
-    """Run ``body(write_end, *args)`` in a forked child; return ``(pid, read_end)``.
-
-    The package's one call of ``os.fork``.  The child closes its read end and
-    ``inherited`` (earlier workers' read ends), runs ``body``, flushes, and
-    leaves only through ``os._exit``: 0 when ``body`` returns, 1 on any
-    exception.  The parent closes the write end, or both ends if the fork fails.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            for f in inherited:
-                f.close()
-            with os.fdopen(w, "wb") as out:
-                body(out, *args)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
 def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> tuple[float, ...]:
     """Brandes from every source, the sources dealt round-robin to ``k`` processes.
 
     One source's dependency vector (:func:`_dependencies`) is one unit of
     work.  Source s goes to worker s % k: worker 0 is this process, and
-    workers 1..k-1 are :func:`_fork` children that send their vectors over
-    its pipe as packed doubles.  Whichever worker computed it, each vector is
-    added into the scores in source order 0..n-1, so every score receives
-    the same IEEE additions in the same order for every k, and k = 1 is the
-    one-process pass.  A child blocks once its pipe is full, so it runs at
-    most one pipe buffer ahead of the sum and memory does not grow with n.
+    workers 1..k-1 are children it forks itself, in the package's one call
+    of ``os.fork``.  Worker j holds only the write end of its own pipe,
+    sends the vectors of sources j, j+k, ... over it as packed doubles, and
+    leaves only through ``os._exit``: 0 after its last vector, 1 on any
+    exception.  Whichever worker computed it, each vector is added into the
+    scores in source order 0..n-1, so every score receives the same IEEE
+    additions in the same order for every k, and k = 1 is the one-process
+    pass.  A child blocks once its pipe is full, so it runs at most one
+    pipe buffer ahead of the sum and memory does not grow with n.
 
     ``k`` defaults to :func:`_workers` and is capped at n.  A child that
     exits before sending all its vectors makes this raise RuntimeError naming
@@ -452,7 +425,21 @@ def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> 
     children = {}
     try:
         for j in range(1, k):
-            children[j], readers[j] = _fork(_send_dependencies, (j, k, n, adj), readers.values())
+            r, w = os.pipe()
+            readers[j] = os.fdopen(r, "rb")
+            with os.fdopen(w, "wb") as out:  # closes this process's write end after the fork, or a failed one
+                children[j] = os.fork()
+                if children[j] == 0:  # worker j
+                    status = 1
+                    try:
+                        for reader in readers.values():  # its own read end and the earlier workers'
+                            reader.close()
+                        for s in range(j, n, k):
+                            out.write(array("d", _dependencies(s, n, adj)))
+                            out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
         for s in range(n):
             j = s % k
             if j == 0:
@@ -475,13 +462,6 @@ def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> 
             os.waitpid(pid, 0)
     # each unordered pair was accumulated from both endpoints
     return tuple(x / 2.0 for x in score)
-
-
-def _send_dependencies(out: BinaryIO, j: int, k: int, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
-    """Body of worker j (see :func:`_fork`): write the vectors of sources j, j+k, ... to ``out``."""
-    for s in range(j, n, k):
-        out.write(array("d", _dependencies(s, n, adj)))
-        out.flush()
 
 
 def _dependencies(s: int, n: int, adj: tuple[tuple[int, ...], ...]) -> list[float]:

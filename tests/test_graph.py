@@ -327,29 +327,66 @@ def _failing_dependencies(monkeypatch, in_child: bool):
     monkeypatch.setattr(graph, "_workers", lambda n, adj: 3)
 
 
+COUNTS_DESCRIPTORS = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd"
+)
+
+
+@COUNTS_DESCRIPTORS
+def test_betweenness_split_in_three_gives_each_worker_only_its_own_pipe(monkeypatch, tmp_path):
+    g = generate(ABOVE_CUTOFF)
+    monkeypatch.setattr(graph, "_workers", lambda n, adj: 3)
+    log = tmp_path / "descriptors"
+    kernel = graph._dependencies
+
+    def counting(s, n, adj):
+        if s in (1, 2):  # the first source of workers 1 and 2, each in its own process
+            count = open_descriptors()
+            with open(log, "a") as f:
+                f.write(f"{s} {count}\n")
+        return kernel(s, n, adj)
+
+    monkeypatch.setattr(graph, "_dependencies", counting)
+    pids = _count_forks(monkeypatch)
+    before = open_descriptors()
+    assert betweenness(g) == ref_brandes(g)
+    assert len(pids) == 2
+    assert open_descriptors() == before
+    _assert_no_child_left()
+    counts = dict(line.split() for line in log.read_text().splitlines())
+    assert counts.keys() == {"1", "2"}
+    assert counts["1"] == counts["2"]  # worker 2 closed worker 1's read end as well as its own
+
+
+@COUNTS_DESCRIPTORS
 def test_betweenness_worker_that_dies_raises_and_leaves_no_child(monkeypatch):
     g = generate(ABOVE_CUTOFF)
     _failing_dependencies(monkeypatch, in_child=True)
     pids = _count_forks(monkeypatch)
+    before = open_descriptors()
     with pytest.raises(RuntimeError, match="exited with status 3"):
         betweenness(g)
     assert len(pids) == 2
     assert g._betweenness is None
+    assert open_descriptors() == before
     _assert_no_child_left()
 
 
+@COUNTS_DESCRIPTORS
 def test_betweenness_failing_parent_source_reaps_every_child(monkeypatch):
     g = generate(ABOVE_CUTOFF)
     _failing_dependencies(monkeypatch, in_child=False)
     pids = _count_forks(monkeypatch)
+    before = open_descriptors()
     with pytest.raises(ValueError, match="source 42 failed"):
         betweenness(g)
     assert len(pids) == 2
     assert g._betweenness is None
+    assert open_descriptors() == before
     _assert_no_child_left()
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+@COUNTS_DESCRIPTORS
 def test_betweenness_failing_second_fork_reaps_the_first_and_closes_every_pipe(monkeypatch):
     g = generate(ABOVE_CUTOFF)
     monkeypatch.setattr(graph, "_workers", lambda n, adj: 3)
