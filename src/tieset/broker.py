@@ -215,11 +215,7 @@ def _by_leaf_walk(f: Graph, r: int):
         prev = -1
         cur = min(candidates, key=degs.__getitem__)
         for _ in range(r - 1):
-            best = -1
-            best_deg = -1
-            for w in f.adj[cur]:
-                if w != prev and degs[w] > best_deg:
-                    best, best_deg = w, degs[w]
+            best = max((w for w in f.adj[cur] if w != prev), key=degs.__getitem__, default=-1)
             if best < 0:
                 break
             prev, cur = cur, best

@@ -16,7 +16,7 @@ from .broker import BrokerHeuristic, brute_force_min_broker, brute_force_min_dom
 from .datasets import DatasetDescriptor, EdgeListFormatError, load_edge_list, write_edge_list
 from .diameter import REDUCTIONS, brute_force_min_delta_enabling
 from .generators import (
-    BA, DEFAULT_BA_M, DEFAULT_NWS_K, DEFAULT_NWS_P, NWS, RandomModelParams, generate, reduction_gadget
+    DEFAULT_BA_M, DEFAULT_NWS_K, DEFAULT_NWS_P, MODEL_PARAMS, RandomModelParams, generate, reduction_gadget
 )
 from .graph import CapExceededError, GraphError, _size_cap, metric_profile
 
@@ -88,12 +88,8 @@ def _cmd_diam(args) -> int:
     return EXIT_OK
 
 
-# the generator parameters each model reads; one left out takes the model's default
-_GEN_PARAMS = {BA: ("ba_m",), NWS: ("nws_k", "nws_p")}
-
-
 def _cmd_gen(args) -> int:
-    reads = _GEN_PARAMS[args.model]
+    reads = MODEL_PARAMS[args.model]
     if _takes_no(args, f"gen --model {args.model}", reads):
         return EXIT_INPUT
     given = {name: getattr(args, name) for name in reads if name in args}
@@ -200,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded random graph")
     p.set_defaults(fn=_cmd_gen, flags={})
-    p.add_argument("--model", required=True, choices=[BA, NWS])
+    p.add_argument("--model", required=True, choices=list(MODEL_PARAMS))
     p.add_argument("--n", type=int, required=True)
     _option(p, "--ba-m", type=int, help=f"ba only (default {DEFAULT_BA_M})")
     _option(p, "--nws-k", type=int, help=f"nws only (default {DEFAULT_NWS_K})")
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_experiment, flags={})
     p.add_argument("number", choices=["1", "2", "3", "4", "5"])
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=1, help="master seed (default 1)")
+    _option(p, "--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
     _option(p, "--models", type=_list(str))
     _option(p, "--sizes", type=_list(int))
     _option(p, "--count", type=int)

@@ -306,7 +306,7 @@ def run_experiment_2(
     sizes: Sequence[int] = (8, 10, 12),
     count: int = 25,
     heuristics: Sequence[BrokerHeuristic | str] = tuple(BrokerHeuristic),
-    master_seed: int = 2,
+    master_seed: int = 1,
     oracle_cap: int = 8,
     timings: bool = False,
 ) -> list[ExperimentRecord]:
@@ -398,7 +398,7 @@ def run_experiment_3(
     heuristics: Sequence[BrokerHeuristic | str] = tuple(BrokerHeuristic),
     timeout_s: float | None = DEFAULT_TIMEOUT_S,
     verify_stats: bool = False,
-    master_seed: int = 3,
+    master_seed: int = 1,
     timings: bool = False,
 ) -> list[ExperimentRecord]:
     """Broker-set sizes on real edge-list datasets (giant component).
@@ -412,7 +412,10 @@ def run_experiment_3(
     ``timeout`` row.  An error inside a run propagates as it is, and a
     budget must be set from the main thread.  The budget is written in full
     ('0.0001'), or ``none``.  A ``timeout_s`` other than None or in
-    (0, 2147483.647] (2^31 - 1 ms) raises :class:`GraphError` first.
+    (0, 2147483.647] raises :class:`GraphError` first.  The bound is the
+    CLI's contract; ``signal.setitimer`` takes 1e9 s, but raises
+    ``OverflowError`` ("timestamp out of range for platform time_t") at
+    1e12 s, an error :func:`cli.main` maps to no exit code.
     """
     if timeout_s is not None and not 0 < timeout_s <= 2_147_483.647:
         raise GraphError(f"timeout must be none or in (0, 2147483.647] seconds, got {timeout_s}")
@@ -461,7 +464,7 @@ def run_experiment_4(
     models: Sequence[str] = (BA, NWS),
     sizes: Sequence[int] = (100, 200, 400),
     count: int = 10,
-    master_seed: int = 4,
+    master_seed: int = 1,
     timings: bool = False,
 ) -> list[ExperimentRecord]:
     """Edges needed to shrink random graphs' diameter by one, both heuristics."""
@@ -482,7 +485,7 @@ def run_experiment_5(
     datasets: Sequence[DatasetDescriptor] = (),
     *,
     i_range: Sequence[int] = (1, 2, 3, 4),
-    master_seed: int = 5,
+    master_seed: int = 1,
     verify_stats: bool = False,
     timings: bool = False,
 ) -> list[ExperimentRecord]:

@@ -18,6 +18,8 @@ NWS = "nws"
 DEFAULT_BA_M = 2
 DEFAULT_NWS_K = 4
 DEFAULT_NWS_P = 0.1
+# the parameters each model reads; the others keep their defaults, unchecked
+MODEL_PARAMS = {BA: ("ba_m",), NWS: ("nws_k", "nws_p")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,8 +41,8 @@ class RandomModelParams:
     nws_p: float = DEFAULT_NWS_P
 
     def __post_init__(self) -> None:
-        if self.model not in (BA, NWS):
-            raise GraphError(f"unknown model {self.model!r}, expected 'ba' or 'nws'")
+        if self.model not in MODEL_PARAMS:
+            raise GraphError(f"unknown model {self.model!r}, expected {' or '.join(map(repr, MODEL_PARAMS))}")
         if self.model == BA:
             if not 1 <= self.ba_m < self.n:
                 raise GraphError(f"ba needs 1 <= ba_m < n, got ba_m={self.ba_m}, n={self.n}")

@@ -400,8 +400,8 @@ def _workers(n: int, adj: tuple[tuple[int, ...], ...]) -> int:
     return os.cpu_count() or 1
 
 
-def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> tuple[float, ...]:
-    """Brandes from every source, the sources dealt round-robin to ``k`` processes.
+def _brandes(n: int, adj: tuple[tuple[int, ...], ...]) -> tuple[float, ...]:
+    """Brandes from every source, the sources dealt round-robin to k processes.
 
     One source's dependency vector (:func:`_dependencies`) is one unit of
     work.  Source s goes to worker s % k: worker 0 is this process, and
@@ -415,11 +415,11 @@ def _brandes(n: int, adj: tuple[tuple[int, ...], ...], k: int | None = None) -> 
     pass.  A child blocks once its pipe is full, so it runs at most one
     pipe buffer ahead of the sum and memory does not grow with n.
 
-    ``k`` defaults to :func:`_workers` and is capped at n.  A child that
-    exits before sending all its vectors makes this raise RuntimeError naming
-    its exit status.  Every child is reaped before this returns or raises.
+    k is :func:`_workers`' count, capped at n.  A child that exits before
+    sending all its vectors makes this raise RuntimeError naming its exit
+    status.  Every child is reaped before this returns or raises.
     """
-    k = max(1, min(_workers(n, adj) if k is None else k, n))
+    k = max(1, min(_workers(n, adj), n))
     score = [0.0] * n
     readers = {}
     children = {}

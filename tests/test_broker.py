@@ -113,6 +113,22 @@ def test_unverified_run_reports_none():
     assert report.s == NodeSet([1, 3])
 
 
+# each cover loop refuses a pick that covers nothing, which no real pick does
+
+def test_the_shrinking_cover_refuses_a_pick_that_covers_nothing(monkeypatch):
+    # a coverage BFS that reaches no node leaves the uncovered subgraph as it was
+    monkeypatch.setattr(broker, "_bfs", lambda *args: [])
+    with pytest.raises(RuntimeError, match="^cover iteration made no progress$"):
+        run_heuristic(P5, "max", verify=False)
+
+
+def test_the_mask_cover_refuses_a_pick_that_covers_nothing(monkeypatch):
+    # an s- rule that always picks node 0, whose 1-ball {0, 1} the first pick covers
+    monkeypatch.setattr(broker, "_by_degree", lambda f, r: lambda candidates: 0)
+    with pytest.raises(RuntimeError, match="^cover iteration made no progress$"):
+        run_heuristic(P5, "s-max", verify=False)
+
+
 @pytest.mark.parametrize("heuristic", ["btw", "s-btw"])
 def test_whole_graph_betweenness_is_computed_before_the_timer(monkeypatch, heuristic):
     g = random_connected(20, 6, 1)

@@ -234,6 +234,35 @@ def test_cp_check_refuses_a_picked_node_beyond_radius_plus_two(seed, monkeypatch
         cp_algorithm(P11, 9, seed)
 
 
+# the reduction loop's other invariants, each reached by breaking the one piece that keeps it
+
+def test_periphery_refuses_a_draw_from_an_empty_periphery(monkeypatch):
+    monkeypatch.setattr(diameter._Joined, "periphery", lambda self: [])
+    with pytest.raises(RuntimeError, match="^no addable peripheral pair despite oversized diameter$"):
+        periphery_algorithm(P11, 9)
+
+
+def test_cp_refuses_an_empty_periphery_after_the_center_tie(monkeypatch):
+    monkeypatch.setattr(diameter._Joined, "periphery", lambda self: [])
+    with pytest.raises(RuntimeError, match="^periphery exhausted despite oversized diameter$"):
+        cp_algorithm(P11, 9)
+
+
+def test_a_tie_after_the_first_that_lengthens_the_diameter_is_refused(monkeypatch):
+    tie = diameter._Joined.tie
+
+    def lengthening(self, members):
+        first, before = not self.near, self.diameter
+        tie(self, members)
+        if not first:  # the first tie may lengthen diam(H), through the newcomer
+            self.diameter = before + 1
+
+    monkeypatch.setattr(diameter._Joined, "tie", lengthening)
+    # cp on P11 at delta 9 ties twice: the center, then a periphery node
+    with pytest.raises(RuntimeError, match="^diameter increased$"):
+        cp_algorithm(P11, 9)
+
+
 @pytest.mark.parametrize("g", [
     pytest.param(path_graph(11), id="p11"),
     pytest.param(generate(RandomModelParams(BA, 300, 7, ba_m=2)), id="ba300"),

@@ -147,10 +147,10 @@ def test_experiment_3_computes_the_whole_graph_betweenness_once_before_the_worke
     log = tmp_path / "passes.log"
     kernel = graph._brandes
 
-    def logging_pass(n, adj, k=None):
+    def logging_pass(n, adj):
         with open(log, "a") as f:  # a forked process would append here too
             f.write(f"{os.getpid()} {n}\n")
-        return kernel(n, adj, k)
+        return kernel(n, adj)
 
     monkeypatch.setattr(graph, "_brandes", logging_pass)
     g = generate(RandomModelParams(BA, 120, 7, ba_m=2))

@@ -311,6 +311,14 @@ def test_betweenness_stays_in_process(monkeypatch, case):
     assert not thread.is_alive()
 
 
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (4, 4)])
+def test_workers_fall_back_on_the_cpu_count_without_an_affinity_mask(monkeypatch, cpus, workers):
+    g = generate(ABOVE_CUTOFF)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert graph._workers(g.n, g.adj) == workers
+
+
 def _failing_dependencies(monkeypatch, in_child: bool):
     """Make ``_dependencies`` fail from source 40 on, in the children or in this process."""
     parent = os.getpid()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tieset
-from tieset import broker
+from tieset import broker, graph
 from tieset.broker import (
     BrokerHeuristic,
     CapExceededError,
@@ -451,6 +451,13 @@ def test_bfs_matches_floyd_warshall(g, data):
 WORKERS = st.sampled_from([1, 2, 3])
 
 
+def _split_pass(g: Graph, k: int) -> list[float]:
+    """``_brandes`` on ``g`` with ``graph._workers`` fixed at k."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_workers", lambda n, adj: k)
+        return list(_brandes(g.n, g.adj))
+
+
 @settings(max_examples=80, deadline=None)
 @given(family_graphs(min_n=0, max_n=40), WORKERS)
 @example(build_graph(0, []), 3)
@@ -458,7 +465,7 @@ WORKERS = st.sampled_from([1, 2, 3])
 def test_betweenness_equals_reference_exactly(g, k):
     expected = ref_brandes(g)
     assert betweenness(g) == expected
-    assert list(_brandes(g.n, g.adj, k)) == expected
+    assert _split_pass(g, k) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,7 +474,7 @@ def test_betweenness_equals_reference_on_disconnected_graphs(a, b, isolated, k):
     g = _disjoint_union(_disjoint_union(a, build_graph(isolated, [])), b)
     expected = ref_brandes(g)
     assert betweenness(g) == expected
-    assert list(_brandes(g.n, g.adj, k)) == expected
+    assert _split_pass(g, k) == expected
 
 
 @settings(max_examples=40, deadline=None)
