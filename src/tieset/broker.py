@@ -25,7 +25,7 @@ from .graph import (
     _balls_of_radius,
     _bfs,
     _bits,
-    _covering_subsets,
+    _min_cover,
     _size_cap,
     augment,
     betweenness,
@@ -351,21 +351,22 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
     ``size_cap`` bounds the subset size as :func:`_size_cap` says (on two or
     more nodes a broker set of size n always exists, so with an unbounded
     cap the search then succeeds), and a bad one is refused before the graph
-    is profiled.  A subset is a broker set iff
-    its members' (radius-1)-balls cover every node, so each test is k ORs of
-    the masks :func:`_coverage_balls` keeps on the graph.
+    is profiled.  A subset is a broker set iff its members' (radius-1)-balls
+    cover every node, so :func:`_min_cover`'s depth-first search ORs the
+    masks :func:`_coverage_balls` keeps on the graph, one per level, and
+    skips every subtree whose masks cannot cover.
     """
     cap = _size_cap(size_cap, g.n)
     # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0
     cover = _coverage_balls(g) if metric_profile(g).radius else [0] * g.n
-    return NodeSet(next(_covering_subsets(cover, 0, cap, "broker set"))[0])
+    return _min_cover(cover, 0, cap, "broker set")
 
 
 def brute_force_min_dominating(g: Graph) -> NodeSet:
     """Smallest dominating set (its members' 1-balls cover every node), lexicographically first."""
     if not g.n:  # the empty set dominates the empty graph
         return NodeSet(())
-    return NodeSet(next(_covering_subsets(_balls_of_radius(g.adj, 1), 0, g.n, "dominating set"))[0])
+    return _min_cover(_balls_of_radius(g.adj, 1), 0, g.n, "dominating set")
 
 
 def broker_decision(g: Graph, k: int) -> bool:

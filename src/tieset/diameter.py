@@ -22,7 +22,7 @@ from .graph import (
     _balls,
     _balls_of_radius,
     _bfs,
-    _covering_subsets,
+    _min_cover,
     _size_cap,
     augment,
     is_complete,
@@ -89,7 +89,11 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     t-balls: the newcomer reaches every node within delta iff the
     (delta-1)-ball of S is full, and a node x with d(x, S) = a reaches every
     node within delta iff the nodes farther than delta from x in the host
-    all lie in the (delta-2-a)-ball of S.
+    all lie in the (delta-2-a)-ball of S.  :func:`_min_cover` searches for S
+    with the first test as its cover and the second, which also holds for
+    every superset of a set it holds for, as its ``accept``, so it skips
+    each subtree whose union with every later candidate fails either.  It
+    raises CapExceededError once no subset of at most the cap is left.
     """
     if delta < 2:
         raise GraphError(f"target diameter must be >= 2, got {delta}")
@@ -109,10 +113,9 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
         for x, b in enumerate(balls[delta])
         if b != full
     ]
-    # the search raises CapExceededError once no subset is left
-    for subset, s_balls in _covering_subsets(packed, (delta - 1) * n, cap, "delta-enabling set"):
-        if _far_pairs_bridged(s_balls, far):
-            return NodeSet(subset)
+    return _min_cover(
+        packed, (delta - 1) * n, cap, "delta-enabling set", lambda s_balls: _far_pairs_bridged(s_balls, far)
+    )
 
 
 def _far_pairs_bridged(s_balls: int, far: list[list[tuple[int, int]]]) -> bool:

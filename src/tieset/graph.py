@@ -13,10 +13,9 @@ import os
 import threading
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import combinations, count
-from operator import add, or_
-from typing import Iterable, Iterator, Sequence
+from itertools import count
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence
 
 UNREACHABLE = math.inf
 """Distance reported for node pairs with no connecting path."""
@@ -238,21 +237,53 @@ def _size_cap(size_cap: int | None, n: int) -> int:
     return n if size_cap is None else min(size_cap, n)
 
 
-def _covering_subsets(masks: Sequence[int], shift: int, cap: int, what: str) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(subset, union)`` for each subset of at most ``cap`` of the n = len(masks) nodes
-    whose masks' OR, ``union``, has all n bits set from bit ``shift`` up; smallest subsets
-    first, lexicographic within a size, so the first is the lexicographically first minimum.
+def _min_cover(
+    masks: Sequence[int], shift: int, cap: int, what: str, accept: Callable[[int], bool] | None = None
+) -> NodeSet:
+    """The lexicographically first smallest subset of at most ``cap`` of the n = len(masks)
+    nodes whose masks' OR has all n bits set from bit ``shift`` up and passes ``accept``.
 
-    ``cap`` is one that :func:`_size_cap` resolved.  When no subset is left
-    it raises :class:`CapExceededError`, naming the ``what`` it sought.
+    A depth-first search tries the subsets in ``combinations`` order, smallest first and
+    lexicographic within a size.  At each depth it stops at the first candidate c that is
+    above the highest id covering the lowest uncovered node, or for which the union so far
+    OR'd with the masks of c..n-1 fails the cover test or ``accept``: no later candidate
+    there can do better, as both tests are monotone (``accept`` must be: a union that
+    passes it keeps passing as bits are added).  So the first subset found is the one the
+    whole enumeration would find first.  ``cap`` is one that :func:`_size_cap` resolved.
+    When no subset is left it raises :class:`CapExceededError`, naming the ``what`` it
+    sought.
     """
     n = len(masks)
     full = (1 << n) - 1
+    suffix = [0] * (n + 1)  # suffix[c]: the OR of masks[c:]
+    last = [-1] * n + [n]  # last[x]: the highest id whose mask covers node x; x = n: all covered
+    for c in range(n - 1, -1, -1):
+        suffix[c] = masks[c] | suffix[c + 1]
+        for x in _bits((suffix[c] ^ suffix[c + 1]) >> shift & full):
+            last[x] = c
+
+    def fits(union: int) -> bool:
+        return union >> shift == full and (accept is None or accept(union))
+
     for k in range(1, cap + 1):
-        for subset, chosen in zip(combinations(range(n), k), combinations(masks, k)):
-            union = reduce(or_, chosen)
-            if union >> shift == full:
-                yield subset, union
+        stack = []  # (pick, union before it, end) for each depth above the current one
+        c, union, end = 0, 0, min(n - k, last[0])  # end: the last candidate worth trying here
+        while True:
+            if c <= end and fits(union | suffix[c]):
+                if len(stack) == k - 1:
+                    if fits(union | masks[c]):
+                        return NodeSet([pick for pick, _, _ in stack] + [c])
+                else:
+                    stack.append((c, union, end))
+                    union |= masks[c]
+                    y = union >> shift
+                    end = min(n - k + len(stack), last[(~y & (y + 1)).bit_length() - 1])  # lowest unset bit
+                c += 1
+            elif stack:
+                c, union, end = stack.pop()
+                c += 1
+            else:
+                break
     raise CapExceededError(f"no {what} of size <= {cap} found")
 
 

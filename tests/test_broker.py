@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from tieset.broker import (
     is_sub_radius_dominating,
     run_heuristic,
 )
+from tieset.generators import BA, RandomModelParams, generate
 from tieset.graph import GraphError, NodeSet, NotConnectedError, build_graph, metric_profile
 
 from util import complete_graph, cycle_graph, path_graph, random_connected, star_graph
@@ -206,6 +208,25 @@ def test_min_broker_path5():
 def test_min_broker_star_and_complete_need_everything():
     assert brute_force_min_broker(STAR4) == NodeSet(range(5))
     assert brute_force_min_broker(K4) == NodeSet(range(4))
+
+
+def test_min_broker_on_a_complete_graph_deeper_than_the_recursion_limit():
+    # every broker set of K_n holds all n nodes, so the search goes n levels deep
+    n = sys.getrecursionlimit() + 100
+    assert brute_force_min_broker(complete_graph(n)) == NodeSet(range(n))
+
+
+# radius-2 BA graphs whose minima lie deep in the size-ordered enumeration
+# (n = 42 took 5.5 s when every subset was tried), answers recorded by it
+@pytest.mark.parametrize("n, seed, expected", [
+    (30, 19, [0, 2, 11, 15, 16, 19]),
+    (36, 20, [0, 4, 5, 9, 10, 15, 22]),
+    (42, 20, [0, 4, 5, 9, 10, 15, 22]),
+])
+def test_min_broker_on_radius_two_ba_graphs_keeps_its_recorded_answer(n, seed, expected):
+    g = generate(RandomModelParams(BA, n, seed))
+    assert metric_profile(g).radius == 2
+    assert brute_force_min_broker(g) == NodeSet(expected)
 
 
 def test_min_broker_cap_exceeded_is_distinct(monkeypatch):

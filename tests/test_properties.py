@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tieset
-from tieset import broker, graph
+from tieset import broker, diameter, graph
 from tieset.broker import (
     BrokerHeuristic,
     CapExceededError,
@@ -37,7 +37,7 @@ from tieset.graph import (
     _balls_of_radius,
     _bfs,
     _brandes,
-    _covering_subsets,
+    _min_cover,
     _size_cap,
     augment,
     betweenness,
@@ -61,6 +61,7 @@ from util import (
     ref_brandes,
     ref_connected_components,
     ref_cp_algorithm,
+    ref_min_cover,
     ref_min_dominating,
     ref_periphery_algorithm,
     star_graph,
@@ -309,10 +310,10 @@ def test_diameter_at_most_matches_floyd_warshall(g, data):
     assert is_delta_enabling(g, s, bound) == (max(fw_eccentricities(augment(g, s))) <= bound)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(st.data())
-def test_covering_subsets_follow_the_one_cap_rule(data):
-    n = data.draw(st.integers(1, 6))
+def test_min_cover_finds_the_enumerations_first_subset_under_the_one_cap_rule(data):
+    n = data.draw(st.integers(1, 7))
     shift = data.draw(st.integers(0, 3))
     masks = data.draw(st.lists(st.integers(0, (1 << (n + shift)) - 1), min_size=n, max_size=n))
     cap = data.draw(st.none() | st.integers(-1, n + 2))
@@ -322,19 +323,15 @@ def test_covering_subsets_follow_the_one_cap_rule(data):
         return
     limit = _size_cap(cap, n)
     assert limit == (n if cap is None else min(cap, n))
-    search = _covering_subsets(masks, shift, limit, "widget")
-    covers = [
-        subset
-        for k in range(1, limit + 1)
-        for subset in combinations(range(n), k)
-        if reduce(or_, (masks[i] for i in subset)) >> shift == (1 << n) - 1
-    ]
-    found = []
-    with pytest.raises(CapExceededError, match=f"^no widget of size <= {limit} found$"):
-        for subset, union in search:
-            assert union == reduce(or_, (masks[i] for i in subset))
-            found.append(subset)
-    assert found == covers  # smallest first, so the first found is the first minimum
+    # a monotone accept: the union holds every bit of a drawn mask
+    needed = data.draw(st.none() | st.integers(0, (1 << (n + shift)) - 1))
+    accept = None if needed is None else (lambda union: union & needed == needed)
+    expected = ref_min_cover(masks, shift, limit, accept)
+    if expected is None:
+        with pytest.raises(CapExceededError, match=f"^no widget of size <= {limit} found$"):
+            _min_cover(masks, shift, limit, "widget", accept)
+    else:
+        assert _min_cover(masks, shift, limit, "widget", accept) == expected
 
 
 def test_cap_exceeded_error_is_one_class_on_every_import_path():
@@ -387,7 +384,42 @@ def test_mask_dominating_oracle_matches_set_based_search(g):
 @given(family_graphs(max_n=8), st.data())
 def test_mask_delta_oracle_matches_floyd_warshall_search(g, data):
     delta = data.draw(st.integers(2, max(2, metric_profile(g).diameter + 1)))
-    assert brute_force_min_delta_enabling(g, delta) == fw_min_delta_enabling(g, delta)
+    cap = data.draw(st.none() | st.integers(1, g.n + 1))
+    expected = fw_min_delta_enabling(g, delta, cap)
+    if expected is None:
+        limit = _size_cap(cap, g.n)
+        with pytest.raises(CapExceededError, match=f"^no delta-enabling set of size <= {limit} found$"):
+            brute_force_min_delta_enabling(g, delta, cap)
+    else:
+        assert brute_force_min_delta_enabling(g, delta, cap) == expected
+
+
+def _delta_search_inputs(g: Graph, delta: int):
+    """The masks, shift and accept test that the delta oracle hands its search."""
+    handed = []
+
+    def search(masks, shift, cap, what, accept):
+        handed.append((masks, shift, accept))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diameter, "_min_cover", search)
+        brute_force_min_delta_enabling(g, delta)
+    return handed[0]
+
+
+# the search stops at a candidate once the union with every later mask fails
+# accept, which is sound only if a tie set's superset bridges what it bridges
+@settings(max_examples=100, deadline=None)
+@given(family_graphs(max_n=8), st.data())
+def test_far_pairs_bridged_holds_for_every_superset(g, data):
+    delta = data.draw(st.integers(2, max(2, metric_profile(g).diameter + 1)))
+    masks, shift, bridged = _delta_search_inputs(g, delta)
+    t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    s = data.draw(st.lists(st.sampled_from(t), min_size=1, unique=True))
+    union_s, union_t = (reduce(or_, (masks[v] for v in members)) for members in (s, t))
+    # the packed union's two tests are the delta check
+    assert (union_s >> shift == (1 << g.n) - 1 and bridged(union_s)) == is_delta_enabling(g, s, delta)
+    assert bridged(union_t) or not bridged(union_s)
 
 
 @settings(max_examples=60)

@@ -11,6 +11,8 @@ the exact reference (same ties, same reports, same errors) for the library's
 versions, which read the combined graph through the augmentation law.  They
 share no check with ``diameter.py``: ``_ref_check_delta`` states the target
 range on its own, so a bad delta compares two independent refusals.
+``ref_min_cover`` is the size-ordered ``combinations`` enumeration that the
+exhaustive oracles' depth-first search must agree with.
 ``_count_forks``, ``_assert_no_child_left`` and ``open_descriptors`` watch
 the processes and descriptors a forking call leaves behind.
 """
@@ -20,7 +22,9 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -110,12 +114,25 @@ def fw_eccentricities(g: Graph) -> list[int]:
     return [max(row) for row in fw_distances(g)]
 
 
-def fw_min_delta_enabling(g: Graph, delta: int) -> NodeSet | None:
-    """Lexicographically first smallest S with diam(augment(g, S)) <= delta, or None.
+def ref_min_cover(masks, shift: int, cap: int, accept=None) -> tuple[int, ...] | None:
+    """First subset, in ``combinations`` order by size up to ``cap``, whose masks' OR has all
+    n = len(masks) bits set from bit ``shift`` up and passes ``accept``; None if there is none."""
+    full = (1 << len(masks)) - 1
+    for k in range(1, cap + 1):
+        for subset in combinations(range(len(masks)), k):
+            union = reduce(or_, (masks[i] for i in subset))
+            if union >> shift == full and (accept is None or accept(union)):
+                return subset
+    return None
+
+
+def fw_min_delta_enabling(g: Graph, delta: int, cap: int | None = None) -> NodeSet | None:
+    """Lexicographically first smallest S of at most ``cap`` (default n) members with
+    diam(augment(g, S)) <= delta, or None.
 
     Every candidate is checked by Floyd-Warshall on the augmented graph.
     """
-    for k in range(1, g.n + 1):
+    for k in range(1, min(g.n, cap or g.n) + 1):
         for combo in combinations(range(g.n), k):
             if max(fw_eccentricities(augment(g, combo))) <= delta:
                 return NodeSet(combo)
