@@ -22,6 +22,7 @@ from .graph import (
     _balls,
     _balls_of_radius,
     _bfs,
+    _check_seed,
     _min_cover,
     _size_cap,
     augment,
@@ -264,17 +265,18 @@ class _Joined:
 def _reduce(g: Graph, delta: int, seed: int, pick, check=None) -> DeltaReport:
     """The loop of both reductions: tie the newcomer to ``pick``'s nodes until diam(H) <= delta.
 
-    The :class:`_Joined` state is built first, just after the clock starts;
-    it refuses a bad g or delta before any other work.  ``pick(joined, rng)``
-    returns the host nodes of the next tie, given that state and the run's
-    ``random.Random(seed)``.  There is at least one tie.  Every tie but the
-    first must not lengthen diam(H) (the first may, through the newcomer
-    itself), and is then passed to ``check(joined, chosen)``, which raises
-    on a broken invariant.  A final diameter of delta is read from the
-    joined state; only one below delta takes a kernel run on the combined
-    graph for its exact value.  The report's ``elapsed`` covers the whole
-    call.
+    A negative seed is refused first.  The :class:`_Joined` state is built
+    next, just after the clock starts; it refuses a bad g or delta before
+    any other work.  ``pick(joined, rng)`` returns the host nodes of the
+    next tie, given that state and the run's ``random.Random(seed)``.
+    There is at least one tie.  Every tie but the first must not lengthen
+    diam(H) (the first may, through the newcomer itself), and is then
+    passed to ``check(joined, chosen)``, which raises on a broken
+    invariant.  A final diameter of delta is read from the joined state;
+    only one below delta takes a kernel run on the combined graph for its
+    exact value.  The report's ``elapsed`` covers the whole call.
     """
+    _check_seed(seed)
     start = time.perf_counter()
     joined = _Joined(g, delta)
     rng = random.Random(seed)

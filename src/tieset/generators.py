@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphError, NodeSet, build_graph, metric_profile
+from .graph import Graph, GraphError, NodeSet, _check_seed, build_graph, metric_profile
 
 BA = "ba"
 NWS = "nws"
@@ -30,7 +30,7 @@ class RandomModelParams:
     edges per new node); ``nws`` overlays random shortcuts on a ring lattice
     of even degree ``nws_k`` with per-edge shortcut probability ``nws_p``.
     Only the model's own parameters are checked; each defaults to the value
-    the experiments use.
+    the experiments use.  ``seed`` must be >= 0.
     """
 
     model: str
@@ -43,6 +43,7 @@ class RandomModelParams:
     def __post_init__(self) -> None:
         if self.model not in MODEL_PARAMS:
             raise GraphError(f"unknown model {self.model!r}, expected {' or '.join(map(repr, MODEL_PARAMS))}")
+        _check_seed(self.seed)
         if self.model == BA:
             if not 1 <= self.ba_m < self.n:
                 raise GraphError(f"ba needs 1 <= ba_m < n, got ba_m={self.ba_m}, n={self.n}")
@@ -92,6 +93,16 @@ def gen_nws(params: RandomModelParams) -> Graph:
     ring.  For every lattice edge (u, v), with probability ``nws_p`` one
     shortcut is added from u to a target drawn uniformly among the nodes not
     yet adjacent to u.  The ring keeps the result connected.
+
+    The target is drawn by its rank: ``randrange`` over the number of free
+    ids, then a walk over u's sorted neighbors and u itself turns that rank
+    into the free id of that rank, ascending, without listing the free ids.
+    Cost: O(n*k + shortcuts * k log k), as u's degree is k plus its
+    shortcuts, k(1 + p) in expectation.  The random calls are the contract
+    that keeps every seed's graph unchanged: one ``random()`` per lattice
+    edge, in the order the lattice lists them, and for each hit one
+    ``randrange`` over the number of free ids, none when there is no free
+    id.  An edit must not add, drop or reorder any of them.
     """
     if params.model != NWS:
         raise GraphError(f"expected nws params, got {params.model!r}")
@@ -108,10 +119,16 @@ def gen_nws(params: RandomModelParams) -> Graph:
     for u, _ in list(edges):
         if rng.random() >= p:
             continue
-        candidates = [w for w in range(n) if w != u and w not in adjacent[u]]
-        if not candidates:
+        free = n - 1 - len(adjacent[u])
+        if not free:
             continue
-        w = candidates[rng.randrange(len(candidates))]
+        # the draw's rank among the free ids, ascending, becomes the id: each
+        # excluded id at or below it pushes it up by one
+        w = rng.randrange(free)
+        for x in sorted(adjacent[u] | {u}):
+            if x > w:
+                break
+            w += 1
         edges.append((u, w))
         adjacent[u].add(w)
         adjacent[w].add(u)

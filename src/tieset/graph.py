@@ -237,6 +237,12 @@ def _size_cap(size_cap: int | None, n: int) -> int:
     return n if size_cap is None else min(size_cap, n)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed: ``random.Random(-s)`` seeds exactly as ``random.Random(s)``."""
+    if seed < 0:
+        raise GraphError(f"seed must be >= 0, got {seed}")
+
+
 def _min_cover(
     masks: Sequence[int], shift: int, cap: int, what: str, accept: Callable[[int], bool] | None = None
 ) -> NodeSet:

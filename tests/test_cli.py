@@ -146,6 +146,25 @@ def test_gen_rejects_bad_params(tmp_path):
     assert main(["gen", "--model", "ba", "--n", "5", "--ba-m", "7", "--seed", "1", "--out", out]) == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("model", ["ba", "nws"])
+def test_gen_negative_seed_is_a_precondition_error_that_writes_nothing(tmp_path, capsys, monkeypatch, model):
+    monkeypatch.setattr(cli, "generate", _refuse)
+    out = tmp_path / "neg.txt"
+    assert main(["gen", "--model", model, "--n", "10", "--seed", "-5", "--out", str(out)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err == "tieset: seed must be >= 0, got -5\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alg", ["periphery", "cp"])
+def test_diam_negative_seed_is_a_precondition_error(tmp_path, capsys, monkeypatch, alg):
+    path = _edge_file(tmp_path, path_graph(5))
+    monkeypatch.setattr(diameter, "metric_profile", _refuse)
+    assert main(["diam", path, "--delta", "3", "--alg", alg, "--seed", "-1"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err == "tieset: seed must be >= 0, got -1\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("model, flags, unused", [
     pytest.param("ba", ["--nws-k", "3", "--nws-p", "7"], "--nws-k, --nws-p", id="ba-nws-k-p"),
     pytest.param("ba", ["--ba-m", "2", "--nws-k", "4"], "--nws-k", id="ba-nws-k"),

@@ -131,6 +131,17 @@ def test_reduction_preconditions(monkeypatch):
             fn(build_graph(4, [(0, 1), (2, 3)]), 2, 0)
 
 
+@pytest.mark.parametrize("alg", REDUCTIONS)
+def test_reductions_refuse_a_negative_seed_before_any_other_check(monkeypatch, alg):
+    # Random(-1) seeds as Random(1); the refusal comes before g is profiled or delta checked
+    def no_profile(*args, **kwargs):
+        raise AssertionError("the reduction profiled g despite a negative seed")
+
+    monkeypatch.setattr(diameter, "metric_profile", no_profile)
+    with pytest.raises(GraphError, match="^seed must be >= 0, got -1$"):
+        REDUCTIONS[alg](P5, 1, -1)
+
+
 def test_reduction_reports_are_deterministic_per_seed():
     g = random_connected(40, 20, 3)
     delta = metric_profile(g).diameter - 1

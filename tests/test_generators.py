@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tieset.broker import brute_force_min_broker, brute_force_min_dominating, is_broker_set
 from tieset.generators import (
@@ -13,7 +14,7 @@ from tieset.generators import (
 )
 from tieset.graph import GraphError, NodeSet, is_connected, metric_profile
 
-from util import complete_graph, cycle_graph, path_graph, random_connected
+from util import complete_graph, cycle_graph, path_graph, random_connected, ref_gen_nws
 
 
 def test_params_validation():
@@ -27,6 +28,9 @@ def test_params_validation():
         RandomModelParams(NWS, 10, 1, nws_k=3, nws_p=0.1)
     with pytest.raises(GraphError):
         RandomModelParams(NWS, 10, 1, nws_k=4, nws_p=1.5)
+    for model in (BA, NWS):  # Random(-s) seeds as Random(s): a negative seed would repeat a graph
+        with pytest.raises(GraphError, match="^seed must be >= 0, got -5$"):
+            RandomModelParams(model, 50, -5)
     with pytest.raises(GraphError, match="expected ba params, got 'nws'"):
         gen_ba(RandomModelParams(NWS, 10, 1, nws_k=4, nws_p=0.1))
     with pytest.raises(GraphError, match="expected nws params, got 'ba'"):
@@ -78,6 +82,39 @@ def test_nws_shortcuts_only_add_edges():
     assert g.m >= 100
     assert is_connected(g)
     assert gen_nws(p) == g
+
+
+@st.composite
+def nws_params(draw):
+    n = draw(st.integers(3, 60))
+    k = 2 * draw(st.integers(1, (n - 1) // 2))
+    p = draw(st.floats(0.0, 1.0))
+    return RandomModelParams(NWS, n, draw(st.integers(0, 2 ** 64)), nws_k=k, nws_p=p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nws_params())
+@example(RandomModelParams(NWS, 3, 0, nws_k=2, nws_p=0.0))
+@example(RandomModelParams(NWS, 60, 1, nws_k=2, nws_p=1.0))
+@example(RandomModelParams(NWS, 40, 2, nws_k=20, nws_p=1.0))
+def test_nws_draw_by_rank_gives_the_listed_draws_graph(params):
+    for seed in range(params.seed, params.seed + 3):
+        same = RandomModelParams(NWS, params.n, seed, nws_k=params.nws_k, nws_p=params.nws_p)
+        assert gen_nws(same).adj == ref_gen_nws(same).adj
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_nws_draw_by_rank_in_the_dense_corner(n):
+    # p = 1 and the largest even k < n: nodes run out of free ids, and are skipped without a draw
+    for seed in range(4):
+        params = RandomModelParams(NWS, n, seed, nws_k=(n - 1) // 2 * 2, nws_p=1.0)
+        assert gen_nws(params).adj == ref_gen_nws(params).adj
+
+
+@pytest.mark.parametrize("n, m", [(4158, 13122), (8638, 27215)])
+def test_nws_dataset_sized_stand_ins(n, m):
+    g = gen_nws(RandomModelParams(NWS, n, 7, nws_k=6, nws_p=0.05))
+    assert (g.n, g.m) == (n, m)
 
 
 @pytest.mark.parametrize("n, seed", [(12, 5), (100, 3)])

@@ -12,7 +12,9 @@ versions, which read the combined graph through the augmentation law.  They
 share no check with ``diameter.py``: ``_ref_check_delta`` states the target
 range on its own, so a bad delta compares two independent refusals.
 ``ref_min_cover`` is the size-ordered ``combinations`` enumeration that the
-exhaustive oracles' depth-first search must agree with.
+exhaustive oracles' depth-first search must agree with.  ``ref_gen_nws``
+draws each NWS shortcut from the listed free ids, the exact reference for
+the library's draw by rank.
 ``_count_forks``, ``_assert_no_child_left`` and ``open_descriptors`` watch
 the processes and descriptors a forking call leaves behind.
 """
@@ -30,6 +32,7 @@ import pytest
 
 from tieset.broker import is_dominating_set
 from tieset.diameter import DeltaReport
+from tieset.generators import RandomModelParams
 from tieset.graph import Graph, GraphError, NodeSet, _balls_of_radius, augment, build_graph, metric_profile
 
 INF = 10 ** 9
@@ -124,6 +127,29 @@ def ref_min_cover(masks, shift: int, cap: int, accept=None) -> tuple[int, ...] |
             if union >> shift == full and (accept is None or accept(union)):
                 return subset
     return None
+
+
+def ref_gen_nws(params: RandomModelParams) -> Graph:
+    """NWS graph whose shortcut targets are drawn from the list of free ids, with the
+    same random calls as ``generators.gen_nws``."""
+    rng = random.Random(params.seed)
+    n, k, p = params.n, params.nws_k, params.nws_p
+    edges = [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)]
+    adjacent: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    for u, _ in list(edges):
+        if rng.random() >= p:
+            continue
+        candidates = [w for w in range(n) if w != u and w not in adjacent[u]]
+        if not candidates:
+            continue
+        w = candidates[rng.randrange(len(candidates))]
+        edges.append((u, w))
+        adjacent[u].add(w)
+        adjacent[w].add(u)
+    return build_graph(n, edges)
 
 
 def fw_min_delta_enabling(g: Graph, delta: int, cap: int | None = None) -> NodeSet | None:
