@@ -136,6 +136,8 @@ def run_heuristic(
     rule, run by one of two greedy cover loops: on the shrinking uncovered
     subgraph (``max``/``btw``/``ml``) or on ``g`` itself (the ``s-`` variants).
     Every strategy reads the radius and center from ``metric_profile(g)``.
+    At radius 1 a pick covers only itself, so the one broker set, every
+    node, is the answer whatever ``heuristic`` says (:func:`_strategy`).
 
     Args:
         g: connected graph with at least two nodes.
@@ -154,17 +156,11 @@ def run_heuristic(
     h = BrokerHeuristic(heuristic)
     if g.n < 2:
         raise GraphError("heuristics need a graph with at least 2 nodes")
-    r = metric_profile(g).radius
     if profile is not None and profile != metric_profile(g):
         raise GraphError("profile is not the metric profile of this graph")
     _fill_untimed(g, h, verify)
     t0 = time.perf_counter()
-    if r == 1:
-        # coverage radius r-1 = 0: each pick covers only itself, so the full
-        # node set is the only possible (and correct) answer
-        s = NodeSet(range(g.n))
-    else:
-        s = _STRATEGIES[h].run(g)
+    s = _strategy(g, h).run(g)
     elapsed = time.perf_counter() - t0
     valid = None
     if verify:
@@ -176,16 +172,15 @@ def _fill_untimed(g: Graph, h: BrokerHeuristic, verify: bool) -> None:
     """Keep on ``g`` what a run of ``h`` reads but does not time.
 
     That is the metric profile, the coverage balls (:func:`_coverage_balls`)
-    when the run verifies, and at radius above 1, where the strategy runs,
-    what its ``_STRATEGIES`` entry reads.  A run's ``elapsed`` and
+    when the run verifies, and what :func:`_strategy` says the run reads,
+    which is nothing at radius 1.  A run's ``elapsed`` and
     ``experiments.run_with_timeout``'s budget both leave them out, so no
     heuristic times a kernel run on ``g``.
     """
     if verify:
         _coverage_balls(g)
-    if metric_profile(g).radius > 1:
-        for read in _STRATEGIES[h].reads:
-            read(g)
+    for read in _strategy(g, h).reads:
+        read(g)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def _greedy_uncovered(g: Graph, rule) -> NodeSet:
 # center-based strategies
 
 def _min_degree_center(g: Graph) -> int:
-    return min(metric_profile(g).center, key=lambda v: (len(g.adj[v]), v))
+    return min(metric_profile(g).center, key=g.degree)
 
 
 def _center_neighbors(g: Graph) -> NodeSet:
@@ -303,16 +298,15 @@ def _imp_center(g: Graph) -> NodeSet:
     """
     r = metric_profile(g).radius
     v = _min_degree_center(g)
-    neighbors = iter(sorted(g.adj[v], key=lambda x: (-len(g.adj[x]), x)))
+    neighbors = iter(sorted(g.adj[v], key=g.degree, reverse=True))
 
     def pick(uncovered: int) -> tuple[int, bool]:
         members = _bits(uncovered)
-        comp, ids = largest_connected_component(induced_subgraph(g, members))
+        comp, kept = largest_connected_component(induced_subgraph(g, members))
         comp_profile = metric_profile(comp)
         if comp_profile.radius >= r - 1 and (w := next(neighbors, None)) is not None:
             return w, True
-        # ids lists the component's positions in ``members``, ascending
-        return members[list(ids)[comp_profile.center[0]]], False
+        return members[kept[comp_profile.center[0]]], False  # kept: positions in ``members``
 
     return _cover(g, pick)
 
@@ -339,6 +333,15 @@ _STRATEGIES = {
     BrokerHeuristic.CENTER: _Strategy(_center_neighbors),
     BrokerHeuristic.IMP_CENTER: _Strategy(_imp_center, (_coverage_balls,)),
 }
+
+
+def _strategy(g: Graph, h: BrokerHeuristic) -> _Strategy:
+    """The strategy a run of ``h`` on ``g`` takes: its ``_STRATEGIES`` entry, or at radius 1 every node.
+
+    At radius 1 the coverage radius is 0, so a pick covers only itself and
+    the full node set is the one broker set; that strategy reads nothing.
+    """
+    return _Strategy(lambda f: NodeSet(range(f.n))) if metric_profile(g).radius == 1 else _STRATEGIES[h]
 
 
 # ---------------------------------------------------------------------------

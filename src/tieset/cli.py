@@ -14,11 +14,11 @@ import sys
 from . import __version__, experiments
 from .broker import BrokerHeuristic, brute_force_min_broker, brute_force_min_dominating, run_heuristic
 from .datasets import DatasetDescriptor, EdgeListFormatError, load_edge_list, write_edge_list
-from .diameter import REDUCTIONS, brute_force_min_delta_enabling
+from .diameter import REDUCTIONS, _check_delta, brute_force_min_delta_enabling
 from .generators import (
     DEFAULT_BA_M, DEFAULT_NWS_K, DEFAULT_NWS_P, MODEL_PARAMS, RandomModelParams, generate, reduction_gadget
 )
-from .graph import CapExceededError, GraphError, _size_cap, metric_profile
+from .graph import CapExceededError, GraphError, _check_seed, _size_cap, metric_profile
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -78,6 +78,8 @@ def _cmd_broker(args) -> int:
 
 
 def _cmd_diam(args) -> int:
+    _check_seed(args.seed)  # the reduction's own argument checks, before the file is read
+    _check_delta(args.delta)
     g, _ = load_edge_list(args.path, giant=args.giant)
     report = REDUCTIONS[args.alg](g, args.delta, args.seed)
     print(f"algorithm: {args.alg}")
@@ -138,6 +140,8 @@ def _cmd_oracle(args) -> int:
     if "delta" in reads and "delta" not in args:
         raise GraphError(f"--delta is required for --target {args.target}")
     _size_cap(getattr(args, "size_cap", None), 0)  # a cap below 1 is refused before the file is read
+    if "delta" in args:  # and then a delta below 2
+        _check_delta(args.delta)
     g, _ = load_edge_list(args.path, giant=args.giant)
     s = search(g, **{name: getattr(args, name) for name in args.flags if name in args})
     print(f"target: {args.target}")
@@ -238,10 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on a usage error
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
         return args.fn(args)
+    except SystemExit as exc:  # only argparse exits: 0 after --help or --version, 2 on a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     except (OSError, UnicodeDecodeError, EdgeListFormatError) as exc:
         print(f"tieset: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

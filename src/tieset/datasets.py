@@ -88,11 +88,8 @@ def load_edge_list(path: str | Path, *, giant: bool = False) -> tuple[Graph, dic
     g = build_graph(len(labels), [(id_of[a], id_of[b]) for a, b in raw_edges])
     if not giant:
         return g, id_of
-    lcc, old_to_new = largest_connected_component(g)
-    mapping = {
-        label: old_to_new[i] for label, i in id_of.items() if i in old_to_new
-    }
-    return lcc, mapping
+    lcc, members = largest_connected_component(g)
+    return lcc, {labels[old]: new for new, old in enumerate(members)}
 
 
 def write_edge_list(path: str | Path, g: Graph, header_lines: tuple[str, ...] = ()) -> None:

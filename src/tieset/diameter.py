@@ -36,9 +36,10 @@ from .graph import (
 class DeltaReport:
     """One diameter-reduction run: the tie set, its size, and what it achieved.
 
-    ``elapsed`` is the run's wall time in seconds, from the argument check to
-    the report, as measured by the reduction itself.  It is left out of
-    equality, so two runs that tie the same nodes compare equal.
+    ``elapsed`` is the run's wall time in seconds, from just after the
+    argument checks to the report, as measured by the reduction itself.  It
+    is left out of equality, so two runs that tie the same nodes compare
+    equal.
     """
 
     s: NodeSet
@@ -72,8 +73,14 @@ def preserve_diameter(g: Graph) -> NodeSet:
         return NodeSet(metric_profile(g).center[:1])
     if is_complete(g):
         return NodeSet(range(g.n))
-    v = min(range(g.n), key=lambda x: (len(g.adj[x]), x))
+    v = min(range(g.n), key=g.degree)
     return NodeSet(g.adj[v])
+
+
+def _check_delta(delta: int) -> None:
+    """Refuse a target diameter below 2, which tying every node need not reach; reads no graph."""
+    if delta < 2:
+        raise GraphError(f"target diameter must be >= 2, got {delta}")
 
 
 def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = None) -> NodeSet:
@@ -96,8 +103,7 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     each subtree whose union with every later candidate fails either.  It
     raises CapExceededError once no subset of at most the cap is left.
     """
-    if delta < 2:
-        raise GraphError(f"target diameter must be >= 2, got {delta}")
+    _check_delta(delta)
     cap = _size_cap(size_cap, g.n)
     metric_profile(g)  # rejects disconnected input
     n = g.n
@@ -136,11 +142,12 @@ class _Joined:
     """``g`` joined with a newcomer u tied to a growing set S, read through the augmentation law.
 
     The one place a reduction reads g from: it profiles g, which refuses a
-    disconnected g, and refuses a delta outside 2..diam(g) before its
-    kernel run.  By the law, d_H(x, y) = min(d(x, y), d(x, S) + 2 + d(S, y))
-    for host nodes x and y, and d_H(x, u) = 1 + d(x, S).  So the host nodes
-    within t hops of x in H are ``ball_t[x] | near[t - 2 - d(x, S)]``, where
-    ``near[r]`` holds the nodes within r of S.  :meth:`_reach` is the one
+    disconnected g, and then refuses a delta above diam(g) before its kernel
+    run.  A delta below 2 never gets here: :func:`_reduce` refuses it
+    before g is profiled.  By the law, d_H(x, y) = min(d(x, y), d(x, S) +
+    2 + d(S, y)) for host nodes x and y, and d_H(x, u) = 1 + d(x, S).  So
+    the host nodes within t hops of x in H are ``ball_t[x] | near[t - 2 -
+    d(x, S)]``, where ``near[r]`` holds the nodes within r of S.  :meth:`_reach` is the one
     reader of this law: the tie loop, :meth:`at_delta` and ``cp``'s check
     test its mask for ``full``, and the pair draw takes the rest.  The host's
     balls of radius delta-1..diam(g), and of radius rad(g) + 2 for ``cp``'s
@@ -165,7 +172,7 @@ class _Joined:
 
     def __init__(self, g: Graph, delta: int):
         self.profile = metric_profile(g)  # also rejects disconnected input
-        if not 2 <= delta <= self.profile.diameter:
+        if delta > self.profile.diameter:
             raise GraphError(f"target diameter {delta} outside valid range 2..{self.profile.diameter}")
         ecc, self.balls = _balls(g.adj, {*range(delta - 1, self.profile.diameter + 1), self.profile.radius + 2})
         self.adj = g.adj
@@ -265,10 +272,12 @@ class _Joined:
 def _reduce(g: Graph, delta: int, seed: int, pick, check=None) -> DeltaReport:
     """The loop of both reductions: tie the newcomer to ``pick``'s nodes until diam(H) <= delta.
 
-    A negative seed is refused first.  The :class:`_Joined` state is built
-    next, just after the clock starts; it refuses a bad g or delta before
-    any other work.  ``pick(joined, rng)`` returns the host nodes of the
-    next tie, given that state and the run's ``random.Random(seed)``.
+    The arguments are checked first, a negative seed and then a delta below
+    2 (:func:`_check_delta`), before the clock starts and before g is
+    profiled.  The :class:`_Joined` state is built next, just after the
+    clock starts; it refuses a disconnected g, then a delta above diam(g),
+    before any other work.  ``pick(joined, rng)`` returns the host nodes of
+    the next tie, given that state and the run's ``random.Random(seed)``.
     There is at least one tie.  Every tie but the first must not lengthen
     diam(H) (the first may, through the newcomer itself), and is then
     passed to ``check(joined, chosen)``, which raises on a broken
@@ -277,6 +286,7 @@ def _reduce(g: Graph, delta: int, seed: int, pick, check=None) -> DeltaReport:
     exact value.  The report's ``elapsed`` covers the whole call.
     """
     _check_seed(seed)
+    _check_delta(delta)
     start = time.perf_counter()
     joined = _Joined(g, delta)
     rng = random.Random(seed)

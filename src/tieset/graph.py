@@ -3,7 +3,9 @@
 Nodes are dense integer ids 0..n-1.  Graphs are simple (no self-loops, no
 parallel edges) and never mutated after construction, so every algorithm in
 this package is a pure function of its inputs.  All tie-breaking picks the
-smallest node id.
+smallest node id: ids are scanned in ascending order, where ``min`` and
+``max`` keep the first extremum and ``sorted`` (``reverse`` too) keeps
+equal keys in that order, so a key never names the id.
 """
 
 from __future__ import annotations
@@ -385,17 +387,16 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
     return Graph(len(ordered), adj, m)
 
 
-def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """Largest component as a relabeled graph plus the old-id -> new-id mapping.
+def largest_connected_component(g: Graph) -> tuple[Graph, list[int]]:
+    """Largest component as a relabeled graph plus its members' old ids, ascending.
 
-    Ties between equal-size components go to the one containing the smallest
-    original id.  New ids follow ascending original-id order.  A graph with
-    no nodes has no component and comes back as itself, with an empty mapping.
+    New id i is old id ``members[i]``, the relabeling of
+    :func:`induced_subgraph`.  Ties between equal-size components go to the
+    one containing the smallest original id.  A graph with no nodes has no
+    component and comes back as itself, with no members.
     """
-    comps = connected_components(g)
-    best = max(comps, key=len, default=[])  # first maximal component has the smallest ids
-    mapping = {old: new for new, old in enumerate(best)}
-    return induced_subgraph(g, best), mapping
+    members = max(connected_components(g), key=len, default=[])  # first maximal component has the smallest ids
+    return induced_subgraph(g, members), members
 
 
 def betweenness(g: Graph) -> list[float]:

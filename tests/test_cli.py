@@ -165,6 +165,26 @@ def test_diam_negative_seed_is_a_precondition_error(tmp_path, capsys, monkeypatc
     assert captured.err == "tieset: seed must be >= 0, got -1\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(["diam", "--alg", "cp", "--delta", "1"], "target diameter must be >= 2, got 1", id="diam-delta"),
+    pytest.param(["diam", "--alg", "periphery", "--delta", "-2"], "target diameter must be >= 2, got -2", id="diam-neg"),
+    pytest.param(["diam", "--alg", "cp", "--delta", "3", "--seed", "-1"], "seed must be >= 0, got -1", id="diam-seed"),
+    pytest.param(
+        ["diam", "--alg", "cp", "--delta", "1", "--seed", "-1"], "seed must be >= 0, got -1", id="diam-seed-first"
+    ),
+    pytest.param(["oracle", "--target", "delta", "--delta", "1"], "target diameter must be >= 2, got 1", id="oracle"),
+    pytest.param(
+        ["oracle", "--target", "delta", "--delta", "0", "--cap", "2"], "target diameter must be >= 2, got 0",
+        id="oracle-cap",
+    ),
+])
+def test_bad_arguments_are_refused_before_the_file_is_read(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.setattr(cli, "load_edge_list", _refuse)
+    command, *flags = argv
+    assert main([command, str(tmp_path / "never-read.txt"), *flags]) == EXIT_PRECONDITION
+    assert capsys.readouterr() == ("", f"tieset: {error}\n")
+
+
 @pytest.mark.parametrize("model, flags, unused", [
     pytest.param("ba", ["--nws-k", "3", "--nws-p", "7"], "--nws-k, --nws-p", id="ba-nws-k-p"),
     pytest.param("ba", ["--ba-m", "2", "--nws-k", "4"], "--nws-k", id="ba-nws-k"),
@@ -496,8 +516,9 @@ def test_exit_codes_follow_the_contract_on_edge_case_inputs(case, alg, reduction
             "oracle broker": run("oracle", "--target", "broker", "--cap", str(cap)),
             "oracle delta": run("oracle", "--target", "delta", "--delta", str(delta)),
         }
-        if g is None:  # nothing survives cleaning
-            assert set(codes.values()) == {EXIT_INPUT}
+        if g is None:  # nothing survives cleaning: only a delta below 2 is refused before the file is read
+            early = {"diam", "oracle delta"} if delta < 2 else set()
+            assert codes == {name: EXIT_PRECONDITION if name in early else EXIT_INPUT for name in codes}
         elif not is_connected(g):
             assert set(codes.values()) == {EXIT_PRECONDITION}
             assert run("stats", "--giant") == EXIT_OK

@@ -120,11 +120,14 @@ def test_cp_on_cycle6_needs_at_least_two_ties():
 
 
 def test_reduction_preconditions(monkeypatch):
-    # a bad target is refused before the kernel run on g
+    # a bad target is refused before the kernel run on g, and one below 2 before g is profiled
     monkeypatch.setattr(diameter, "_balls", lambda *args: pytest.fail("kernel run before the check"))
+    profile = diameter.metric_profile
     for fn in (periphery_algorithm, cp_algorithm):
-        with pytest.raises(GraphError, match="target diameter 1 outside valid range 2..4"):
+        monkeypatch.setattr(diameter, "metric_profile", lambda *args: pytest.fail("g profiled before the check"))
+        with pytest.raises(GraphError, match="^target diameter must be >= 2, got 1$"):
             fn(P5, 1, 0)
+        monkeypatch.setattr(diameter, "metric_profile", profile)
         with pytest.raises(GraphError, match="target diameter 5 outside valid range 2..4"):
             fn(P5, 5, 0)  # above diam(P5)=4
         with pytest.raises(GraphError):

@@ -169,22 +169,22 @@ def test_uniformity_and_completeness_flags():
 
 def test_largest_connected_component_tie_break():
     g = build_graph(4, [(0, 1), (2, 3)])
-    lcc, mapping = largest_connected_component(g)
+    lcc, members = largest_connected_component(g)
     assert lcc.n == 2 and lcc.m == 1
-    assert mapping == {0: 0, 1: 1}  # equal sizes: smallest contained id wins
+    assert members == [0, 1]  # equal sizes: smallest contained id wins
 
 
 def test_largest_connected_component_identity_on_connected():
     g = path_graph(5)
-    lcc, mapping = largest_connected_component(g)
+    lcc, members = largest_connected_component(g)
     assert lcc == g
-    assert mapping == {i: i for i in range(5)}
+    assert members == list(range(5))
 
 
 def test_largest_connected_component_of_the_empty_graph_is_itself():
     g = build_graph(0, [])
-    lcc, mapping = largest_connected_component(g)
-    assert lcc is g and mapping == {}
+    lcc, members = largest_connected_component(g)
+    assert lcc is g and members == []
 
 
 def test_connected_components_order():

@@ -61,6 +61,7 @@ from util import (
     ref_brandes,
     ref_connected_components,
     ref_cp_algorithm,
+    ref_heuristic,
     ref_min_cover,
     ref_min_dominating,
     ref_periphery_algorithm,
@@ -270,6 +271,30 @@ def test_coverage_balls_are_kept_by_their_first_read_not_by_the_profile(g):
     cover = broker._coverage_balls(g)
     assert cover == tuple(_balls_of_radius(g.adj, max(radius - 1, 0)))
     assert g._coverage is cover and broker._coverage_balls(g) is cover
+
+
+def _spider(legs: int, length: int) -> Graph:
+    """``legs`` paths of ``length`` nodes hung from node 0: radius ``length``."""
+    edges = []
+    for leg in range(legs):
+        path = [0, *range(1 + leg * length, 1 + (leg + 1) * length)]
+        edges += zip(path, path[1:])
+    return build_graph(1 + legs * length, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_graphs(min_n=2, max_n=9))  # radii 1 to 4
+@example(complete_graph(2))
+@example(star_graph(5))
+@example(path_graph(9))
+@example(cycle_graph(9))
+# the shrinking subgraphs disconnect: the first pick leaves the leg tips apart
+@example(_spider(3, 3))
+@example(_spider(4, 4))
+@example(random_tree(9, 5))
+def test_every_heuristic_equals_its_reference(g):
+    for h in BrokerHeuristic:
+        assert run_heuristic(g, h, verify=False).s == ref_heuristic(g, h.value), h.value
 
 
 @settings(max_examples=30)

@@ -14,7 +14,10 @@ range on its own, so a bad delta compares two independent refusals.
 ``ref_min_cover`` is the size-ordered ``combinations`` enumeration that the
 exhaustive oracles' depth-first search must agree with.  ``ref_gen_nws``
 draws each NWS shortcut from the listed free ids, the exact reference for
-the library's draw by rank.
+the library's draw by rank.  ``ref_heuristic`` is each of the eight broker
+heuristics written out with sets and Floyd-Warshall distances, the shrinking
+loop on explicitly built induced subgraphs, every tie to the smallest id by
+an explicit key, and betweenness from ``ref_brandes``.
 ``_count_forks``, ``_assert_no_child_left`` and ``open_descriptors`` watch
 the processes and descriptors a forking call leaves behind.
 """
@@ -280,6 +283,99 @@ def ref_min_dominating(g: Graph) -> NodeSet:
     return NodeSet(nodes)  # n = 0 only
 
 
+def _ref_induced(g: Graph, nodes) -> tuple[Graph, list[int]]:
+    """The subgraph of ``g`` on ``nodes``, built edge by edge, and its ids' nodes of ``g`` (ascending)."""
+    ordered = sorted(nodes)
+    position = {v: i for i, v in enumerate(ordered)}
+    edges = [(position[a], position[b]) for a, b in g.edges() if a in position and b in position]
+    return build_graph(len(ordered), edges), ordered
+
+
+def _ref_chooser(f: Graph, metric: str, r: int):
+    """Candidates of ``f`` -> the node a metric adopts; every tie goes to the smallest id.
+
+    ``max`` takes the highest degree, ``btw`` the highest ``ref_brandes``
+    score, and ``ml`` walks from the lowest-degree candidate for at most
+    r - 1 steps, each to the highest-degree neighbour other than the one it
+    came from, and takes where it stops.
+    """
+    degree = [len(row) for row in f.adj]
+    if metric == "max":
+        return lambda candidates: min(candidates, key=lambda v: (-degree[v], v))
+    if metric == "btw":
+        score = ref_brandes(f)
+        return lambda candidates: min(candidates, key=lambda v: (-score[v], v))
+
+    def leaf_walk(candidates):
+        prev, cur = None, min(candidates, key=lambda v: (degree[v], v))
+        for _ in range(r - 1):
+            steps = [w for w in f.adj[cur] if w != prev]
+            if not steps:
+                break
+            prev, cur = cur, min(steps, key=lambda w: (-degree[w], w))
+        return cur
+
+    return leaf_walk
+
+
+def ref_heuristic(g: Graph, heuristic: str) -> NodeSet:
+    """The set broker heuristic ``heuristic`` (a ``BrokerHeuristic`` value) ties to, on connected ``g``.
+
+    A node covers the nodes within r - 1 of it, r = rad(g).  At radius 1
+    that is itself alone, so the answer is every node, whatever the
+    heuristic.  ``max``/``btw``/``ml`` adopt their metric's pick in the
+    subgraph induced by the uncovered nodes and cover within r - 1 there;
+    the ``s-`` variants rank on ``g`` and pick among the uncovered nodes,
+    covering within r - 1 in ``g``.  ``center`` ties to the neighbours of
+    the lowest-degree center node.  ``imp-center`` takes those neighbours
+    by decreasing degree while the largest component of the uncovered
+    nodes (ties: the one with the smallest node) has radius at least r - 1,
+    and otherwise, or once they run out, that component's first center.
+    """
+    d = fw_distances(g)
+    ecc = [max(row) for row in d]
+    r = min(ecc)
+    if r == 1:
+        return NodeSet(range(g.n))
+    uncovered = set(range(g.n))
+    chosen = set()
+    metric = heuristic.removeprefix("s-")
+    if heuristic in ("max", "btw", "ml"):
+        while uncovered:
+            f, ids = _ref_induced(g, uncovered)
+            w = _ref_chooser(f, metric, r)(range(f.n))
+            chosen.add(ids[w])
+            uncovered -= {ids[x] for x, dx in enumerate(fw_distances(f)[w]) if dx <= r - 1}
+        return NodeSet(chosen)
+    if heuristic in ("s-max", "s-btw", "s-ml"):
+        choose = _ref_chooser(g, metric, r)
+        while uncovered:
+            w = choose(sorted(uncovered))
+            chosen.add(w)
+            uncovered -= {x for x in range(g.n) if d[w][x] <= r - 1}
+        return NodeSet(chosen)
+    v = min((x for x in range(g.n) if ecc[x] == r), key=lambda x: (g.degree(x), x))
+    if heuristic == "center":
+        return NodeSet(g.adj[v])
+    if heuristic != "imp-center":
+        raise ValueError(f"unknown heuristic {heuristic!r}")
+    neighbors = sorted(g.adj[v], key=lambda x: (-g.degree(x), x))
+    while uncovered:
+        f, ids = _ref_induced(g, uncovered)
+        df = fw_distances(f)
+        components = {frozenset(y for y in range(f.n) if df[x][y] < INF) for x in range(f.n)}
+        component = min(components, key=lambda c: (-len(c), min(c)))
+        comp_ecc = {x: max(df[x][y] for y in component) for x in component}
+        comp_radius = min(comp_ecc.values())
+        if comp_radius >= r - 1 and neighbors:
+            w = neighbors.pop(0)
+        else:
+            w = ids[min(x for x in component if comp_ecc[x] == comp_radius)]
+        chosen.add(w)
+        uncovered -= {x for x in range(g.n) if d[w][x] <= r - 1}
+    return NodeSet(chosen)
+
+
 def _ref_peripheral_pairs(g: Graph) -> list[tuple[int, int]]:
     """All unordered node pairs at distance exactly diam(g), ascending."""
     profile = metric_profile(g)
@@ -294,9 +390,11 @@ def _ref_peripheral_pairs(g: Graph) -> list[tuple[int, int]]:
 
 
 def _ref_check_delta(g: Graph, delta: int) -> None:
-    """Refuse a target outside 2..diam(g), as both reductions do."""
+    """Refuse a target below 2, then one above diam(g), as both reductions do."""
+    if delta < 2:  # before g is profiled
+        raise GraphError(f"target diameter must be >= 2, got {delta}")
     diameter = metric_profile(g).diameter  # also rejects disconnected input
-    if not 2 <= delta <= diameter:
+    if delta > diameter:
         raise GraphError(f"target diameter {delta} outside valid range 2..{diameter}")
 
 
