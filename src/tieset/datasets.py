@@ -85,7 +85,7 @@ def load_edge_list(path: str | Path, *, giant: bool = False) -> tuple[Graph, dic
         raise EdgeListFormatError(f"{path}: empty graph after cleaning")
     labels = sorted({x for e in raw_edges for x in e})
     id_of = {label: i for i, label in enumerate(labels)}
-    g = build_graph(len(labels), [(id_of[a], id_of[b]) for a, b in raw_edges])
+    g = build_graph(len(labels), ((id_of[a], id_of[b]) for a, b in raw_edges))
     if not giant:
         return g, id_of
     lcc, members = largest_connected_component(g)

@@ -148,14 +148,14 @@ class _Joined:
     2 + d(S, y)) for host nodes x and y, and d_H(x, u) = 1 + d(x, S).  So
     the host nodes within t hops of x in H are ``ball_t[x] | near[t - 2 -
     d(x, S)]``, where ``near[r]`` holds the nodes within r of S.  :meth:`_reach` is the one
-    reader of this law: the tie loop, :meth:`at_delta` and ``cp``'s check
-    test its mask for ``full``, and the pair draw takes the rest.  The host's
-    balls of radius delta-1..diam(g), and of radius rad(g) + 2 for ``cp``'s
-    check, come from one kernel run; ``periphery`` keeps the same radii.
-    Each tie then costs one BFS that lowers d(., S), an update of ``near``
-    from the nodes it lowered, and mask tests on the nodes of ``far``.
-    ``near`` ends at its first full entry, so its length is
-    ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
+    reader of this law: the tie loop and :meth:`at_delta` test its mask for
+    ``full``, and the pair draw takes the rest.  The host's balls of radius
+    delta-1..diam(g), the same radii for both reductions, come from one
+    kernel run, of which only the balls are read; the host eccentricities
+    come from ``profile``.  Each tie then costs one BFS that lowers d(., S),
+    an update of ``near`` from the nodes it lowered, and mask tests on the
+    nodes of ``far``.  ``near`` ends at its first full entry, so its length
+    is ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
 
     Only a node of host eccentricity at least delta can end a host pair
     delta or more apart in H; ``wide`` lists them.  ``far`` maps each such
@@ -167,20 +167,21 @@ class _Joined:
     the first tie is dropped untested.  ``diameter`` is diam(H), exact
     whenever it exceeds delta; :meth:`at_delta` tells delta from less.
     Before the first tie H is g itself and ``near`` is empty.  ``profile``
-    is g's metric profile, whose center and radius ``cp`` reads.
+    is g's metric profile, whose eccentricities seed ``far`` and whose
+    center and radius ``cp`` reads.
     """
 
     def __init__(self, g: Graph, delta: int):
         self.profile = metric_profile(g)  # also rejects disconnected input
         if delta > self.profile.diameter:
             raise GraphError(f"target diameter {delta} outside valid range 2..{self.profile.diameter}")
-        ecc, self.balls = _balls(g.adj, {*range(delta - 1, self.profile.diameter + 1), self.profile.radius + 2})
+        self.balls = _balls(g.adj, range(delta - 1, self.profile.diameter + 1))[1]
         self.adj = g.adj
         self.delta = delta
         self.full = (1 << g.n) - 1
         self.dist = [g.n] * g.n  # d(x, S); n while S is empty, farther than any hop count
         self.near: list[int] = []
-        self.far = {x: e for x, e in enumerate(ecc) if e >= delta}
+        self.far = {x: e for x, e in enumerate(self.profile.ecc) if e >= delta}
         self.wide = list(self.far)
         self.diameter = self.profile.diameter
 
@@ -315,17 +316,16 @@ def periphery_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     be peripheral again, so the loop terminates.  Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    delta-1..diam and rad + 2, made after :class:`_Joined` has checked
-    delta.  Then per round one popcount per periphery node for the draw, one
-    BFS that lowers the distances to the tie set, an update of the distance
-    layers from the nodes it lowered, and, for each node still farther than
-    delta from some node, mask tests that lower its farthest distance r(x)
-    from its last value (at most one test at delta = diam - 1).  A second
-    kernel run, on the final combined graph, is made only when its diameter
-    ends below delta, for the exact ``achieved_diameter``.  Memory:
-    diam - delta + 2 kept mask generations of up to n^2/8 bytes each, full
-    masks sharing one int, and one more when rad + 2 < delta - 1 (the
-    radius ``cp``'s check reads).
+    delta-1..diam, made after :class:`_Joined` has checked delta.  Then per
+    round one popcount per periphery node for the draw, one BFS that lowers
+    the distances to the tie set, an update of the distance layers from the
+    nodes it lowered, and, for each node still farther than delta from some
+    node, mask tests that lower its farthest distance r(x) from its last
+    value (at most one test at delta = diam - 1).  A second kernel run, on
+    the final combined graph, is made only when its diameter ends below
+    delta, for the exact ``achieved_diameter``.  Memory: diam - delta + 2
+    kept mask generations of up to n^2/8 bytes each, full masks sharing one
+    int.
     """
     return _reduce(g, delta, seed, _Joined.draw_peripheral_pair)
 
@@ -341,16 +341,18 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     Deterministic per seed.
 
     Cost per call: one kernel run on g for its balls of radius
-    delta-1..diam and rad + 2, made after :class:`_Joined` has checked
-    delta.  Then per tie one BFS that lowers the distances to the tie set,
-    an update of the distance layers from the nodes it lowered, and, for
-    each node still farther than delta from some node, mask tests that
-    lower its r(x) from its last value, as for :func:`periphery_algorithm`.
-    The check is one mask test: the picked node is in S, so by the
-    augmentation law its eccentricity is at most rad + 2 iff its host
-    (rad + 2)-ball OR the rad-ball of S is full.  A second kernel run,
-    on the final combined graph, is made only when its diameter ends below
-    delta, for the exact ``achieved_diameter``.  Memory as for
+    delta-1..diam, made after :class:`_Joined` has checked delta.  Then per
+    tie one BFS that lowers the distances to the tie set, an update of the
+    distance layers from the nodes it lowered, and, for each node still
+    farther than delta from some node, mask tests that lower its r(x) from
+    its last value, as for :func:`periphery_algorithm`.  The check reads one
+    length: the picked node w is in S, so every node within rad of S is
+    within rad + 2 of w through the newcomer, and the check asserts that the
+    rad-ball of S is full, i.e. that the distance layers ``near`` have at
+    most rad + 1 entries.  A center is in S, so that holds unless the layers
+    are wrong, and no host ball of w can hide such a fault.  A second kernel
+    run, on the final combined graph, is made only when its diameter ends
+    below delta, for the exact ``achieved_diameter``.  Memory as for
     :func:`periphery_algorithm`.
     """
 
@@ -362,10 +364,10 @@ def cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
         return [nodes[rng.randrange(len(nodes))]]
 
     def check(joined: _Joined, chosen: list[int]) -> None:
-        (w,) = chosen
         radius = joined.profile.radius
-        if joined._reach(w, radius + 2) != joined.full:  # w is in S, so d(w, S) = 0
-            raise RuntimeError(f"picked periphery node {w} kept eccentricity > original radius {radius} + 2")
+        if len(joined.near) > radius + 1:  # ecc_H(u) = len(near): S's rad-ball is not full
+            gap = f"some node is farther than {radius} from the tie set"
+            raise RuntimeError(f"picked periphery node {chosen[0]} has no original radius {radius} + 2 bound: {gap}")
 
     return _reduce(g, delta, seed, pick, check)
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphError, NodeSet, _check_seed, build_graph, metric_profile
+from .graph import Graph, GraphError, NodeSet, _check_seed, _from_sets, build_graph, metric_profile
 
 BA = "ba"
 NWS = "nws"
@@ -100,23 +100,19 @@ def gen_nws(params: RandomModelParams) -> Graph:
     Cost: O(n*k + shortcuts * k log k), as u's degree is k plus its
     shortcuts, k(1 + p) in expectation.  The random calls are the contract
     that keeps every seed's graph unchanged: one ``random()`` per lattice
-    edge, in the order the lattice lists them, and for each hit one
-    ``randrange`` over the number of free ids, none when there is no free
-    id.  An edit must not add, drop or reorder any of them.
+    edge (u, u + j), u ascending and j = 1..k/2 within each u, and for each
+    hit one ``randrange`` over the number of free ids, none when there is
+    no free id.  An edit must not add, drop or reorder any of them.  The
+    lattice and the shortcuts go straight into the neighbor sets the draws
+    read, and those sets become the graph through ``graph._from_sets``.
     """
     if params.model != NWS:
         raise GraphError(f"expected nws params, got {params.model!r}")
     rng = random.Random(params.seed)
     n, k, p = params.n, params.nws_k, params.nws_p
-    edges = []
-    adjacent: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(1, k // 2 + 1):
-            w = (i + j) % n
-            edges.append((i, w))
-            adjacent[i].add(w)
-            adjacent[w].add(i)
-    for u, _ in list(edges):
+    # node i's k/2 ring neighbors on each side; k < n, so no two offsets meet
+    adjacent = [{(i + j) % n for j in range(-(k // 2), k // 2 + 1) if j} for i in range(n)]
+    for u in (i for i in range(n) for _ in range(k // 2)):  # each lattice edge (u, u + j), j = 1..k/2
         if rng.random() >= p:
             continue
         free = n - 1 - len(adjacent[u])
@@ -129,10 +125,9 @@ def gen_nws(params: RandomModelParams) -> Graph:
             if x > w:
                 break
             w += 1
-        edges.append((u, w))
         adjacent[u].add(w)
         adjacent[w].add(u)
-    return build_graph(n, edges)
+    return _from_sets(adjacent)
 
 
 def generate(params: RandomModelParams) -> Graph:

@@ -39,10 +39,13 @@ class CapExceededError(RuntimeError):
 class Graph:
     """Simple undirected graph: ``n`` nodes, sorted adjacency, ``m`` edges.
 
-    Construct through :func:`build_graph`, which cleans the edge list and
-    establishes the invariants (symmetric adjacency, sorted neighbor lists,
-    no self-loops or duplicates).  Connectedness is *not* an invariant;
-    operations that need it check it.  The graph never changes, so
+    Construct through :func:`build_graph`, which cleans an edge list into
+    neighbor sets (symmetric, no self-loops or duplicates), or through
+    ``_from_sets``, which takes such sets as they are, as
+    ``generators.gen_nws`` does.  ``build_graph`` ends in ``_from_sets``,
+    which sorts each neighbor list and counts ``m``; :func:`induced_subgraph`
+    and :func:`augment` derive their sorted rows from a graph directly.
+    Connectedness is *not* an invariant; operations that need it check it.  The graph never changes, so
     :func:`metric_profile` keeps its profile on it, :func:`betweenness` its
     scores and ``broker._coverage_balls`` the coverage balls, on graphs the
     broker side reads; those slots take no part in equality, hashing or the
@@ -116,7 +119,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Self-loops are dropped and duplicate edges deduplicated; ``m`` counts the
     surviving undirected edges.  Raises :class:`GraphError` for ids outside
-    0..n-1, naming the offending pair.
+    0..n-1, naming the offending pair.  ``edges`` is read once, so a
+    generator serves.  The cleaned neighbor sets become the graph through
+    :func:`_from_sets`.
     """
     if n < 0:
         raise GraphError(f"node count must be non-negative, got {n}")
@@ -130,9 +135,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             continue
         nbrs[a].add(b)
         nbrs[b].add(a)
-    adj = tuple(tuple(sorted(s)) for s in nbrs)
-    m = sum(len(row) for row in adj) // 2
-    return Graph(n, adj, m)
+    return _from_sets(nbrs)
+
+
+def _from_sets(nbrs: Sequence[set[int]]) -> Graph:
+    """The graph whose node v has the neighbors ``nbrs[v]``; ``m`` is half the degree sum.
+
+    The one place neighbor sets become a :class:`Graph`.  The sets must be
+    clean already: symmetric (w in nbrs[v] iff v in nbrs[w]), with ids in
+    0..len(nbrs)-1 and no self-loops.  Nothing is checked.
+    """
+    return Graph(len(nbrs), tuple(tuple(sorted(s)) for s in nbrs), sum(map(len, nbrs)) // 2)
 
 
 def _bfs(

@@ -216,8 +216,8 @@ def test_tying_to_whole_periphery_never_increases_but_may_not_shrink():
     pytest.param(cycle_graph(13), 5, id="c13-5"),
 ])
 def test_cp_makes_one_bfs_per_tie(g, delta, monkeypatch):
-    # the ecc <= rad + 2 check reads the kept masks, so only the tie's own
-    # search lowers distances
+    # the ecc <= rad + 2 check reads only how many distance layers there
+    # are, so only the tie's own search lowers distances
     calls = []
     bfs = diameter._bfs
     monkeypatch.setattr(diameter, "_bfs", lambda *args: calls.append(1) or bfs(*args))
@@ -226,8 +226,8 @@ def test_cp_makes_one_bfs_per_tie(g, delta, monkeypatch):
     assert len(calls) == report.iterations
 
 
-# P11: radius 5, diameter 10, so at delta 9 the check's radius rad + 2 = 7
-# lies below the reduction's own kept radii 8..10
+# P11: radius 5, diameter 10, so at delta 9 the check's bound rad + 2 = 7
+# lies below the reduction's kept radii 8..10, and the check reads no ball
 P11 = path_graph(11)
 
 
@@ -245,6 +245,23 @@ def test_cp_check_refuses_a_picked_node_beyond_radius_plus_two(seed, monkeypatch
     monkeypatch.setattr(diameter, "metric_profile", lambda f: dataclasses.replace(profile(f), radius=1))
     # w is 7 from the far end of the path, past the claimed radius 1 + 2
     with pytest.raises(RuntimeError, match=rf"picked periphery node {w} .*original radius 1 \+ 2"):
+        cp_algorithm(P11, 9, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cp_check_catches_distance_layers_that_place_a_node_too_far(seed, monkeypatch):
+    # after each tie the layers record node 0 one hop farther from S than it
+    # is; the picked node's host (rad + 2)-ball holds node 0 whenever the
+    # pick is node 0 itself (seeds 1-3), so only the layers' length shows it
+    tie = diameter._Joined.tie
+
+    def one_layer_too_far(self, members):
+        tie(self, members)
+        self.near = self.near[:-1] + [self.near[-1] & ~1, self.full]
+
+    monkeypatch.setattr(diameter._Joined, "tie", one_layer_too_far)
+    bound = r"has no original radius 5 \+ 2 bound: some node is farther than 5 from the tie set$"
+    with pytest.raises(RuntimeError, match=rf"^picked periphery node (0|10) {bound}"):
         cp_algorithm(P11, 9, seed)
 
 
@@ -296,7 +313,7 @@ def test_at_delta_diam_minus_one_a_tie_tests_each_far_node_once(g, name, monkeyp
         counts.append((calls.pop(), before))
 
     def counting_reach(joined, x, t):
-        if calls:  # cp's check, at_delta and the pair draw read outside a tie, uncounted
+        if calls:  # at_delta and the pair draw read outside a tie, uncounted
             calls[-1] += 1
         return reach(joined, x, t)
 
