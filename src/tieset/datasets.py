@@ -93,7 +93,13 @@ def load_edge_list(path: str | Path, *, giant: bool = False) -> tuple[Graph, dic
 
 
 def write_edge_list(path: str | Path, g: Graph, header_lines: tuple[str, ...] = ()) -> None:
-    """Write a graph in the same edge-list format, '#' header lines first."""
+    """Write a graph in the same edge-list format, '#' header lines first.
+
+    The format has a line per edge and none per node, so a node with no edge
+    is not written: ``load_edge_list`` reads the 3-node graph with the one
+    edge (0, 1) back as the 2-node graph, and an edgeless node below the top
+    id moves every id above it down by one.
+    """
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")

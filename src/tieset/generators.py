@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphError, NodeSet, _check_seed, _from_sets, build_graph, metric_profile
+from .graph import Graph, GraphError, NodeSet, _check_seed, _from_sets, metric_profile
 
 BA = "ba"
 NWS = "nws"
@@ -66,24 +66,34 @@ def gen_ba(params: RandomModelParams) -> Graph:
     with ``ba_m`` edges whose targets are drawn proportionally to current
     degree, redrawing duplicates until the targets are distinct.  Connected
     by construction.
+
+    The random calls are the contract that keeps every seed's graph
+    unchanged: for each new node, ascending, one ``randrange`` over the
+    length of the list of edge ends per draw, drawing until ``ba_m``
+    distinct targets are held; then the list grows by the targets,
+    ascending, and by ``ba_m`` copies of the new node.  An edit must not
+    add, drop or reorder any of them.  The targets set becomes the new
+    node's neighbor set, and the sets become the graph through
+    ``graph._from_sets``; no edge list is built.
     """
     if params.model != BA:
         raise GraphError(f"expected ba params, got {params.model!r}")
     rng = random.Random(params.seed)
     m = params.ba_m
-    edges = [(0, i) for i in range(1, m + 1)]
+    # the star (hub 0 and leaves 1..m); each later node's set is empty until its turn
+    adjacent = [set(range(1, m + 1))] + [{0} if v <= m else set() for v in range(1, params.n)]
     # one entry per incident edge end, so index-uniform draws are
     # degree-proportional
     repeated = [0] * m + list(range(1, m + 1))
     for source in range(m + 1, params.n):
-        targets: set[int] = set()
+        targets = adjacent[source]
         while len(targets) < m:
             targets.add(repeated[rng.randrange(len(repeated))])
         for t in sorted(targets):
-            edges.append((source, t))
+            adjacent[t].add(source)
             repeated.append(t)
         repeated.extend([source] * m)
-    return build_graph(params.n, edges)
+    return _from_sets(adjacent)
 
 
 def gen_nws(params: RandomModelParams) -> Graph:
@@ -165,19 +175,17 @@ def reduction_gadget(g: Graph) -> tuple[Graph, GadgetMap]:
 
     Requires a connected input of radius at least 2.  The output graph has
     3n nodes and radius 3: every clique-layer node reaches everything within
-    3 hops, while pendant nodes sit 4+ hops apart.
+    3 hops, while pendant nodes sit 4+ hops apart.  Each layer's neighbor
+    sets are written directly: clique node v has the other clique nodes and
+    n+v, copy node n+v has v, 2n+v and the copies of v's neighbors, and
+    pendant node 2n+v has n+v.  They become the graph through
+    ``graph._from_sets``; no edge list is built.
     """
     profile = metric_profile(g)  # also rejects disconnected input
     if profile.radius < 2:
         raise GraphError(f"gadget needs radius >= 2, got radius {profile.radius}")
     n = g.n
-    edges = []
-    for v in range(n):
-        edges.append((v, n + v))
-        edges.append((n + v, 2 * n + v))
-    for v in range(n):
-        for w in range(v + 1, n):
-            edges.append((v, w))
-    for a, b in g.edges():
-        edges.append((n + a, n + b))
-    return build_graph(3 * n, edges), GadgetMap(n)
+    adjacent = [set(range(n)) - {v} | {n + v} for v in range(n)]
+    adjacent += [{v, 2 * n + v} | {n + w for w in g.adj[v]} for v in range(n)]
+    adjacent += [{n + v} for v in range(n)]
+    return _from_sets(adjacent), GadgetMap(n)

@@ -39,13 +39,16 @@ class CapExceededError(RuntimeError):
 class Graph:
     """Simple undirected graph: ``n`` nodes, sorted adjacency, ``m`` edges.
 
-    Construct through :func:`build_graph`, which cleans an edge list into
-    neighbor sets (symmetric, no self-loops or duplicates), or through
-    ``_from_sets``, which takes such sets as they are, as
-    ``generators.gen_nws`` does.  ``build_graph`` ends in ``_from_sets``,
-    which sorts each neighbor list and counts ``m``; :func:`induced_subgraph`
-    and :func:`augment` derive their sorted rows from a graph directly.
-    Connectedness is *not* an invariant; operations that need it check it.  The graph never changes, so
+    Construct through :func:`build_graph`, which cleans an edge list from
+    outside the package (``datasets.load_edge_list`` reads one from a file)
+    into neighbor sets (symmetric, no self-loops or duplicates), or through
+    ``_from_sets``, which takes such sets as they are, as the package's own
+    builds ``generators.gen_ba``, ``generators.gen_nws`` and
+    ``generators.reduction_gadget`` do.  ``build_graph`` ends in
+    ``_from_sets``, which sorts each neighbor list and counts ``m``;
+    :func:`induced_subgraph` and :func:`augment` derive their sorted rows
+    from a graph directly.  Connectedness is *not* an invariant; operations
+    that need it check it.  The graph never changes, so
     :func:`metric_profile` keeps its profile on it, :func:`betweenness` its
     scores and ``broker._coverage_balls`` the coverage balls, on graphs the
     broker side reads; those slots take no part in equality, hashing or the
@@ -117,8 +120,11 @@ class MetricProfile:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple undirected graph on nodes 0..n-1 from an edge list.
 
-    Self-loops are dropped and duplicate edges deduplicated; ``m`` counts the
-    surviving undirected edges.  Raises :class:`GraphError` for ids outside
+    The cleaner of edge lists from outside the package: the package's one
+    caller is ``datasets.load_edge_list``, while the generators, whose sets
+    are clean by construction, call ``_from_sets`` directly.  Self-loops are
+    dropped and duplicate edges deduplicated; ``m`` counts the surviving
+    undirected edges.  Raises :class:`GraphError` for ids outside
     0..n-1, naming the offending pair.  ``edges`` is read once, so a
     generator serves.  The cleaned neighbor sets become the graph through
     :func:`_from_sets`.
@@ -141,9 +147,12 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def _from_sets(nbrs: Sequence[set[int]]) -> Graph:
     """The graph whose node v has the neighbors ``nbrs[v]``; ``m`` is half the degree sum.
 
-    The one place neighbor sets become a :class:`Graph`.  The sets must be
-    clean already: symmetric (w in nbrs[v] iff v in nbrs[w]), with ids in
-    0..len(nbrs)-1 and no self-loops.  Nothing is checked.
+    The one place neighbor sets become a :class:`Graph`: the end of
+    :func:`build_graph`, and the route of ``generators.gen_nws``,
+    ``generators.gen_ba`` and ``generators.reduction_gadget``, which fill
+    one set per node.  The sets must be clean already: symmetric (w in
+    nbrs[v] iff v in nbrs[w]), with ids in 0..len(nbrs)-1 and no
+    self-loops.  Nothing is checked.
     """
     return Graph(len(nbrs), tuple(tuple(sorted(s)) for s in nbrs), sum(map(len, nbrs)) // 2)
 

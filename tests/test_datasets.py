@@ -7,6 +7,7 @@ from tieset.datasets import (
     load_edge_list,
     write_edge_list,
 )
+from tieset.graph import build_graph
 from util import random_connected
 
 
@@ -78,6 +79,17 @@ def test_write_then_load_roundtrip(tmp_path):
     assert loaded == g
     assert mapping == {i: i for i in range(15)}
     assert out.read_text().startswith("# made for")
+
+
+@pytest.mark.parametrize("edges, mapping", [([(0, 1)], {0: 0, 1: 1}), ([(0, 2)], {0: 0, 2: 1})])
+def test_a_node_with_no_edge_does_not_survive_the_roundtrip(tmp_path, edges, mapping):
+    # the format has a line per edge and none per node: node 2, or node 1, is not written,
+    # and the labels left are renumbered densely
+    out = tmp_path / "isolated.txt"
+    write_edge_list(out, build_graph(3, edges))
+    loaded, read_mapping = load_edge_list(out)
+    assert loaded == build_graph(2, [(0, 1)])
+    assert read_mapping == mapping
 
 
 def test_missing_file_raises_oserror(tmp_path):

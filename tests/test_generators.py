@@ -12,9 +12,17 @@ from tieset.generators import (
     generate,
     reduction_gadget,
 )
-from tieset.graph import GraphError, NodeSet, is_connected, metric_profile
+from tieset.graph import GraphError, NodeSet, NotConnectedError, build_graph, is_connected, metric_profile
 
-from util import complete_graph, cycle_graph, path_graph, random_connected, ref_gen_nws
+from util import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected,
+    ref_gen_ba,
+    ref_gen_nws,
+    ref_reduction_gadget,
+)
 
 
 def test_params_validation():
@@ -111,6 +119,14 @@ def test_nws_draw_by_rank_in_the_dense_corner(n):
         assert gen_nws(params) == ref_gen_nws(params)
 
 
+@pytest.mark.parametrize("n", [*range(2, 40), 100, 257, 1000])
+def test_ba_built_into_neighbor_sets_gives_the_edge_list_graph(n):
+    for m in [m for m in (1, 2, 3, 5) if m < n]:
+        for seed in range(4):
+            params = RandomModelParams(BA, n, seed, ba_m=m)
+            assert gen_ba(params) == ref_gen_ba(params)
+
+
 @pytest.mark.parametrize("n, m", [(4158, 13122), (8638, 27215)])
 def test_nws_dataset_sized_stand_ins(n, m):
     g = gen_nws(RandomModelParams(NWS, n, 7, nws_k=6, nws_p=0.05))
@@ -154,6 +170,30 @@ def test_gadget_cycle6():
 def test_gadget_rejects_radius_one():
     with pytest.raises(GraphError, match="radius >= 2"):
         reduction_gadget(complete_graph(3))
+
+
+def _gadget_or_refusal(build, g):
+    try:
+        return build(g)
+    except GraphError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("n", range(5, 25))
+def test_gadget_built_into_neighbor_sets_gives_the_edge_list_gadget(n):
+    # NWS(k = 2, p = 0.3) graphs are connected; one of these, whose shortcuts give a node
+    # every other as neighbor, has radius 1 and is refused by both
+    for seed in range(3):
+        g = gen_nws(RandomModelParams(NWS, n, seed, nws_k=2, nws_p=0.3))
+        assert _gadget_or_refusal(reduction_gadget, g) == _gadget_or_refusal(ref_reduction_gadget, g)
+
+
+@pytest.mark.parametrize("g, refusal", [
+    pytest.param(complete_graph(4), (GraphError, "gadget needs radius >= 2, got radius 1"), id="radius-1"),
+    pytest.param(build_graph(4, [(0, 1), (2, 3)]), (NotConnectedError, "graph not connected"), id="disconnected"),
+])
+def test_gadget_and_its_reference_refuse_alike(g, refusal):
+    assert _gadget_or_refusal(reduction_gadget, g) == _gadget_or_refusal(ref_reduction_gadget, g) == refusal
 
 
 def test_gadget_map_triples_and_projection():

@@ -14,7 +14,10 @@ range on its own, so a bad delta compares two independent refusals.
 ``ref_min_cover`` is the size-ordered ``combinations`` enumeration that the
 exhaustive oracles' depth-first search must agree with.  ``ref_gen_nws``
 draws each NWS shortcut from the listed free ids, the exact reference for
-the library's draw by rank.  ``ref_heuristic`` is each of the eight broker
+the library's draw by rank; ``ref_gen_ba`` and ``ref_reduction_gadget``
+collect every BA and gadget edge in a list and clean it with
+``build_graph``, the exact references for the library's builds straight
+into neighbor sets.  ``ref_heuristic`` is each of the eight broker
 heuristics written out with sets and Floyd-Warshall distances, the shrinking
 loop on explicitly built induced subgraphs, every tie to the smallest id by
 an explicit key, and betweenness from ``ref_brandes``.
@@ -35,7 +38,7 @@ import pytest
 
 from tieset.broker import is_dominating_set
 from tieset.diameter import DeltaReport
-from tieset.generators import RandomModelParams
+from tieset.generators import BA, GadgetMap, RandomModelParams
 from tieset.graph import Graph, GraphError, NodeSet, _balls_of_radius, augment, build_graph, metric_profile
 
 INF = 10 ** 9
@@ -153,6 +156,47 @@ def ref_gen_nws(params: RandomModelParams) -> Graph:
         adjacent[u].add(w)
         adjacent[w].add(u)
     return build_graph(n, edges)
+
+
+def ref_gen_ba(params: RandomModelParams) -> Graph:
+    """BA graph whose edges are collected in a list and cleaned by ``build_graph``, with
+    the same random calls as ``generators.gen_ba``."""
+    if params.model != BA:
+        raise GraphError(f"expected ba params, got {params.model!r}")
+    rng = random.Random(params.seed)
+    m = params.ba_m
+    edges = [(0, i) for i in range(1, m + 1)]
+    # one entry per incident edge end, so index-uniform draws are
+    # degree-proportional
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, params.n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(repeated[rng.randrange(len(repeated))])
+        for t in sorted(targets):
+            edges.append((source, t))
+            repeated.append(t)
+        repeated.extend([source] * m)
+    return build_graph(params.n, edges)
+
+
+def ref_reduction_gadget(g: Graph) -> tuple[Graph, GadgetMap]:
+    """``generators.reduction_gadget`` from the list of all its edges, cleaned by
+    ``build_graph``, with the same refusals."""
+    profile = metric_profile(g)  # also rejects disconnected input
+    if profile.radius < 2:
+        raise GraphError(f"gadget needs radius >= 2, got radius {profile.radius}")
+    n = g.n
+    edges = []
+    for v in range(n):
+        edges.append((v, n + v))
+        edges.append((n + v, 2 * n + v))
+    for v in range(n):
+        for w in range(v + 1, n):
+            edges.append((v, w))
+    for a, b in g.edges():
+        edges.append((n + a, n + b))
+    return build_graph(3 * n, edges), GadgetMap(n)
 
 
 def fw_min_delta_enabling(g: Graph, delta: int, cap: int | None = None) -> NodeSet | None:
