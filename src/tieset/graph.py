@@ -445,7 +445,8 @@ FORK_MIN_WORK = 100_000
 Below it a fork costs more than it saves.  On a 2-CPU VM (Python 3.11.7)
 two processes broke even at n·(n + 2m) of about 30,000–60,000 in a 16 MB
 process and 110,000–200,000 in a 185 MB one (a fork copies the page tables);
-a BA graph with n=1000 and m≈2000 (5,000,000) took 0.61 s instead of 1.08 s.
+a BA graph with n=1000 and m≈2000 (5,000,000) took 0.27 s in two processes
+against 0.48 s in one (medians of alternating runs, Python 3.11.7).
 """
 
 
@@ -527,14 +528,25 @@ def _brandes(n: int, adj: tuple[tuple[int, ...], ...]) -> tuple[float, ...]:
 def _dependencies(s: int, n: int, adj: tuple[tuple[int, ...], ...]) -> list[float]:
     """Source ``s``'s Brandes dependency on every node, without predecessor lists.
 
-    A level-synchronous BFS counts shortest paths; the backward pass finds
-    w's predecessors by scanning adj[w] for nodes one level up.  Each
-    dependency still receives its additions in reverse BFS order, so the
+    A level-synchronous BFS counts shortest paths.  An unreached node's
+    distance is n, above every level (a BFS has at most n of them), so an
+    arc into an earlier or the same level fails one test, ``dist[w] >= d``,
+    and only arcs into the next level or to new nodes take a second.  The
+    BFS also records ``parent[w]``, the frontier node that first reached w.
+
+    The backward pass walks the levels from the deepest up to level 2.  A
+    node w whose path count equals its parent's has that parent as its one
+    predecessor (path counts are exact ints, each at least 1), and gives it
+    its share directly; any other w finds its predecessors by scanning
+    adj[w] for nodes one level up.  Level 1's one predecessor is ``s``, so
+    the pass stops above it.  Each predecessor still receives one addition
+    per successor, with the same operands, in reverse BFS order, so the
     scores match the predecessor-list form to the last bit.  The entries of
     ``s`` itself and of nodes it does not reach are 0.0.
     """
-    dist = [-1] * n
+    dist = [n] * n
     sigma = [0] * n
+    parent = [s] * n
     dist[s] = 0
     sigma[s] = 1
     levels = []
@@ -547,22 +559,27 @@ def _dependencies(s: int, n: int, adj: tuple[tuple[int, ...], ...]) -> list[floa
         for v in frontier:
             sv = sigma[v]
             for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = d
-                    sigma[w] = sv
-                    nxt.append(w)
-                elif dw == d:
-                    sigma[w] += sv
+                if dist[w] >= d:  # the next level, or unreached (distance n)
+                    if dist[w] == d:
+                        sigma[w] += sv
+                    else:
+                        dist[w] = d
+                        sigma[w] = sv
+                        parent[w] = v
+                        nxt.append(w)
         frontier = nxt
     delta = [0.0] * n
-    for up in range(len(levels) - 2, -1, -1):
+    for up in range(len(levels) - 2, 0, -1):  # level 1's one predecessor is s, whose entry stays 0.0
         for w in reversed(levels[up + 1]):
-            coeff = (1.0 + delta[w]) / sigma[w]
+            sw = sigma[w]
+            coeff = (1.0 + delta[w]) / sw
+            p = parent[w]
+            if sigma[p] == sw:  # p is w's one predecessor
+                delta[p] += sw * coeff
+                continue
             for v in adj[w]:
                 if dist[v] == up:
                     delta[v] += sigma[v] * coeff
-    delta[s] = 0.0
     return delta
 
 

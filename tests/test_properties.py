@@ -61,6 +61,7 @@ from util import (
     ref_brandes,
     ref_connected_components,
     ref_cp_algorithm,
+    ref_dependencies,
     ref_heuristic,
     ref_min_cover,
     ref_min_dominating,
@@ -532,6 +533,56 @@ def test_betweenness_equals_reference_on_disconnected_graphs(a, b, isolated, k):
     expected = ref_brandes(g)
     assert betweenness(g) == expected
     assert _split_pass(g, k) == expected
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_betweenness_at_fork_size_equals_reference_in_every_split(m):
+    # BA(m = 1) is a tree, where every node has one predecessor from every
+    # source; in BA(m = 5) most nodes have several
+    g = generate(RandomModelParams(BA, 300, 11, ba_m=m))
+    assert g.n * (g.n + 2 * g.m) >= graph.FORK_MIN_WORK
+    assert (g.m == g.n - 1) == (m == 1)
+    expected = ref_brandes(g)
+    assert betweenness(g) == expected
+    for k in (1, 2, 3):
+        assert _split_pass(g, k) == expected
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    ids = [[r * cols + c for c in range(cols)] for r in range(rows)]
+    across = [(row[c], row[c + 1]) for row in ids for c in range(cols - 1)]
+    down = [(ids[r][c], ids[r + 1][c]) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, across + down)
+
+
+def _assert_dependencies_match_reference(g: Graph) -> None:
+    for s in range(g.n):
+        assert graph._dependencies(s, g.n, g.adj) == ref_dependencies(g, s), f"source {s}"
+
+
+@pytest.mark.parametrize("g", [
+    # nodes with two or more predecessors, whose path counts differ on the grid
+    build_graph(7, [(a, b) for a in range(3) for b in range(3, 7)]),
+    build_graph(16, [(v, v ^ 1 << i) for v in range(16) for i in range(4)]),
+    _grid(4, 5),
+    # every node has one predecessor
+    star_graph(6),
+    path_graph(7),
+    build_graph(1, []),
+], ids=["K3,4", "4-cube", "grid4x5", "star", "path", "isolated"])
+def test_betweenness_dependencies_equal_reference_from_every_source(g):
+    _assert_dependencies_match_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    family_graphs(max_n=30),
+    st.tuples(family_graphs(max_n=10), st.integers(0, 3), family_graphs(max_n=10)).map(
+        lambda parts: _disjoint_union(_disjoint_union(parts[0], build_graph(parts[1], [])), parts[2])
+    ),
+))
+def test_betweenness_dependencies_equal_reference_on_family_graphs(g):
+    _assert_dependencies_match_reference(g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's BFS machinery: distances
 come from Floyd-Warshall over the raw edge list, betweenness from literal
 enumeration of all shortest paths, so they can vouch for the fast paths.
-``ref_brandes`` is the textbook predecessor-list Brandes accumulation, kept
-as the exact (bit-for-bit) reference for the library's betweenness kernel.
+``ref_dependencies`` is the textbook predecessor-list Brandes accumulation
+from one source, and ``ref_brandes`` its sum over the sources, kept as the
+exact (bit-for-bit) references for the library's per-source kernel and its
+whole pass.
 ``ref_periphery_algorithm`` and ``ref_cp_algorithm`` are the diameter
 reductions that build the combined graph and profile it every round, kept as
 the exact reference (same ties, same reports, same errors) for the library's
@@ -240,42 +242,54 @@ def brute_betweenness(g: Graph) -> list[float]:
     return score
 
 
-def ref_brandes(g: Graph) -> list[float]:
-    """Betweenness by Brandes' accumulation with per-source predecessor lists.
+def ref_dependencies(g: Graph, s: int) -> list[float]:
+    """Source ``s``'s Brandes dependency on every node, from per-source predecessor lists.
 
-    Same sum order as the library's kernel, so results must match exactly,
-    not just approximately.
+    The textbook form: a queue BFS records each node's predecessors, and the
+    accumulation walks the nodes in reverse BFS order.  The entries of ``s``
+    itself and of nodes it does not reach are 0.0, as in the library's
+    ``graph._dependencies``, which must match it bit for bit.
     """
     n = g.n
     adj = g.adj
-    score = [0.0] * n
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        queue = deque((s,))
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv
-                    queue.append(w)
-                if dist[w] == dv:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                score[w] += delta[w]
+    dist = [-1] * n
+    sigma = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    dist[s] = 0
+    sigma[s] = 1
+    queue = deque((s,))
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        dv = dist[v] + 1
+        sv = sigma[v]
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dv
+                queue.append(w)
+            if dist[w] == dv:
+                sigma[w] += sv
+                preds[w].append(v)
+    delta = [0.0] * n
+    for w in reversed(order):
+        coeff = (1.0 + delta[w]) / sigma[w]
+        for v in preds[w]:
+            delta[v] += sigma[v] * coeff
+    delta[s] = 0.0
+    return delta
+
+
+def ref_brandes(g: Graph) -> list[float]:
+    """Betweenness by Brandes' accumulation with per-source predecessor lists.
+
+    Sums :func:`ref_dependencies` over the sources in order 0..n-1, the
+    library's sum order, so results must match exactly, not just
+    approximately.
+    """
+    score = [0.0] * g.n
+    for s in range(g.n):
+        score = [x + y for x, y in zip(score, ref_dependencies(g, s))]
     # each unordered pair was accumulated from both endpoints
     return [x / 2.0 for x in score]
 
