@@ -356,8 +356,11 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
     cap the search then succeeds), and a bad one is refused before the graph
     is profiled.  A subset is a broker set iff its members' (radius-1)-balls
     cover every node, so :func:`_min_cover`'s depth-first search ORs the
-    masks :func:`_coverage_balls` keeps on the graph, one per level, and
-    skips every subtree whose masks cannot cover.
+    masks :func:`_coverage_balls` keeps on the graph, one per level, skips
+    every subtree whose masks cannot cover, and takes the last pick only
+    from the balls that hold the lowest uncovered node.  It starts at the
+    size that nodes with pairwise disjoint sets of covering balls need, one
+    pick each: on K_n, whose radius-0 coverage balls are single nodes, at n.
     """
     cap = _size_cap(size_cap, g.n)
     # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0

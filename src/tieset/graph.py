@@ -274,40 +274,57 @@ def _min_cover(
     nodes whose masks' OR has all n bits set from bit ``shift`` up and passes ``accept``.
 
     A depth-first search tries the subsets in ``combinations`` order, smallest first and
-    lexicographic within a size.  At each depth it stops at the first candidate c that is
-    above the highest id covering the lowest uncovered node, or for which the union so far
-    OR'd with the masks of c..n-1 fails the cover test or ``accept``: no later candidate
-    there can do better, as both tests are monotone (``accept`` must be: a union that
-    passes it keeps passing as bits are added).  So the first subset found is the one the
-    whole enumeration would find first.  ``cap`` is one that :func:`_size_cap` resolved.
-    When no subset is left it raises :class:`CapExceededError`, naming the ``what`` it
-    sought.
+    lexicographic within a size, so the first subset found is the one the whole
+    enumeration would find first.  ``covers[x]`` has bit c set iff candidate c's mask
+    covers node x.  At each depth but the last the search stops at the first candidate c
+    that is above the highest coverer of the lowest uncovered node, or for which the union
+    so far OR'd with the masks of c..n-1 fails the cover test or ``accept``: no later
+    candidate there can do better, as both tests are monotone (``accept`` must be: a union
+    that passes it keeps passing as bits are added).  The last pick is taken only from the
+    coverers of the lowest uncovered node, lowest bit first, as every other candidate
+    leaves that node uncovered; a union that covers already, and failed only ``accept``,
+    tries every later candidate.  Sizes below a packing bound are skipped: nodes whose
+    coverer sets are pairwise disjoint, taken from the fewest coverers up, each need a pick
+    of their own (a node with no coverer counts too: then nothing covers).  ``cap`` is one
+    that :func:`_size_cap` resolved.  When no subset is left, at once if the bound is above
+    ``cap``, it raises :class:`CapExceededError`, naming the ``what`` it sought.
     """
     n = len(masks)
     full = (1 << n) - 1
     suffix = [0] * (n + 1)  # suffix[c]: the OR of masks[c:]
-    last = [-1] * n + [n]  # last[x]: the highest id whose mask covers node x; x = n: all covered
+    covers = [0] * n + [full]  # covers[x]: bit c set iff masks[c] covers node x; x = n: every candidate
     for c in range(n - 1, -1, -1):
         suffix[c] = masks[c] | suffix[c + 1]
-        for x in _bits((suffix[c] ^ suffix[c + 1]) >> shift & full):
-            last[x] = c
-
-    def fits(union: int) -> bool:
-        return union >> shift == full and (accept is None or accept(union))
-
-    for k in range(1, cap + 1):
+        for x in _bits(masks[c] >> shift & full):
+            covers[x] |= 1 << c
+    last = [cx.bit_length() - 1 for cx in covers]  # the highest coverer of x
+    bound = taken = 0  # a node whose coverers are not yet taken needs a pick of its own
+    for cx in sorted(covers[:n], key=int.bit_count):
+        if not cx & taken:
+            bound += 1
+            taken |= cx
+    for k in range(max(bound, 1), cap + 1):
         stack = []  # (pick, union before it, end) for each depth above the current one
         c, union, end = 0, 0, min(n - k, last[0])  # end: the last candidate worth trying here
         while True:
-            if c <= end and fits(union | suffix[c]):
-                if len(stack) == k - 1:
-                    if fits(union | masks[c]):
-                        return NodeSet([pick for pick, _, _ in stack] + [c])
-                else:
-                    stack.append((c, union, end))
-                    union |= masks[c]
-                    y = union >> shift
-                    end = min(n - k + len(stack), last[(~y & (y + 1)).bit_length() - 1])  # lowest unset bit
+            if len(stack) == k - 1:  # the last pick: walk the coverers of the lowest unset bit from c up
+                y = union >> shift
+                todo = covers[(~y & (y + 1)).bit_length() - 1] >> c << c
+                while todo:
+                    low = todo & -todo
+                    u = union | masks[low.bit_length() - 1]
+                    if u >> shift == full and (accept is None or accept(u)):
+                        return NodeSet([pick for pick, _, _ in stack] + [low.bit_length() - 1])
+                    todo ^= low
+                if not stack:
+                    break
+                c, union, end = stack.pop()
+                c += 1
+            elif c <= end and (u := union | suffix[c]) >> shift == full and (accept is None or accept(u)):
+                stack.append((c, union, end))
+                union |= masks[c]
+                y = union >> shift
+                end = min(n - k + len(stack), last[(~y & (y + 1)).bit_length() - 1])  # lowest unset bit
                 c += 1
             elif stack:
                 c, union, end = stack.pop()

@@ -211,7 +211,8 @@ def test_min_broker_star_and_complete_need_everything():
 
 
 def test_min_broker_on_a_complete_graph_deeper_than_the_recursion_limit():
-    # every broker set of K_n holds all n nodes, so the search goes n levels deep
+    # radius 1 gives singleton coverage masks, so the packing bound is n and
+    # the search starts at size n, n levels deep
     n = sys.getrecursionlimit() + 100
     assert brute_force_min_broker(complete_graph(n)) == NodeSet(range(n))
 
@@ -227,6 +228,12 @@ def test_min_broker_on_radius_two_ba_graphs_keeps_its_recorded_answer(n, seed, e
     g = generate(RandomModelParams(BA, n, seed))
     assert metric_profile(g).radius == 2
     assert brute_force_min_broker(g) == NodeSet(expected)
+
+
+def test_min_broker_on_one_node_raises():
+    # radius 0: no tie set gives the newcomer eccentricity 0, so no mask covers node 0
+    with pytest.raises(CapExceededError, match="^no broker set of size <= 1 found$"):
+        brute_force_min_broker(build_graph(1, []))
 
 
 def test_min_broker_cap_exceeded_is_distinct(monkeypatch):

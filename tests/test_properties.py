@@ -339,9 +339,14 @@ def test_diameter_at_most_matches_floyd_warshall(g, data):
 @settings(max_examples=300)
 @given(st.data())
 def test_min_cover_finds_the_enumerations_first_subset_under_the_one_cap_rule(data):
-    n = data.draw(st.integers(1, 7))
+    n = data.draw(st.integers(1, 10))
     shift = data.draw(st.integers(0, 3))
-    masks = data.draw(st.lists(st.integers(0, (1 << (n + shift)) - 1), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        masks = data.draw(st.lists(st.integers(0, (1 << (n + shift)) - 1), min_size=n, max_size=n))
+    else:  # sparse: a few bits and, at random, the candidate's own node bit; so nodes with
+        # few or no coverers, and sizes below the packing bound, occur often
+        bits = st.lists(st.integers(0, n + shift - 1), max_size=3).map(lambda bs: sum({1 << b for b in bs}))
+        masks = [data.draw(st.booleans()) << (shift + i) | data.draw(bits) for i in range(n)]
     cap = data.draw(st.none() | st.integers(-1, n + 2))
     if cap is not None and cap < 1:
         with pytest.raises(GraphError, match=f"^size cap must be >= 1, got {cap}$"):
@@ -358,6 +363,27 @@ def test_min_cover_finds_the_enumerations_first_subset_under_the_one_cap_rule(da
             _min_cover(masks, shift, limit, "widget", accept)
     else:
         assert _min_cover(masks, shift, limit, "widget", accept) == expected
+
+
+def test_min_cover_refuses_a_cap_below_its_packing_bound_without_a_search():
+    # the 1-balls of P9: nodes 0, 3 and 8 have pairwise disjoint coverers, so
+    # every cover has 3 picks; below that no union is formed, so accept is never asked
+    masks = _balls_of_radius(path_graph(9).adj, 1)
+    asked = []
+    with pytest.raises(CapExceededError, match="^no widget of size <= 2 found$"):
+        _min_cover(masks, 0, 2, "widget", lambda union: asked.append(union) or True)
+    assert asked == []
+    assert _min_cover(masks, 0, 3, "widget") == ref_min_cover(masks, 0, 3) == (1, 4, 7)
+
+
+def test_min_cover_tries_a_non_coverer_once_the_union_covers_and_only_accept_fails():
+    # mask 0 covers all three nodes (bits 1-3) but lacks bit 0, which accept
+    # needs; mask 1 covers no node, so the last pick is not a coverer
+    def has_bit_0(union):
+        return union & 1 == 1
+
+    masks = [0b1110, 0b0001, 0b0000]
+    assert _min_cover(masks, 1, 3, "widget", has_bit_0) == ref_min_cover(masks, 1, 3, has_bit_0) == (0, 1)
 
 
 def test_cap_exceeded_error_is_one_class_on_every_import_path():
