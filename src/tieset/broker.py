@@ -355,24 +355,25 @@ def brute_force_min_broker(g: Graph, size_cap: int | None = None) -> NodeSet:
     more nodes a broker set of size n always exists, so with an unbounded
     cap the search then succeeds), and a bad one is refused before the graph
     is profiled.  A subset is a broker set iff its members' (radius-1)-balls
-    cover every node, so :func:`_min_cover`'s depth-first search ORs the
-    masks :func:`_coverage_balls` keeps on the graph, one per level, skips
-    every subtree whose masks cannot cover, and takes the last pick only
-    from the balls that hold the lowest uncovered node.  It starts at the
+    cover every node, so the n-bit ball masks :func:`_coverage_balls` keeps
+    on the graph are :func:`_min_cover`'s cover bits, with no ``accept``
+    test: its depth-first search ORs them, one per level, skips every
+    subtree whose masks cannot cover, and takes the last pick only from
+    the balls that hold the lowest uncovered node.  It starts at the
     size that nodes with pairwise disjoint sets of covering balls need, one
     pick each: on K_n, whose radius-0 coverage balls are single nodes, at n.
     """
     cap = _size_cap(size_cap, g.n)
     # a one-node graph has radius 0: no tie set makes the newcomer's ecc 0
     cover = _coverage_balls(g) if metric_profile(g).radius else [0] * g.n
-    return _min_cover(cover, 0, cap, "broker set")
+    return _min_cover(cover, cap, "broker set")
 
 
 def brute_force_min_dominating(g: Graph) -> NodeSet:
     """Smallest dominating set (its members' 1-balls cover every node), lexicographically first."""
     if not g.n:  # the empty set dominates the empty graph
         return NodeSet(())
-    return _min_cover(_balls_of_radius(g.adj, 1), 0, g.n, "dominating set")
+    return _min_cover(_balls_of_radius(g.adj, 1), g.n, "dominating set")
 
 
 def broker_decision(g: Graph, k: int) -> bool:

@@ -97,8 +97,11 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     t-balls: the newcomer reaches every node within delta iff the
     (delta-1)-ball of S is full, and a node x with d(x, S) = a reaches every
     node within delta iff the nodes farther than delta from x in the host
-    all lie in the (delta-2-a)-ball of S.  :func:`_min_cover` searches for S
-    with the first test as its cover and the second, which also holds for
+    all lie in the (delta-2-a)-ball of S.  Each node's balls of radius
+    0..delta-1 are packed into one int, radius t at bit offset
+    (delta-1-t)*n, so the (delta-1)-ball takes the low n bits.
+    :func:`_min_cover` searches for S with those bits as its cover and the
+    second test, which reads the layers above them and also holds for
     every superset of a set it holds for, as its ``accept``, so it skips
     each subtree whose union with every later candidate fails either.  It
     raises CapExceededError once no subset of at most the cap is left.
@@ -110,19 +113,18 @@ def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = 
     balls = _balls(g.adj, range(delta + 1))[1]
     full = (1 << n) - 1
     # each node's balls of radius 0..delta-1 in one int, radius t at bit
-    # offset t*n, so one OR over S's members yields all of S's t-balls
-    packed = [sum(balls[t][v] << (t * n) for t in range(delta)) for v in range(n)]
+    # offset (delta-1-t)*n, so one OR over S's members yields all of S's
+    # t-balls and the cover layer, the (delta-1)-balls, is the low n bits
+    packed = [sum(balls[t][v] << ((delta - 1 - t) * n) for t in range(delta)) for v in range(n)]
     # per node x with ecc > delta, and per a = 0..delta-2: the bit that says
     # d(x, S) <= a, and the nodes farther than delta from x placed in the
     # (delta-2-a)-ball layer, all of which that layer must contain
     far = [
-        [(1 << (a * n + x), (full ^ b) << ((delta - 2 - a) * n)) for a in range(delta - 1)]
+        [(1 << ((delta - 1 - a) * n + x), (full ^ b) << ((a + 1) * n)) for a in range(delta - 1)]
         for x, b in enumerate(balls[delta])
         if b != full
     ]
-    return _min_cover(
-        packed, (delta - 1) * n, cap, "delta-enabling set", lambda s_balls: _far_pairs_bridged(s_balls, far)
-    )
+    return _min_cover(packed, cap, "delta-enabling set", lambda s_balls: _far_pairs_bridged(s_balls, far))
 
 
 def _far_pairs_bridged(s_balls: int, far: list[list[tuple[int, int]]]) -> bool:

@@ -16,7 +16,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
-from operator import add
+from operator import add, index
 from typing import Callable, Iterable, Iterator, Sequence
 
 UNREACHABLE = math.inf
@@ -83,14 +83,22 @@ class NodeSet(tuple):
     """Sorted, duplicate-free tuple of node ids.
 
     Used for tie sets, dominating sets, centers and peripheries.  Accepts
-    any iterable of ints; order and duplicates are normalized away.  Being a
+    any iterable of integers (anything ``operator.index`` takes, stored as
+    its int); order and duplicates are normalized away, and a member that
+    is not an integer or is negative raises :class:`GraphError`.  Being a
     tuple, a NodeSet equals, and hashes as, the plain tuple of its members.
     """
 
     __slots__ = ()
 
     def __new__(cls, members: Iterable[int]):
-        self = super().__new__(cls, sorted(set(members)))
+        ids = set()
+        for v in members:
+            try:
+                ids.add(index(v))
+            except TypeError:
+                raise GraphError(f"node id {v!r} is not an integer") from None
+        self = super().__new__(cls, sorted(ids))
         if self and self[0] < 0:
             raise GraphError(f"negative node id {self[0]}")
         return self
@@ -268,26 +276,29 @@ def _check_seed(seed: int) -> None:
 
 
 def _min_cover(
-    masks: Sequence[int], shift: int, cap: int, what: str, accept: Callable[[int], bool] | None = None
+    masks: Sequence[int], cap: int, what: str, accept: Callable[[int], bool] | None = None
 ) -> NodeSet:
     """The lexicographically first smallest subset of at most ``cap`` of the n = len(masks)
-    nodes whose masks' OR has all n bits set from bit ``shift`` up and passes ``accept``.
+    nodes whose masks' OR has its low n bits set and passes ``accept``.
 
-    A depth-first search tries the subsets in ``combinations`` order, smallest first and
-    lexicographic within a size, so the first subset found is the one the whole
-    enumeration would find first.  ``covers[x]`` has bit c set iff candidate c's mask
-    covers node x.  At each depth but the last the search stops at the first candidate c
-    that is above the highest coverer of the lowest uncovered node, or for which the union
-    so far OR'd with the masks of c..n-1 fails the cover test or ``accept``: no later
-    candidate there can do better, as both tests are monotone (``accept`` must be: a union
-    that passes it keeps passing as bits are added).  The last pick is taken only from the
-    coverers of the lowest uncovered node, lowest bit first, as every other candidate
-    leaves that node uncovered; a union that covers already, and failed only ``accept``,
-    tries every later candidate.  Sizes below a packing bound are skipped: nodes whose
-    coverer sets are pairwise disjoint, taken from the fewest coverers up, each need a pick
-    of their own (a node with no coverer counts too: then nothing covers).  ``cap`` is one
-    that :func:`_size_cap` resolved.  When no subset is left, at once if the bound is above
-    ``cap``, it raises :class:`CapExceededError`, naming the ``what`` it sought.
+    Bit x of a mask, for x < n, says that the candidate covers node x; any higher bits are
+    read only by ``accept``.  A depth-first search tries the subsets in ``combinations``
+    order, smallest first and lexicographic within a size, so the first subset found is the
+    one the whole enumeration would find first.  ``covers[x]`` has bit c set iff candidate
+    c's mask covers node x.  At each depth but the last the search stops at the first
+    candidate c for which the union so far OR'd with the masks of c..n-1 fails the cover
+    test or ``accept``: no later candidate there can do better, as both tests are monotone
+    (``accept`` must be: a union that passes it keeps passing as bits are added).  No other
+    cutoff is needed: past the highest coverer of the lowest uncovered node the cover test
+    fails, and a c that leaves fewer candidates than picks still to make would pass only
+    if a smaller subset covered, one that an earlier size returned.  The last pick is taken only from the coverers of the lowest uncovered node, lowest bit
+    first, as every other candidate leaves that node uncovered; a union that covers
+    already, and failed only ``accept``, tries every later candidate.  Sizes below a
+    packing bound are skipped: nodes whose coverer sets are pairwise disjoint, taken from
+    the fewest coverers up, each need a pick of their own (a node with no coverer counts
+    too: then nothing covers).  ``cap`` is one that :func:`_size_cap` resolved.  When no
+    subset is left, at once if the bound is above ``cap``, it raises
+    :class:`CapExceededError`, naming the ``what`` it sought.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -295,42 +306,35 @@ def _min_cover(
     covers = [0] * n + [full]  # covers[x]: bit c set iff masks[c] covers node x; x = n: every candidate
     for c in range(n - 1, -1, -1):
         suffix[c] = masks[c] | suffix[c + 1]
-        for x in _bits(masks[c] >> shift & full):
+        for x in _bits(masks[c] & full):
             covers[x] |= 1 << c
-    last = [cx.bit_length() - 1 for cx in covers]  # the highest coverer of x
     bound = taken = 0  # a node whose coverers are not yet taken needs a pick of its own
     for cx in sorted(covers[:n], key=int.bit_count):
         if not cx & taken:
             bound += 1
             taken |= cx
-    for k in range(max(bound, 1), cap + 1):
-        stack = []  # (pick, union before it, end) for each depth above the current one
-        c, union, end = 0, 0, min(n - k, last[0])  # end: the last candidate worth trying here
+    for k in range(bound, cap + 1):
+        stack = []  # (pick, union before it) for each depth above the current one
+        c = union = 0
         while True:
             if len(stack) == k - 1:  # the last pick: walk the coverers of the lowest unset bit from c up
-                y = union >> shift
+                y = union & full
                 todo = covers[(~y & (y + 1)).bit_length() - 1] >> c << c
                 while todo:
                     low = todo & -todo
                     u = union | masks[low.bit_length() - 1]
-                    if u >> shift == full and (accept is None or accept(u)):
-                        return NodeSet([pick for pick, _, _ in stack] + [low.bit_length() - 1])
+                    if u & full == full and (accept is None or accept(u)):
+                        return NodeSet([pick for pick, _ in stack] + [low.bit_length() - 1])
                     todo ^= low
-                if not stack:
-                    break
-                c, union, end = stack.pop()
-                c += 1
-            elif c <= end and (u := union | suffix[c]) >> shift == full and (accept is None or accept(u)):
-                stack.append((c, union, end))
+            elif c < n and (u := union | suffix[c]) & full == full and (accept is None or accept(u)):
+                stack.append((c, union))
                 union |= masks[c]
-                y = union >> shift
-                end = min(n - k + len(stack), last[(~y & (y + 1)).bit_length() - 1])  # lowest unset bit
                 c += 1
-            elif stack:
-                c, union, end = stack.pop()
-                c += 1
-            else:
+                continue
+            if not stack:
                 break
+            c, union = stack.pop()
+            c += 1
     raise CapExceededError(f"no {what} of size <= {cap} found")
 
 

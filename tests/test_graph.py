@@ -9,7 +9,7 @@ import time
 import pytest
 
 from tieset import graph
-from tieset.broker import _coverage_balls, run_heuristic
+from tieset.broker import _coverage_balls, is_broker_set, run_heuristic
 from tieset.diameter import periphery_algorithm
 from tieset.generators import BA, NWS, RandomModelParams, generate
 from tieset.graph import (
@@ -85,6 +85,17 @@ def test_nodeset_normalizes_and_is_immutable():
     assert s == NodeSet((2, 1, 3))
     with pytest.raises(GraphError, match="negative node id -1"):
         NodeSet([2, -1])
+
+
+def test_nodeset_refuses_a_member_that_is_not_an_integer():
+    # caught before a float reaches a row of augment or an index in is_broker_set
+    for members, bad in (([0.5, 2], "0.5"), ([1, "a"], "'a'")):
+        with pytest.raises(GraphError, match=f"^node id {bad} is not an integer$"):
+            NodeSet(members)
+    g = path_graph(3)
+    for call in (lambda: augment(g, [1.0]), lambda: is_broker_set(g, [1.0])):
+        with pytest.raises(GraphError, match="^node id 1.0 is not an integer$"):
+            call()
 
 
 def test_bfs_distances_path_and_cycle():

@@ -339,14 +339,14 @@ def test_diameter_at_most_matches_floyd_warshall(g, data):
 @settings(max_examples=300)
 @given(st.data())
 def test_min_cover_finds_the_enumerations_first_subset_under_the_one_cap_rule(data):
-    n = data.draw(st.integers(1, 10))
-    shift = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 12))
+    extra = data.draw(st.integers(0, 3))  # bits above the n node bits, read only by accept
     if data.draw(st.booleans()):
-        masks = data.draw(st.lists(st.integers(0, (1 << (n + shift)) - 1), min_size=n, max_size=n))
+        masks = data.draw(st.lists(st.integers(0, (1 << (n + extra)) - 1), min_size=n, max_size=n))
     else:  # sparse: a few bits and, at random, the candidate's own node bit; so nodes with
         # few or no coverers, and sizes below the packing bound, occur often
-        bits = st.lists(st.integers(0, n + shift - 1), max_size=3).map(lambda bs: sum({1 << b for b in bs}))
-        masks = [data.draw(st.booleans()) << (shift + i) | data.draw(bits) for i in range(n)]
+        bits = st.lists(st.integers(0, n + extra - 1), max_size=3).map(lambda bs: sum({1 << b for b in bs}))
+        masks = [data.draw(st.booleans()) << i | data.draw(bits) for i in range(n)]
     cap = data.draw(st.none() | st.integers(-1, n + 2))
     if cap is not None and cap < 1:
         with pytest.raises(GraphError, match=f"^size cap must be >= 1, got {cap}$"):
@@ -355,14 +355,14 @@ def test_min_cover_finds_the_enumerations_first_subset_under_the_one_cap_rule(da
     limit = _size_cap(cap, n)
     assert limit == (n if cap is None else min(cap, n))
     # a monotone accept: the union holds every bit of a drawn mask
-    needed = data.draw(st.none() | st.integers(0, (1 << (n + shift)) - 1))
+    needed = data.draw(st.none() | st.integers(0, (1 << (n + extra)) - 1))
     accept = None if needed is None else (lambda union: union & needed == needed)
-    expected = ref_min_cover(masks, shift, limit, accept)
+    expected = ref_min_cover(masks, limit, accept)
     if expected is None:
         with pytest.raises(CapExceededError, match=f"^no widget of size <= {limit} found$"):
-            _min_cover(masks, shift, limit, "widget", accept)
+            _min_cover(masks, limit, "widget", accept)
     else:
-        assert _min_cover(masks, shift, limit, "widget", accept) == expected
+        assert _min_cover(masks, limit, "widget", accept) == expected
 
 
 def test_min_cover_refuses_a_cap_below_its_packing_bound_without_a_search():
@@ -371,19 +371,34 @@ def test_min_cover_refuses_a_cap_below_its_packing_bound_without_a_search():
     masks = _balls_of_radius(path_graph(9).adj, 1)
     asked = []
     with pytest.raises(CapExceededError, match="^no widget of size <= 2 found$"):
-        _min_cover(masks, 0, 2, "widget", lambda union: asked.append(union) or True)
+        _min_cover(masks, 2, "widget", lambda union: asked.append(union) or True)
     assert asked == []
-    assert _min_cover(masks, 0, 3, "widget") == ref_min_cover(masks, 0, 3) == (1, 4, 7)
+    assert _min_cover(masks, 3, "widget") == ref_min_cover(masks, 3) == (1, 4, 7)
 
 
 def test_min_cover_tries_a_non_coverer_once_the_union_covers_and_only_accept_fails():
-    # mask 0 covers all three nodes (bits 1-3) but lacks bit 0, which accept
+    # mask 0 covers all three nodes (bits 0-2) but lacks bit 3, which accept
     # needs; mask 1 covers no node, so the last pick is not a coverer
-    def has_bit_0(union):
-        return union & 1 == 1
+    def has_bit_3(union):
+        return union & 0b1000 == 0b1000
 
-    masks = [0b1110, 0b0001, 0b0000]
-    assert _min_cover(masks, 1, 3, "widget", has_bit_0) == ref_min_cover(masks, 1, 3, has_bit_0) == (0, 1)
+    masks = [0b0111, 0b1000, 0b0000]
+    assert _min_cover(masks, 3, "widget", has_bit_3) == ref_min_cover(masks, 3, has_bit_3) == (0, 1)
+
+
+def test_min_cover_backtracks_to_a_cover_made_of_the_last_candidates():
+    # only the last three candidates cover: 5 alone holds nodes 3-4, 6 nodes
+    # 2 and 5, 7 nodes 6-7; each earlier one holds node 0 or 1 and bit 8,
+    # which no cover needs, so every subtree that starts lower is walked and left
+    masks = [0b1_0000_0001, 0b1_0000_0010, 0b1_0000_0011, 0b1_0000_0001, 0b1_0000_0010,
+             0b0_0001_1011, 0b0_0010_0100, 0b0_1100_0000]
+    for cap in range(1, 9):
+        expected = ref_min_cover(masks, cap)
+        if expected is None:
+            with pytest.raises(CapExceededError, match=f"^no widget of size <= {cap} found$"):
+                _min_cover(masks, cap, "widget")
+        else:
+            assert _min_cover(masks, cap, "widget") == expected == (5, 6, 7)
 
 
 def test_cap_exceeded_error_is_one_class_on_every_import_path():
@@ -447,11 +462,11 @@ def test_mask_delta_oracle_matches_floyd_warshall_search(g, data):
 
 
 def _delta_search_inputs(g: Graph, delta: int):
-    """The masks, shift and accept test that the delta oracle hands its search."""
+    """The masks and accept test that the delta oracle hands its search."""
     handed = []
 
-    def search(masks, shift, cap, what, accept):
-        handed.append((masks, shift, accept))
+    def search(masks, cap, what, accept):
+        handed.append((masks, accept))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diameter, "_min_cover", search)
@@ -465,12 +480,13 @@ def _delta_search_inputs(g: Graph, delta: int):
 @given(family_graphs(max_n=8), st.data())
 def test_far_pairs_bridged_holds_for_every_superset(g, data):
     delta = data.draw(st.integers(2, max(2, metric_profile(g).diameter + 1)))
-    masks, shift, bridged = _delta_search_inputs(g, delta)
+    masks, bridged = _delta_search_inputs(g, delta)
     t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
     s = data.draw(st.lists(st.sampled_from(t), min_size=1, unique=True))
     union_s, union_t = (reduce(or_, (masks[v] for v in members)) for members in (s, t))
     # the packed union's two tests are the delta check
-    assert (union_s >> shift == (1 << g.n) - 1 and bridged(union_s)) == is_delta_enabling(g, s, delta)
+    full = (1 << g.n) - 1
+    assert (union_s & full == full and bridged(union_s)) == is_delta_enabling(g, s, delta)
     assert bridged(union_t) or not bridged(union_s)
 
 

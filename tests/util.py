@@ -125,14 +125,14 @@ def fw_eccentricities(g: Graph) -> list[int]:
     return [max(row) for row in fw_distances(g)]
 
 
-def ref_min_cover(masks, shift: int, cap: int, accept=None) -> tuple[int, ...] | None:
-    """First subset, in ``combinations`` order by size up to ``cap``, whose masks' OR has all
-    n = len(masks) bits set from bit ``shift`` up and passes ``accept``; None if there is none."""
+def ref_min_cover(masks, cap: int, accept=None) -> tuple[int, ...] | None:
+    """First subset, in ``combinations`` order by size up to ``cap``, whose masks' OR has its
+    low n = len(masks) bits set and passes ``accept``; None if there is none."""
     full = (1 << len(masks)) - 1
     for k in range(1, cap + 1):
         for subset in combinations(range(len(masks)), k):
             union = reduce(or_, (masks[i] for i in subset))
-            if union >> shift == full and (accept is None or accept(union)):
+            if union & full == full and (accept is None or accept(union)):
                 return subset
     return None
 
