@@ -3,9 +3,10 @@
 A *broker set* S is a tie set that leaves the newcomer joined to exactly S
 with eccentricity at most rad(G), i.e. as central as the best-placed host
 node.  Every heuristic here returns a *sub-radius dominating* set (each node
-outside S within rad(G)-1 hops of S), which is exactly the same condition
-reached by an independent route; the brute-force oracles give exact minima
-for small graphs.
+outside S within rad(G)-1 hops of S), which on two or more nodes is exactly
+the same condition reached by an independent route; on one node, {0} is
+vacuously sub-radius dominating, but no broker set exists.  The brute-force
+oracles give exact minima for small graphs.
 """
 
 from __future__ import annotations

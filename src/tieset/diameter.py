@@ -23,6 +23,7 @@ from .graph import (
     _balls_of_radius,
     _bfs,
     _check_seed,
+    _integer,
     _min_cover,
     _size_cap,
     augment,
@@ -78,8 +79,10 @@ def preserve_diameter(g: Graph) -> NodeSet:
 
 
 def _check_delta(delta: int) -> None:
-    """Refuse a target diameter below 2, which tying every node need not reach; reads no graph."""
-    if delta < 2:
+    """Refuse a target diameter that is not an integer, or one below 2, which tying every
+    node need not reach; reads no graph.
+    """
+    if _integer(delta, "target diameter") < 2:
         raise GraphError(f"target diameter must be >= 2, got {delta}")
 
 

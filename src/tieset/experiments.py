@@ -233,8 +233,10 @@ def run_with_timeout(g: Graph, heuristic: BrokerHeuristic, timeout_s: float | No
     ``BaseException``: a run it cuts returns None, and an error inside the
     run propagates as it is.  The timer is disarmed and the previous
     SIGALRM handler restored on every path.  ``signal.signal`` works only
-    in the main thread, so a budget must be set from there.
+    in the main thread, so a budget must be set from there.  A name that is
+    not a :class:`BrokerHeuristic` raises ValueError on both paths.
     """
+    heuristic = BrokerHeuristic(heuristic)
     if timeout_s is None:
         return run_heuristic(g, heuristic)
     _fill_untimed(g, heuristic, verify=True)

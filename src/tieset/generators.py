@@ -54,9 +54,9 @@ class RandomModelParams:
                 raise GraphError(f"nws needs 0 <= nws_p <= 1, got {self.nws_p}")
 
     def label(self) -> str:
-        if self.model == BA:
-            return f"ba(m={self.ba_m})"
-        return f"nws(k={self.nws_k}, p={self.nws_p})"
+        """The model and the parameters it reads (``MODEL_PARAMS``), unprefixed: ``nws(k=4, p=0.1)``."""
+        values = ", ".join(f"{name.split('_')[1]}={getattr(self, name)}" for name in MODEL_PARAMS[self.model])
+        return f"{self.model}({values})"
 
 
 def gen_ba(params: RandomModelParams) -> Graph:

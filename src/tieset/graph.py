@@ -65,9 +65,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.adj[a]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (a, b) with a < b, ascending."""
         for a in range(self.n):
@@ -97,15 +94,11 @@ class NodeSet(tuple):
             try:
                 ids.add(index(v))
             except TypeError:
-                raise GraphError(f"node id {v!r} is not an integer") from None
+                _integer(v, "node id")  # raises, as index refused v
         self = super().__new__(cls, sorted(ids))
         if self and self[0] < 0:
             raise GraphError(f"negative node id {self[0]}")
         return self
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NodeSet is immutable")
@@ -260,18 +253,28 @@ def _bits(mask: int) -> list[int]:
 def _size_cap(size_cap: int | None, n: int) -> int:
     """The exhaustive oracles' one cap rule, for a search over n nodes.
 
-    A cap of None means n, a larger one is cut to n, and one below 1 raises
-    :class:`GraphError`.  Each oracle calls it before any kernel run, so a
-    bad cap is refused before the graph is read.
+    A cap of None means n, a larger one is cut to n, and one that is not an
+    integer or is below 1 raises :class:`GraphError`.  Each oracle calls it
+    before any kernel run, so a bad cap is refused before the graph is read.
     """
-    if size_cap is not None and size_cap < 1:
+    if size_cap is not None and _integer(size_cap, "size cap") < 1:
         raise GraphError(f"size cap must be >= 1, got {size_cap}")
     return n if size_cap is None else min(size_cap, n)
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as an int, as ``operator.index`` gives it; anything it refuses raises :class:`GraphError`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise GraphError(f"{what} {value!r} is not an integer") from None
+
+
 def _check_seed(seed: int) -> None:
-    """Refuse a negative seed: ``random.Random(-s)`` seeds exactly as ``random.Random(s)``."""
-    if seed < 0:
+    """Refuse a seed that is not an integer, or a negative one: ``random.Random(-s)`` seeds
+    exactly as ``random.Random(s)``.
+    """
+    if _integer(seed, "seed") < 0:
         raise GraphError(f"seed must be >= 0, got {seed}")
 
 
@@ -290,15 +293,15 @@ def _min_cover(
     test or ``accept``: no later candidate there can do better, as both tests are monotone
     (``accept`` must be: a union that passes it keeps passing as bits are added).  No other
     cutoff is needed: past the highest coverer of the lowest uncovered node the cover test
-    fails, and a c that leaves fewer candidates than picks still to make would pass only
-    if a smaller subset covered, one that an earlier size returned.  The last pick is taken only from the coverers of the lowest uncovered node, lowest bit
-    first, as every other candidate leaves that node uncovered; a union that covers
-    already, and failed only ``accept``, tries every later candidate.  Sizes below a
-    packing bound are skipped: nodes whose coverer sets are pairwise disjoint, taken from
-    the fewest coverers up, each need a pick of their own (a node with no coverer counts
-    too: then nothing covers).  ``cap`` is one that :func:`_size_cap` resolved.  When no
-    subset is left, at once if the bound is above ``cap``, it raises
-    :class:`CapExceededError`, naming the ``what`` it sought.
+    fails, and a c that leaves fewer candidates than picks still to make would pass only if
+    a smaller subset covered, one that an earlier size returned.  The last pick is taken
+    only from the coverers of the lowest uncovered node, lowest bit first, as every other
+    candidate leaves that node uncovered; a union that covers already, and failed only
+    ``accept``, tries every later candidate.  Sizes below a packing bound are skipped: nodes
+    whose coverer sets are pairwise disjoint, taken from the fewest coverers up, each need a
+    pick of their own (a node with no coverer counts too: then nothing covers).  ``cap`` is
+    one that :func:`_size_cap` resolved.  When no subset is left, at once if the bound is
+    above ``cap``, it raises :class:`CapExceededError`, naming the ``what`` it sought.
     """
     n = len(masks)
     full = (1 << n) - 1

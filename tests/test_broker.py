@@ -253,6 +253,8 @@ def test_min_broker_cap_exceeded_is_distinct(monkeypatch):
     monkeypatch.setattr(diameter, "_balls", no_kernel)
     with pytest.raises(GraphError, match="^size cap must be >= 1, got 0$"):
         brute_force_min_broker(path_graph(5), size_cap=0)
+    with pytest.raises(GraphError, match="^size cap 2.5 is not an integer$"):
+        brute_force_min_broker(path_graph(5), size_cap=2.5)
 
 
 def test_min_dominating_examples():

@@ -145,6 +145,23 @@ def test_reductions_refuse_a_negative_seed_before_any_other_check(monkeypatch, a
         REDUCTIONS[alg](P5, 1, -1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: periphery_algorithm(P5, 3.0), "target diameter 3.0 is not an integer"),
+        (lambda: cp_algorithm(P5, 3, 1.5), "seed 1.5 is not an integer"),
+        (lambda: periphery_algorithm(P5, 3, "7"), "seed '7' is not an integer"),
+        (lambda: brute_force_min_delta_enabling(P5, 2.0), "target diameter 2.0 is not an integer"),
+        (lambda: brute_force_min_delta_enabling(P5, 3, size_cap=2.5), "size cap 2.5 is not an integer"),
+    ],
+    ids=["periphery-delta", "cp-seed", "periphery-seed-str", "oracle-delta", "oracle-cap"],
+)
+def test_integer_arguments_that_are_not_integers_are_refused_before_g_is_profiled(monkeypatch, call, message):
+    monkeypatch.setattr(diameter, "metric_profile", lambda *args: pytest.fail("g profiled before the check"))
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        call()
+
+
 def test_reduction_reports_are_deterministic_per_seed():
     g = random_connected(40, 20, 3)
     delta = metric_profile(g).diameter - 1

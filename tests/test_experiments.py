@@ -214,6 +214,14 @@ def test_run_with_timeout_passthrough_and_expiry(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("timeout_s", [None, 5.0])
+def test_run_with_timeout_refuses_an_unknown_heuristic_on_both_paths(timeout_s):
+    g = random_connected(12, 6, 1)
+    with pytest.raises(ValueError, match="^'foo' is not a valid BrokerHeuristic$"):
+        run_with_timeout(g, "foo", timeout_s)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 def test_a_budgeted_worker_inherits_the_coverage_balls(tmp_path, monkeypatch):
     log = tmp_path / "runs.log"
     kernel = graph._balls
@@ -238,7 +246,7 @@ def test_run_with_timeout_returns_results_larger_than_the_pipe_buffer():
     g = star_graph(30_000)
     report = run_with_timeout(g, BrokerHeuristic.MAX, 60.0)
     assert report.valid is True
-    assert report.s.members == tuple(range(g.n))
+    assert report.s == tuple(range(g.n))
     _assert_no_child_left()
 
 

@@ -39,6 +39,8 @@ def test_params_validation():
     for model in (BA, NWS):  # Random(-s) seeds as Random(s): a negative seed would repeat a graph
         with pytest.raises(GraphError, match="^seed must be >= 0, got -5$"):
             RandomModelParams(model, 50, -5)
+        with pytest.raises(GraphError, match="^seed 1.5 is not an integer$"):
+            RandomModelParams(model, 50, 1.5)
     with pytest.raises(GraphError, match="expected ba params, got 'nws'"):
         gen_ba(RandomModelParams(NWS, 10, 1, nws_k=4, nws_p=0.1))
     with pytest.raises(GraphError, match="expected nws params, got 'ba'"):
@@ -141,6 +143,20 @@ def test_model_params_default_to_the_experiment_values(n, seed):
     assert RandomModelParams(NWS, n, seed).label() == "nws(k=4, p=0.1)"
 
 
+@pytest.mark.parametrize(
+    "model, params, label",
+    [
+        (BA, dict(ba_m=5), "ba(m=5)"),
+        (NWS, dict(nws_k=6, nws_p=0.05), "nws(k=6, p=0.05)"),
+        (NWS, dict(nws_p=1.0), "nws(k=4, p=1.0)"),
+        (NWS, dict(nws_p=0), "nws(k=4, p=0)"),
+        (BA, dict(nws_k=6, nws_p=0.5), "ba(m=2)"),  # another model's parameters are not named
+    ],
+)
+def test_label_names_the_model_and_only_its_own_parameters(model, params, label):
+    assert RandomModelParams(model, 20, 1, **params).label() == label
+
+
 def test_generate_dispatches_on_model():
     assert generate(RandomModelParams(BA, 12, 5, ba_m=2)).n == 12
     assert generate(RandomModelParams(NWS, 12, 5, nws_k=4, nws_p=0.2)).n == 12
@@ -153,11 +169,11 @@ def test_gadget_layout_path4():
     # layer one is a clique
     for v in range(4):
         for w in range(v + 1, 4):
-            assert h.has_edge(v, w)
+            assert w in h.adj[v]
     # layer two copies the input graph, layer three hangs off it
-    assert h.has_edge(4, 5) and h.has_edge(5, 6) and not h.has_edge(4, 6)
+    assert 5 in h.adj[4] and 6 in h.adj[5] and 6 not in h.adj[4]
     for v in range(4):
-        assert h.has_edge(v, 4 + v) and h.has_edge(4 + v, 8 + v)
+        assert 4 + v in h.adj[v] and 8 + v in h.adj[4 + v]
         assert h.degree(8 + v) == 1
 
 

@@ -438,7 +438,7 @@ def _ref_peripheral_pairs(g: Graph) -> list[tuple[int, int]]:
     """All unordered node pairs at distance exactly diam(g), ascending."""
     profile = metric_profile(g)
     near = _balls_of_radius(g.adj, profile.diameter - 1)
-    periphery = profile.periphery.members
+    periphery = profile.periphery
     return [
         (a, b)
         for i, a in enumerate(periphery)
@@ -494,12 +494,12 @@ def ref_cp_algorithm(g: Graph, delta: int, seed: int = 0) -> DeltaReport:
     rng = random.Random(seed)
     u = g.n
     radius = metric_profile(g).radius
-    centers = metric_profile(g).center.members
+    centers = metric_profile(g).center
     s: set[int] = {centers[rng.randrange(len(centers))]}
     cur = _ref_tie(g, s)
     iterations = 1
     while metric_profile(cur).diameter > delta:
-        candidates = [w for w in metric_profile(cur).periphery.members if w != u and w not in s]
+        candidates = [w for w in metric_profile(cur).periphery if w != u and w not in s]
         if not candidates:
             raise RuntimeError("periphery exhausted despite oversized diameter")
         w = candidates[rng.randrange(len(candidates))]
