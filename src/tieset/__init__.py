@@ -54,8 +54,6 @@ from .generators import (
     NWS,
     GadgetMap,
     RandomModelParams,
-    gen_ba,
-    gen_nws,
     generate,
     reduction_gadget,
 )

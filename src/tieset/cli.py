@@ -154,7 +154,7 @@ def _dataset(spec: str) -> DatasetDescriptor:
     name, sep, path = spec.partition("=")
     if not sep or not name or not path:
         raise argparse.ArgumentTypeError(f"dataset spec must be name=path, got {spec!r}")
-    return DatasetDescriptor.with_known_stats(name, path)
+    return DatasetDescriptor(name, path)
 
 
 def _timeout(text: str) -> float | None:

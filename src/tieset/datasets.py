@@ -42,15 +42,10 @@ KNOWN_STATS: dict[str, NetworkStats] = {
 
 @dataclass(frozen=True, slots=True)
 class DatasetDescriptor:
-    """A named dataset on disk, with optional expected stats to verify."""
+    """A named dataset on disk; its published stats, if any, are ``KNOWN_STATS[name.lower()]``."""
 
     name: str
     path: str
-    expected: NetworkStats | None = None
-
-    @classmethod
-    def with_known_stats(cls, name: str, path: str) -> "DatasetDescriptor":
-        return cls(name, path, KNOWN_STATS.get(name.lower()))
 
 
 def load_edge_list(path: str | Path, *, giant: bool = False) -> tuple[Graph, dict[int, int]]:

@@ -82,8 +82,7 @@ def _check_delta(delta: int) -> None:
     """Refuse a target diameter that is not an integer, or one below 2, which tying every
     node need not reach; reads no graph.
     """
-    if _integer(delta, "target diameter") < 2:
-        raise GraphError(f"target diameter must be >= 2, got {delta}")
+    _integer(delta, "target diameter", 2)
 
 
 def brute_force_min_delta_enabling(g: Graph, delta: int, size_cap: int | None = None) -> NodeSet:
@@ -163,13 +162,13 @@ class _Joined:
     is ecc_H(u) = 1 + max d(., S), and ``near[0]`` is S.
 
     Only a node of host eccentricity at least delta can end a host pair
-    delta or more apart in H; ``wide`` lists them.  ``far`` maps each such
-    node not yet known to be within delta of every host node to r(x), the
-    farthest any host node is from x in H (its host eccentricity before the
-    first tie).  Distances only shrink as S grows, so each tie lowers r(x)
-    from its last value, testing radii r(x) - 1 down to delta (all kept),
-    and drops x for good once r(x) <= delta; a node at exactly delta before
-    the first tie is dropped untested.  ``diameter`` is diam(H), exact
+    delta or more apart in H.  ``far`` maps each such node not yet known to
+    be within delta of every host node to r(x), the farthest any host node
+    is from x in H (its host eccentricity before the first tie).  Distances
+    only shrink as S grows, so each tie lowers r(x) from its last value,
+    testing radii r(x) - 1 down to delta (all kept), and drops x for good
+    once r(x) <= delta; a node at exactly delta before the first tie is
+    dropped untested.  ``diameter`` is diam(H), exact
     whenever it exceeds delta; :meth:`at_delta` tells delta from less.
     Before the first tie H is g itself and ``near`` is empty.  ``profile``
     is g's metric profile, whose eccentricities seed ``far`` and whose
@@ -187,7 +186,6 @@ class _Joined:
         self.dist = [g.n] * g.n  # d(x, S); n while S is empty, farther than any hop count
         self.near: list[int] = []
         self.far = {x: e for x, e in enumerate(self.profile.ecc) if e >= delta}
-        self.wide = list(self.far)
         self.diameter = self.profile.diameter
 
     def _reach(self, x: int, t: int) -> int:
@@ -220,10 +218,12 @@ class _Joined:
         """Once diam(H) <= delta: True iff it equals delta.
 
         That holds iff the newcomer is delta away from some node, or a node
-        of ``wide`` is not within delta - 1 of every host node.
+        of host eccentricity above delta - 1 (``profile.ecc``, ascending) is
+        not within delta - 1 of every host node.
         """
         t = self.delta - 1
-        return len(self.near) > t or any(self._reach(x, t) != self.full for x in self.wide)
+        ecc = enumerate(self.profile.ecc)
+        return len(self.near) > t or any(self._reach(x, t) != self.full for x, e in ecc if e > t)
 
     def periphery(self) -> list[int]:
         """The host nodes in the periphery of H, ascending.

@@ -24,10 +24,10 @@ from typing import Sequence
 
 from . import __version__
 from .broker import AlgorithmReport, BrokerHeuristic, _fill_untimed, brute_force_min_broker, run_heuristic
-from .datasets import DatasetDescriptor, NetworkStats, load_edge_list
+from .datasets import KNOWN_STATS, DatasetDescriptor, NetworkStats, load_edge_list
 from .diameter import REDUCTIONS
 from .generators import BA, NWS, RandomModelParams, generate
-from .graph import CapExceededError, Graph, GraphError, _size_cap, largest_connected_component, metric_profile
+from .graph import CapExceededError, Graph, GraphError, _integer, _size_cap, largest_connected_component, metric_profile
 
 log = logging.getLogger(__name__)
 
@@ -181,10 +181,10 @@ def _run_generated(
     aggregate) pair for :func:`_summaries`.  ``metadata`` follows the shared
     '#' lines.
     """
+    _integer(master_seed, "master seed")
     _require("models", models)
     _require("sizes", sizes)
-    if count < 1:
-        raise GraphError(f"graph count per cell must be >= 1, got {count}")
+    _integer(count, "graph count per cell", 1)
     draws = {
         f"{model}-n{n}-{j:03d}": RandomModelParams(model, n, split_seed(master_seed, index))
         for index, (model, n, j) in enumerate(itertools.product(models, sizes, range(count)))
@@ -345,15 +345,17 @@ def run_experiment_2(
 # experiment 3: heuristics on real datasets
 
 def _giant(d: DatasetDescriptor, verify_stats: bool) -> Graph:
-    """The largest component of dataset ``d``, checked against its published stats if ``verify_stats``."""
+    """The largest component of dataset ``d``; if ``verify_stats``, checked against the
+    published stats of its name (``KNOWN_STATS``, case-insensitive), when it has any.
+    """
     g_full, _ = load_edge_list(d.path)
     g, _ = largest_connected_component(g_full)
-    if verify_stats and d.expected is not None:
+    if verify_stats and (expected := KNOWN_STATS.get(d.name.lower())) is not None:
         profile = metric_profile(g)
         observed = NetworkStats(g_full.n, g_full.m, g.n, profile.diameter, profile.radius)
-        if observed != d.expected:
+        if observed != expected:
             raise GraphError(
-                f"dataset {d.name}: stats {astuple(observed)} do not match published {astuple(d.expected)} "
+                f"dataset {d.name}: stats {astuple(observed)} do not match published {astuple(expected)} "
                 "(n, m, lcc_n, diameter, radius)"
             )
     return g
@@ -376,6 +378,7 @@ def _run_datasets(
     once they are built.  ``metadata`` follows the experiment and
     master-seed '#' lines.
     """
+    _integer(master_seed, "master seed")
     _require("datasets", [d.name for d in datasets])
     if bad := [d.name for d in datasets if "," in d.name or not d.name.isprintable()]:
         raise GraphError(f"dataset name {bad[0]!r} must not hold a ',' or a character that is not printable")
@@ -494,12 +497,13 @@ def run_experiment_5(
     """Edges needed to shrink real datasets' diameter by i, for each i in range.
 
     ``datasets`` must name at least one dataset: the default, none, raises
-    :class:`GraphError`, as does a negative i, before any dataset is read.
+    :class:`GraphError`, as do a negative i and an i or master seed that is
+    not an integer, before any dataset is read.
     A dataset path that does not exist is skipped with a reason row.
     """
     _require("i-range", i_range)
-    if min(i_range) < 0:
-        raise GraphError(f"--i-range values must be >= 0, got {min(i_range)}")
+    for i in sorted(i_range):  # ascending, so a refusal names the minimum
+        _integer(i, "--i-range values", 0)
     # the k-th run that is not skipped, over all datasets, gets split_seed(master_seed, k)
     seeds = (split_seed(master_seed, k) for k in itertools.count())
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphError, NodeSet, _check_seed, _from_sets, metric_profile
+from .graph import Graph, GraphError, NodeSet, _check_seed, _from_sets, _integer, metric_profile
 
 BA = "ba"
 NWS = "nws"
@@ -30,7 +30,8 @@ class RandomModelParams:
     edges per new node); ``nws`` overlays random shortcuts on a ring lattice
     of even degree ``nws_k`` with per-edge shortcut probability ``nws_p``.
     Only the model's own parameters are checked; each defaults to the value
-    the experiments use.  ``seed`` must be >= 0.
+    the experiments use.  ``seed`` must be >= 0, and ``n``, ``seed`` and the
+    model's ``ba_m`` or ``nws_k`` must be integers.
     """
 
     model: str
@@ -44,11 +45,12 @@ class RandomModelParams:
         if self.model not in MODEL_PARAMS:
             raise GraphError(f"unknown model {self.model!r}, expected {' or '.join(map(repr, MODEL_PARAMS))}")
         _check_seed(self.seed)
+        n = _integer(self.n, "n")
         if self.model == BA:
-            if not 1 <= self.ba_m < self.n:
+            if not 1 <= _integer(self.ba_m, "ba_m") < n:
                 raise GraphError(f"ba needs 1 <= ba_m < n, got ba_m={self.ba_m}, n={self.n}")
         else:
-            if self.nws_k % 2 or not 2 <= self.nws_k < self.n:
+            if _integer(self.nws_k, "nws_k") % 2 or not 2 <= self.nws_k < n:
                 raise GraphError(f"nws needs even 2 <= nws_k < n, got nws_k={self.nws_k}, n={self.n}")
             if not 0.0 <= self.nws_p <= 1.0:
                 raise GraphError(f"nws needs 0 <= nws_p <= 1, got {self.nws_p}")
@@ -59,7 +61,7 @@ class RandomModelParams:
         return f"{self.model}({values})"
 
 
-def gen_ba(params: RandomModelParams) -> Graph:
+def _gen_ba(params: RandomModelParams) -> Graph:
     """Preferential-attachment graph: star seed, then degree-proportional ties.
 
     Starts from a star on ``ba_m + 1`` nodes (hub 0).  Each later node joins
@@ -76,8 +78,6 @@ def gen_ba(params: RandomModelParams) -> Graph:
     node's neighbor set, and the sets become the graph through
     ``graph._from_sets``; no edge list is built.
     """
-    if params.model != BA:
-        raise GraphError(f"expected ba params, got {params.model!r}")
     rng = random.Random(params.seed)
     m = params.ba_m
     # the star (hub 0 and leaves 1..m); each later node's set is empty until its turn
@@ -96,7 +96,7 @@ def gen_ba(params: RandomModelParams) -> Graph:
     return _from_sets(adjacent)
 
 
-def gen_nws(params: RandomModelParams) -> Graph:
+def _gen_nws(params: RandomModelParams) -> Graph:
     """Ring lattice plus random shortcuts; no edges are removed.
 
     Node i is tied to its ``nws_k / 2`` nearest neighbors on each side of the
@@ -116,8 +116,6 @@ def gen_nws(params: RandomModelParams) -> Graph:
     lattice and the shortcuts go straight into the neighbor sets the draws
     read, and those sets become the graph through ``graph._from_sets``.
     """
-    if params.model != NWS:
-        raise GraphError(f"expected nws params, got {params.model!r}")
     rng = random.Random(params.seed)
     n, k, p = params.n, params.nws_k, params.nws_p
     # node i's k/2 ring neighbors on each side; k < n, so no two offsets meet
@@ -141,7 +139,7 @@ def gen_nws(params: RandomModelParams) -> Graph:
 
 
 def generate(params: RandomModelParams) -> Graph:
-    return gen_ba(params) if params.model == BA else gen_nws(params)
+    return _gen_ba(params) if params.model == BA else _gen_nws(params)
 
 
 @dataclass(frozen=True, slots=True)

@@ -43,11 +43,10 @@ class Graph:
     outside the package (``datasets.load_edge_list`` reads one from a file)
     into neighbor sets (symmetric, no self-loops or duplicates), or through
     ``_from_sets``, which takes such sets as they are, as the package's own
-    builds ``generators.gen_ba``, ``generators.gen_nws`` and
-    ``generators.reduction_gadget`` do.  ``build_graph`` ends in
-    ``_from_sets``, which sorts each neighbor list and counts ``m``;
-    :func:`induced_subgraph` and :func:`augment` derive their sorted rows
-    from a graph directly.  Connectedness is *not* an invariant; operations
+    builds, ``generators.generate`` and ``generators.reduction_gadget``,
+    do.  ``build_graph`` ends in ``_from_sets``, which sorts each neighbor
+    list and counts ``m``; :func:`induced_subgraph` and :func:`augment`
+    derive their sorted rows from a graph directly.  Connectedness is *not* an invariant; operations
     that need it check it.  The graph never changes, so
     :func:`metric_profile` keeps its profile on it, :func:`betweenness` its
     scores and ``broker._coverage_balls`` the coverage balls, on graphs the
@@ -149,11 +148,10 @@ def _from_sets(nbrs: Sequence[set[int]]) -> Graph:
     """The graph whose node v has the neighbors ``nbrs[v]``; ``m`` is half the degree sum.
 
     The one place neighbor sets become a :class:`Graph`: the end of
-    :func:`build_graph`, and the route of ``generators.gen_nws``,
-    ``generators.gen_ba`` and ``generators.reduction_gadget``, which fill
-    one set per node.  The sets must be clean already: symmetric (w in
-    nbrs[v] iff v in nbrs[w]), with ids in 0..len(nbrs)-1 and no
-    self-loops.  Nothing is checked.
+    :func:`build_graph`, and the route of ``generators.generate`` and
+    ``generators.reduction_gadget``, which fill one set per node.  The sets
+    must be clean already: symmetric (w in nbrs[v] iff v in nbrs[w]), with
+    ids in 0..len(nbrs)-1 and no self-loops.  Nothing is checked.
     """
     return Graph(len(nbrs), tuple(tuple(sorted(s)) for s in nbrs), sum(map(len, nbrs)) // 2)
 
@@ -257,25 +255,27 @@ def _size_cap(size_cap: int | None, n: int) -> int:
     integer or is below 1 raises :class:`GraphError`.  Each oracle calls it
     before any kernel run, so a bad cap is refused before the graph is read.
     """
-    if size_cap is not None and _integer(size_cap, "size cap") < 1:
-        raise GraphError(f"size cap must be >= 1, got {size_cap}")
-    return n if size_cap is None else min(size_cap, n)
+    return n if size_cap is None else min(_integer(size_cap, "size cap", 1), n)
 
 
-def _integer(value: object, what: str) -> int:
-    """``value`` as an int, as ``operator.index`` gives it; anything it refuses raises :class:`GraphError`."""
+def _integer(value: object, what: str, low: int | None = None) -> int:
+    """``value`` as an int, as ``operator.index`` gives it; anything it refuses, or an int
+    below ``low`` when one is given, raises :class:`GraphError`.  The one owner of both messages.
+    """
     try:
-        return index(value)
+        number = index(value)
     except TypeError:
         raise GraphError(f"{what} {value!r} is not an integer") from None
+    if low is not None and number < low:
+        raise GraphError(f"{what} must be >= {low}, got {value}")
+    return number
 
 
 def _check_seed(seed: int) -> None:
     """Refuse a seed that is not an integer, or a negative one: ``random.Random(-s)`` seeds
     exactly as ``random.Random(s)``.
     """
-    if _integer(seed, "seed") < 0:
-        raise GraphError(f"seed must be >= 0, got {seed}")
+    _integer(seed, "seed", 0)
 
 
 def _min_cover(

@@ -7,7 +7,8 @@ from tieset.datasets import (
     load_edge_list,
     write_edge_list,
 )
-from tieset.graph import build_graph
+from tieset.experiments import _giant
+from tieset.graph import Graph, GraphError, build_graph
 from util import random_connected
 
 
@@ -97,10 +98,12 @@ def test_missing_file_raises_oserror(tmp_path):
         load_edge_list(tmp_path / "nope.txt")
 
 
-def test_descriptor_attaches_known_stats():
-    d = DatasetDescriptor.with_known_stats("Facebook", "/data/facebook.txt")
-    assert d.expected == KNOWN_STATS["facebook"]
-    assert DatasetDescriptor.with_known_stats("mystery", "x").expected is None
+def test_descriptor_attaches_known_stats(tmp_path):
+    tiny = tmp_path / "tiny.txt"
+    write_edge_list(tiny, random_connected(24, 30, 8))
+    with pytest.raises(GraphError, match="do not match published"):
+        _giant(DatasetDescriptor("Facebook", str(tiny)), True)
+    assert isinstance(_giant(DatasetDescriptor("mystery", str(tiny)), True), Graph)
 
 
 def test_known_stats_shape():

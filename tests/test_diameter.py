@@ -376,6 +376,23 @@ def test_reductions_run_the_kernel_a_fixed_number_of_times_whatever_the_rounds(g
         assert profiled and all(f is g for f in profiled), fn.__name__
 
 
+@pytest.mark.parametrize("fn", [periphery_algorithm, cp_algorithm])
+def test_at_delta_reads_the_nodes_whose_host_eccentricity_is_exactly_delta(fn, monkeypatch):
+    # on C6 every node has eccentricity 3 = delta, so only they can keep H's diameter at
+    # delta; skipping them would call it less and take a second kernel run for the exact value
+    runs = []
+    kernel = graph._balls
+
+    def counting(adj, keep=()):
+        runs.append(len(adj))
+        return kernel(adj, keep)
+
+    monkeypatch.setattr(diameter, "_balls", counting)
+    report = fn(C6, 3, 0)
+    assert report.achieved_diameter == metric_profile(augment(C6, report.s)).diameter == 3
+    assert runs == [6]
+
+
 @pytest.mark.parametrize("run", ["periphery", "cp", "stats", "experiment-4"])
 def test_the_network_expansion_side_keeps_no_coverage_balls(run, tmp_path, monkeypatch):
     # every graph profiled on the way keeps its profile, but only a broker

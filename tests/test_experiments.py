@@ -6,7 +6,7 @@ import time
 import pytest
 
 from tieset import cli, experiments, graph
-from tieset.datasets import DatasetDescriptor, NetworkStats, write_edge_list
+from tieset.datasets import DatasetDescriptor, write_edge_list
 from tieset.experiments import (
     CSV_COLUMNS,
     ExperimentRecord,
@@ -120,7 +120,7 @@ def test_experiment_3_runs_datasets_and_skips_missing(tmp_path):
 
 def test_experiment_3_verifies_expected_stats(tmp_path):
     path = _dataset_file(tmp_path)
-    bad = DatasetDescriptor("tiny", str(path), NetworkStats(n=1, m=1, lcc_n=1, diameter=1, radius=1))
+    bad = DatasetDescriptor("Facebook", str(path))
     with pytest.raises(GraphError, match="do not match"):
         run_experiment_3(tmp_path / "e3.csv", [bad], heuristics=("max",), timeout_s=None, verify_stats=True)
     # without the flag the mismatch is ignored
@@ -368,6 +368,41 @@ def test_an_invalid_last_cell_is_refused_before_the_first_graph(tmp_path, monkey
     out = tmp_path / "e.csv"
     with pytest.raises(GraphError, match="nws needs even 2 <= nws_k < n, got nws_k=4, n=4"):
         runner(out, models=("ba", "nws"), sizes=(12, 4), count=3)
+    assert not out.exists()
+
+
+def _refuse(*args, **kwargs):
+    pytest.fail(f"called with {args}")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(master_seed=1.5), "master seed 1.5 is not an integer"),
+    (dict(sizes=(20.0,)), "n 20.0 is not an integer"),
+    (dict(count=2.5), "graph count per cell 2.5 is not an integer"),
+])
+def test_experiment_4_refuses_an_integer_argument_that_is_not_an_integer_before_the_first_graph(
+    tmp_path, monkeypatch, kwargs, message
+):
+    monkeypatch.setattr(experiments, "generate", _refuse)
+    out = tmp_path / "e4.csv"
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        run_experiment_4(out, **dict(dict(models=("ba",), sizes=(20,), count=1), **kwargs))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runner, kwargs, message", [
+    (run_experiment_3, dict(master_seed=1.5), "master seed 1.5 is not an integer"),
+    (run_experiment_5, dict(master_seed=1.5), "master seed 1.5 is not an integer"),
+    (run_experiment_5, dict(i_range=(1.5,)), "--i-range values 1.5 is not an integer"),
+])
+def test_dataset_runners_refuse_an_integer_argument_that_is_not_an_integer_before_the_first_read(
+    tmp_path, monkeypatch, runner, kwargs, message
+):
+    d = DatasetDescriptor("tiny", str(_dataset_file(tmp_path)))
+    monkeypatch.setattr(experiments, "load_edge_list", _refuse)
+    out = tmp_path / "e.csv"
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        runner(out, [d], **kwargs)
     assert not out.exists()
 
 

@@ -7,8 +7,6 @@ from tieset.generators import (
     NWS,
     GadgetMap,
     RandomModelParams,
-    gen_ba,
-    gen_nws,
     generate,
     reduction_gadget,
 )
@@ -41,57 +39,65 @@ def test_params_validation():
             RandomModelParams(model, 50, -5)
         with pytest.raises(GraphError, match="^seed 1.5 is not an integer$"):
             RandomModelParams(model, 50, 1.5)
-    with pytest.raises(GraphError, match="expected ba params, got 'nws'"):
-        gen_ba(RandomModelParams(NWS, 10, 1, nws_k=4, nws_p=0.1))
-    with pytest.raises(GraphError, match="expected nws params, got 'ba'"):
-        gen_nws(RandomModelParams(BA, 10, 1))
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((BA, 10.0, 1), {}, "n 10.0 is not an integer"),
+    ((NWS, 10.0, 1), {}, "n 10.0 is not an integer"),
+    ((BA, 10, 1), {"ba_m": 2.0}, "ba_m 2.0 is not an integer"),
+    ((NWS, 10, 1), {"nws_k": 4.0}, "nws_k 4.0 is not an integer"),
+])
+def test_params_refuse_a_size_or_model_integer_that_is_not_an_integer(args, kwargs, message):
+    # refused when built, so no graph is drawn from them and no label names ba(m=2.0)
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        RandomModelParams(*args, **kwargs)
 
 
 def test_ba_single_attachment_grows_a_tree():
-    g = gen_ba(RandomModelParams(BA, 10, 42, ba_m=1))
+    g = generate(RandomModelParams(BA, 10, 42, ba_m=1))
     assert (g.n, g.m) == (10, 9)
     assert is_connected(g)
 
 
 def test_ba_edge_count_by_construction():
     # star seed on 3 nodes plus 97 nodes attaching twice each
-    g = gen_ba(RandomModelParams(BA, 100, 7, ba_m=2))
+    g = generate(RandomModelParams(BA, 100, 7, ba_m=2))
     assert (g.n, g.m) == (100, 2 * 97 + 2)
     assert is_connected(g)
 
 
 def test_ba_determinism_and_seed_sensitivity():
     p = RandomModelParams(BA, 60, 11, ba_m=2)
-    assert gen_ba(p) == gen_ba(p)
-    assert gen_ba(p) != gen_ba(RandomModelParams(BA, 60, 12, ba_m=2))
+    assert generate(p) == generate(p)
+    assert generate(p) != generate(RandomModelParams(BA, 60, 12, ba_m=2))
 
 
 def test_nws_degenerate_p_zero_is_the_ring():
-    assert gen_nws(RandomModelParams(NWS, 8, 1, nws_k=2, nws_p=0.0)) == cycle_graph(8)
-    lattice = gen_nws(RandomModelParams(NWS, 8, 1, nws_k=4, nws_p=0.0))
+    assert generate(RandomModelParams(NWS, 8, 1, nws_k=2, nws_p=0.0)) == cycle_graph(8)
+    lattice = generate(RandomModelParams(NWS, 8, 1, nws_k=4, nws_p=0.0))
     assert lattice.m == 16
     assert lattice.adj[0] == (1, 2, 6, 7)
 
 
 def test_ba_at_minimum_size_is_just_the_star():
-    g = gen_ba(RandomModelParams(BA, 3, 5, ba_m=2))
+    g = generate(RandomModelParams(BA, 3, 5, ba_m=2))
     assert (g.n, g.m) == (3, 2)
     assert g.adj[0] == (1, 2)
 
 
 def test_nws_dense_ring_reaches_complete_without_duplicates():
     # k = n-1 rounded down to even: every pair is within the lattice reach
-    g = gen_nws(RandomModelParams(NWS, 5, 2, nws_k=4, nws_p=1.0))
+    g = generate(RandomModelParams(NWS, 5, 2, nws_k=4, nws_p=1.0))
     assert (g.n, g.m) == (5, 10)
 
 
 def test_nws_shortcuts_only_add_edges():
     p = RandomModelParams(NWS, 50, 3, nws_k=4, nws_p=0.3)
-    g = gen_nws(p)
+    g = generate(p)
     assert g.n == 50
     assert g.m >= 100
     assert is_connected(g)
-    assert gen_nws(p) == g
+    assert generate(p) == g
 
 
 @st.composite
@@ -110,7 +116,7 @@ def nws_params(draw):
 def test_nws_draw_by_rank_gives_the_listed_draws_graph(params):
     for seed in range(params.seed, params.seed + 3):
         same = RandomModelParams(NWS, params.n, seed, nws_k=params.nws_k, nws_p=params.nws_p)
-        assert gen_nws(same) == ref_gen_nws(same)
+        assert generate(same) == ref_gen_nws(same)
 
 
 @pytest.mark.parametrize("n", range(3, 61))
@@ -118,7 +124,7 @@ def test_nws_draw_by_rank_in_the_dense_corner(n):
     # p = 1 and the largest even k < n: nodes run out of free ids, and are skipped without a draw
     for seed in range(4):
         params = RandomModelParams(NWS, n, seed, nws_k=(n - 1) // 2 * 2, nws_p=1.0)
-        assert gen_nws(params) == ref_gen_nws(params)
+        assert generate(params) == ref_gen_nws(params)
 
 
 @pytest.mark.parametrize("n", [*range(2, 40), 100, 257, 1000])
@@ -126,12 +132,12 @@ def test_ba_built_into_neighbor_sets_gives_the_edge_list_graph(n):
     for m in [m for m in (1, 2, 3, 5) if m < n]:
         for seed in range(4):
             params = RandomModelParams(BA, n, seed, ba_m=m)
-            assert gen_ba(params) == ref_gen_ba(params)
+            assert generate(params) == ref_gen_ba(params)
 
 
 @pytest.mark.parametrize("n, m", [(4158, 13122), (8638, 27215)])
 def test_nws_dataset_sized_stand_ins(n, m):
-    g = gen_nws(RandomModelParams(NWS, n, 7, nws_k=6, nws_p=0.05))
+    g = generate(RandomModelParams(NWS, n, 7, nws_k=6, nws_p=0.05))
     assert (g.n, g.m) == (n, m)
 
 
@@ -200,7 +206,7 @@ def test_gadget_built_into_neighbor_sets_gives_the_edge_list_gadget(n):
     # NWS(k = 2, p = 0.3) graphs are connected; one of these, whose shortcuts give a node
     # every other as neighbor, has radius 1 and is refused by both
     for seed in range(3):
-        g = gen_nws(RandomModelParams(NWS, n, seed, nws_k=2, nws_p=0.3))
+        g = generate(RandomModelParams(NWS, n, seed, nws_k=2, nws_p=0.3))
         assert _gadget_or_refusal(reduction_gadget, g) == _gadget_or_refusal(ref_reduction_gadget, g)
 
 
@@ -239,5 +245,5 @@ def test_dominating_set_lift_is_broker_set():
 def test_ba_degree_skew_is_logged_not_asserted():
     # soft expectation only: preferential attachment concentrates degree
     for n in (50, 200, 800):
-        g = gen_ba(RandomModelParams(BA, n, 31, ba_m=2))
+        g = generate(RandomModelParams(BA, n, 31, ba_m=2))
         print(f"ba n={n}: max degree {max(g.degree(v) for v in range(n))}")

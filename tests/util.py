@@ -16,10 +16,10 @@ range on its own, so a bad delta compares two independent refusals.
 ``ref_min_cover`` is the size-ordered ``combinations`` enumeration that the
 exhaustive oracles' depth-first search must agree with.  ``ref_gen_nws``
 draws each NWS shortcut from the listed free ids, the exact reference for
-the library's draw by rank; ``ref_gen_ba`` and ``ref_reduction_gadget``
-collect every BA and gadget edge in a list and clean it with
-``build_graph``, the exact references for the library's builds straight
-into neighbor sets.  ``ref_heuristic`` is each of the eight broker
+the draw by rank behind ``generators.generate``; ``ref_gen_ba`` and
+``ref_reduction_gadget`` collect every BA and gadget edge in a list and
+clean it with ``build_graph``, the exact references for the library's
+builds straight into neighbor sets.  ``ref_heuristic`` is each of the eight broker
 heuristics written out with sets and Floyd-Warshall distances, the shrinking
 loop on explicitly built induced subgraphs, every tie to the smallest id by
 an explicit key, and betweenness from ``ref_brandes``.
@@ -139,7 +139,7 @@ def ref_min_cover(masks, cap: int, accept=None) -> tuple[int, ...] | None:
 
 def ref_gen_nws(params: RandomModelParams) -> Graph:
     """NWS graph whose shortcut targets are drawn from the list of free ids, with the
-    same random calls as ``generators.gen_nws``."""
+    same random calls as ``generators.generate`` makes for NWS."""
     rng = random.Random(params.seed)
     n, k, p = params.n, params.nws_k, params.nws_p
     edges = [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)]
@@ -162,7 +162,7 @@ def ref_gen_nws(params: RandomModelParams) -> Graph:
 
 def ref_gen_ba(params: RandomModelParams) -> Graph:
     """BA graph whose edges are collected in a list and cleaned by ``build_graph``, with
-    the same random calls as ``generators.gen_ba``."""
+    the same random calls as ``generators.generate`` makes for BA."""
     if params.model != BA:
         raise GraphError(f"expected ba params, got {params.model!r}")
     rng = random.Random(params.seed)
